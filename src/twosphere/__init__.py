@@ -9,7 +9,6 @@ A built-in synthetic simulator supplies exact ground truth for verification.
 """
 
 from .calibrate import (
-    CalibOptions,
     CalibResult,
     IscProblem,
     SphereObservation,
@@ -35,7 +34,7 @@ from .phase import (
     unwrap_ladder,
     unwrap_temporal,
 )
-from .pipeline import AssemblyOptions, assemble_observations, build_problem, run_calibration
+from .pipeline import assemble_observations, build_problem, run_calibration
 from .projector import (
     Correspondences,
     ProjMatrix,
@@ -64,8 +63,6 @@ from .sphere import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssemblyOptions",
-    "CalibOptions",
     "CalibResult",
     "Conic",
     "Correspondences",

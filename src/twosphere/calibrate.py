@@ -13,8 +13,6 @@ conic (``l ~ K^-T K^-1 v``).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -28,14 +26,13 @@ from .errors import (
     PointAtInfinity,
     RayMissesSphere,
 )
-from .geometry import Conic, Intrinsics, constraint_pair, unit_vector
+from .geometry import Conic, Intrinsics, constraint_pair, pole_polar_cross
 from .projector import ProjMatrix, decompose, dlt_estimate, project_points
 from .sphere import lift_pixel_to_sphere, sphere_center_from_conic
 
 __all__ = [
     "SphereObservation",
     "IscProblem",
-    "CalibOptions",
     "CalibResult",
     "isc_objective",
     "calibrate",
@@ -44,6 +41,13 @@ __all__ = [
 ]
 
 BARRIER_VALUE = 1e12
+F_SCAN_LO = 0.3  # focal scan range as multiples of the image width
+F_SCAN_HI = 5.0
+F_SCAN_SAMPLES = 40
+N_STARTS = 3  # well-separated scan minima the descent starts from
+REL_OBJ_TOL = 1e-10
+REL_STEP_TOL = 1e-8
+FD_REL_STEP = 1e-5  # central-difference step relative to max(|p_j|, 1)
 
 
 @dataclass(frozen=True)
@@ -104,19 +108,17 @@ class IscProblem:
         cam_w: int,
         cam_h: int,
         mu: float | None = None,
-        bootstrap: Intrinsics | None = None,
     ) -> "IscProblem":
         """Assemble a problem, extracting the constraint pair from the conics.
 
         ``radii`` may be a single shared radius or a per-sphere pair. The
-        eigenvector-selection bootstrap defaults to a focal guess of the
-        image width with the principal point at the image center. A
+        eigenvector selection is bootstrapped with a focal guess of the
+        image width and the principal point at the image center. A
         coincident conic pair raises CoincidentConics here, before any
         optimization starts.
         """
         r = (float(radii), float(radii)) if np.isscalar(radii) else (float(radii[0]), float(radii[1]))
-        if bootstrap is None:
-            bootstrap = Intrinsics(fx=cam_w, fy=cam_w, skew=0.0, u0=cam_w / 2.0, v0=cam_h / 2.0)
+        bootstrap = Intrinsics(fx=cam_w, fy=cam_w, skew=0.0, u0=cam_w / 2.0, v0=cam_h / 2.0)
         line, point = constraint_pair(obs1.conic, obs2.conic, bootstrap)
         if mu is None:
             mu = 1e4 * (len(obs1) + len(obs2))
@@ -129,28 +131,6 @@ class IscProblem:
             constraint=(line, point),
             mu=float(mu),
         )
-
-
-def _env_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("ISC_CALIB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-@dataclass
-class CalibOptions:
-    """Knobs of the outer search; defaults match the documented contract."""
-
-    max_iters: int = 200
-    f_scan_lo: float = 0.3  # scan range as multiples of the image width
-    f_scan_hi: float = 5.0
-    f_scan_samples: int = 40
-    n_starts: int = 3
-    rel_obj_tol: float = 1e-10
-    rel_step_tol: float = 1e-8
-    fd_rel_step: float = 1e-5
-    threads: int = field(default_factory=_env_threads)
 
 
 @dataclass
@@ -204,12 +184,6 @@ class CalibResult:
 # objective
 # ---------------------------------------------------------------------------
 
-def _constraint_cross(K: Intrinsics, problem: IscProblem) -> np.ndarray:
-    line, point = problem.constraint
-    mapped = K.iac() @ point
-    return np.cross(line, unit_vector(mapped))
-
-
 def _residual_vector(params: np.ndarray, problem: IscProblem) -> tuple[np.ndarray, ProjMatrix]:
     """Stacked least-squares residuals for candidate intrinsics parameters.
 
@@ -235,7 +209,7 @@ def _residual_vector(params: np.ndarray, problem: IscProblem) -> tuple[np.ndarra
     except (NotASphereImage, BehindCamera, RayMissesSphere, DegenerateConfiguration,
             PointAtInfinity) as exc:
         raise InfeasibleCandidate(str(exc)) from exc
-    cross = _constraint_cross(K, problem)
+    cross = pole_polar_cross(*problem.constraint, K)
     return np.concatenate([planar.ravel(), np.sqrt(problem.mu) * cross]), M
 
 
@@ -249,11 +223,16 @@ def isc_objective(K: Intrinsics, problem: IscProblem) -> tuple[float, ProjMatrix
     """
     params = np.array([K.fx, K.fy, K.skew, K.u0, K.v0])
     vec, M = _residual_vector(params, problem)
+    return _objective_parts(vec, problem)[1], M
+
+
+def _objective_parts(vec: np.ndarray, problem: IscProblem) -> tuple[np.ndarray, float]:
+    """Per-correspondence residual norms and the objective value, from a
+    ``_residual_vector`` output (whose tail is the sqrt(mu)-scaled cross)."""
     n = len(problem.obs1) + len(problem.obs2)
-    planar = vec[: 2 * n].reshape(-1, 2)
+    norms = np.linalg.norm(vec[: 2 * n].reshape(-1, 2), axis=1)
     cross = vec[2 * n :]
-    value = float(np.linalg.norm(planar, axis=1).sum() + cross @ cross)
-    return value, M
+    return norms, float(norms.sum() + cross @ cross)
 
 
 # ---------------------------------------------------------------------------
@@ -267,39 +246,29 @@ def _try_residuals(params, problem):
         return None
 
 
-def _jacobian(params, r0, problem, rel_step, threads=1):
+def _jacobian(params, r0, problem):
     """Central-difference Jacobian; falls back to one-sided at feasibility edges."""
-    n_par = len(params)
-    probes = []
-    for j in range(n_par):
-        h = rel_step * max(abs(params[j]), 1.0)
+    cols = []
+    for j in range(len(params)):
+        h = FD_REL_STEP * max(abs(params[j]), 1.0)
         plus = params.copy()
         plus[j] += h
         minus = params.copy()
         minus[j] -= h
-        probes.append((j, h, plus, minus))
-
-    def column(probe):
-        j, h, plus, minus = probe
         rp = _try_residuals(plus, problem)
         rm = _try_residuals(minus, problem)
         if rp is not None and rm is not None:
-            return (rp - rm) / (2.0 * h)
-        if rp is not None:
-            return (rp - r0) / h
-        if rm is not None:
-            return (r0 - rm) / h
-        return np.zeros_like(r0)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, n_par)) as pool:
-            cols = list(pool.map(column, probes))  # order preserved: deterministic
-    else:
-        cols = [column(p) for p in probes]
+            cols.append((rp - rm) / (2.0 * h))
+        elif rp is not None:
+            cols.append((rp - r0) / h)
+        elif rm is not None:
+            cols.append((r0 - rm) / h)
+        else:
+            cols.append(np.zeros_like(r0))
     return np.column_stack(cols)
 
 
-def _levenberg_marquardt(p0, problem, opts: CalibOptions):
+def _levenberg_marquardt(p0, problem, max_iters):
     """Damped least squares from p0. Returns (p, F, history, iterations, converged)."""
     p = np.asarray(p0, dtype=float).copy()
     r = _try_residuals(p, problem)
@@ -310,8 +279,8 @@ def _levenberg_marquardt(p0, problem, opts: CalibOptions):
     lam = 1e-3
     converged = False
     iterations = 0
-    for _ in range(opts.max_iters):
-        J = _jacobian(p, r, problem, opts.fd_rel_step, opts.threads)
+    for _ in range(max_iters):
+        J = _jacobian(p, r, problem)
         jtj = J.T @ J
         grad = J.T @ r
         accepted = False
@@ -338,12 +307,12 @@ def _levenberg_marquardt(p0, problem, opts: CalibOptions):
             lam *= 10.0
         if not accepted:
             # no descent within a vanishing trust region: stationary
-            small = step is not None and np.linalg.norm(step) < opts.rel_step_tol * max(
+            small = step is not None and np.linalg.norm(step) < REL_STEP_TOL * max(
                 np.linalg.norm(p), 1.0
             )
             converged = bool(small)
             break
-        if rel_dec < opts.rel_obj_tol and np.linalg.norm(step) < opts.rel_step_tol * max(
+        if rel_dec < REL_OBJ_TOL and np.linalg.norm(step) < REL_STEP_TOL * max(
             np.linalg.norm(p), 1.0
         ):
             converged = True
@@ -351,7 +320,7 @@ def _levenberg_marquardt(p0, problem, opts: CalibOptions):
     return p, F, history, iterations, converged
 
 
-def _descend_from_scan(problem: IscProblem, opts: CalibOptions, extra_start=None):
+def _descend_from_scan(problem: IscProblem, max_iters: int, extra_start=None):
     """Focal scan at a centered, skewless start plus damped descent.
 
     Runs from the best few well-separated scan minima (and an optional warm
@@ -361,7 +330,7 @@ def _descend_from_scan(problem: IscProblem, opts: CalibOptions, extra_start=None
     center = (problem.cam_w / 2.0, problem.cam_h / 2.0)
 
     scan = []
-    for f in np.geomspace(opts.f_scan_lo * width, opts.f_scan_hi * width, opts.f_scan_samples):
+    for f in np.geomspace(F_SCAN_LO * width, F_SCAN_HI * width, F_SCAN_SAMPLES):
         params = np.array([f, f, 0.0, center[0], center[1]])
         r = _try_residuals(params, problem)
         scan.append((float(r @ r) if r is not None else BARRIER_VALUE, f))
@@ -377,14 +346,14 @@ def _descend_from_scan(problem: IscProblem, opts: CalibOptions, extra_start=None
     for _, f in feasible:
         if all(abs(np.log(f / s)) > 0.25 for s in focals):
             focals.append(f)
-        if len(focals) >= opts.n_starts:
+        if len(focals) >= N_STARTS:
             break
     starts.extend(np.array([f, f, 0.0, center[0], center[1]]) for f in focals)
 
     best = None
     n_total = len(problem.obs1) + len(problem.obs2)
     for p0 in starts:
-        fit = _levenberg_marquardt(p0, problem, opts)
+        fit = _levenberg_marquardt(p0, problem, max_iters)
         if fit is None:
             continue
         if best is None or fit[1] < best[1]:
@@ -397,47 +366,36 @@ def _descend_from_scan(problem: IscProblem, opts: CalibOptions, extra_start=None
     return best
 
 
-def calibrate(problem: IscProblem, opts: CalibOptions | None = None) -> CalibResult:
+def calibrate(problem: IscProblem, max_iters: int = 200) -> CalibResult:
     """Search the five intrinsics parameters for the consistency optimum.
 
     Initialization puts the principal point at the image center with zero
     skew and scans the focal length logarithmically over
-    ``[f_scan_lo, f_scan_hi] * cam_w``. When the constraint penalty is
-    active, the search runs twice: a penalty-free pass first localizes the
-    intrinsics, the vanishing pair is re-selected under that much sharper
-    focal estimate (the image-width bootstrap can rank the eigenvector
-    candidates wrongly), and the penalized problem is then solved from the
-    warm start. Fully deterministic for identical inputs and options.
+    ``[F_SCAN_LO, F_SCAN_HI] * cam_w``. Each descent stops after at most
+    ``max_iters`` accepted steps. When the constraint penalty is active, the
+    search runs twice: a penalty-free pass first localizes the intrinsics,
+    the vanishing pair is re-selected under that much sharper focal
+    estimate (the image-width bootstrap can rank the eigenvector candidates
+    wrongly), and the penalized problem is then solved from the warm start.
+    Fully deterministic for identical inputs.
 
     Raises NoFeasibleStart when every scan sample is infeasible.
     """
-    opts = opts or CalibOptions()
-
     if problem.mu > 0:
         free = replace(problem, mu=0.0)
-        pre_params, _, _, _, _ = _descend_from_scan(free, opts)
-        pre_K = Intrinsics(
-            fx=pre_params[0], fy=pre_params[1], skew=pre_params[2],
-            u0=pre_params[3], v0=pre_params[4],
-        )
+        pre_params, _, _, _, _ = _descend_from_scan(free, max_iters)
+        pre_K = Intrinsics(*pre_params)
         line, point = constraint_pair(problem.obs1.conic, problem.obs2.conic, pre_K)
         problem = replace(problem, constraint=(line, point))
-        best = _descend_from_scan(problem, opts, extra_start=pre_params)
+        best = _descend_from_scan(problem, max_iters, extra_start=pre_params)
     else:
-        best = _descend_from_scan(problem, opts)
+        best = _descend_from_scan(problem, max_iters)
 
     params, _, history, iterations, converged = best
-    n_total = len(problem.obs1) + len(problem.obs2)
-    K = Intrinsics(fx=params[0], fy=params[1], skew=params[2], u0=params[3], v0=params[4])
+    K = Intrinsics(*params)
     vec, M = _residual_vector(params, problem)
+    norms, objective = _objective_parts(vec, problem)
     n1 = len(problem.obs1)
-    norms = np.linalg.norm(vec[: 2 * n_total].reshape(-1, 2), axis=1)
-    cross = vec[2 * n_total :]
-    objective = float(norms.sum() + cross @ cross)
-    constraint_residual = float(
-        np.linalg.norm(cross) / np.sqrt(problem.mu) if problem.mu > 0
-        else np.linalg.norm(_constraint_cross(K, problem))
-    )
     proj_K, rotation, translation = decompose(M)
     return CalibResult(
         camera=K,
@@ -446,8 +404,8 @@ def calibrate(problem: IscProblem, opts: CalibOptions | None = None) -> CalibRes
         rotation=rotation,
         translation=translation,
         objective=objective,
-        constraint_residual=constraint_residual,
-        per_sphere_rms=(float(norms[:n1].sum() / n1), float(norms[n1:].sum() / (n_total - n1))),
+        constraint_residual=float(np.linalg.norm(pole_polar_cross(*problem.constraint, K))),
+        per_sphere_rms=(float(norms[:n1].sum() / n1), float(norms[n1:].sum() / (len(norms) - n1))),
         iterations=iterations,
         converged=converged,
         history=history,

@@ -16,22 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibrate import (
-    CalibOptions,
-    CalibResult,
-    evaluate_against_truth,
-    format_error_report,
-)
-from .errors import (
-    CoincidentConics,
-    DegenerateConic,
-    NoFeasibleStart,
-    NonRealSelection,
-    SphereOutOfView,
-    SpheresOverlapInImage,
-    TwosphereError,
-)
-from .pipeline import AssemblyOptions, run_calibration
+from .calibrate import CalibResult, evaluate_against_truth, format_error_report
+from .errors import CoincidentConics, DegenerateConic, NonRealSelection, TwosphereError
+from .pipeline import run_calibration
 from .reconstruct import reconstruct_cloud, write_ply
 from .simulate import PRESET_NAMES, NoiseSpec, SceneBundle, SceneTruth, preset, render_scene
 
@@ -153,7 +140,7 @@ def cmd_simulate(args) -> int:
     truth = _load_truth(args)
     try:
         bundle = render_scene(truth)
-    except (SphereOutOfView, SpheresOverlapInImage, TwosphereError) as exc:
+    except TwosphereError as exc:
         log.error("scene infeasible: %s", exc)
         return EXIT_SCENE
     bundle.save(args.out, image_format=args.image_format)
@@ -165,23 +152,20 @@ def cmd_simulate(args) -> int:
 def cmd_calibrate(args) -> int:
     try:
         bundle = SceneBundle.load(args.bundle)
-    except (OSError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError) as exc:
         log.error("cannot load bundle: %s", exc)
         return EXIT_INPUT
     if len(bundle.contours) != 2:
         log.error("two sphere observations required, found %d", len(bundle.contours))
         return EXIT_DEGENERATE
 
-    assembly = AssemblyOptions(stride=args.stride)
-    opts = CalibOptions(max_iters=args.max_iters)
     try:
-        result, problem = run_calibration(bundle, assembly, opts, mu=args.mu)
+        result, problem = run_calibration(
+            bundle, stride=args.stride, mu=args.mu, max_iters=args.max_iters
+        )
     except (DegenerateConic, CoincidentConics, NonRealSelection) as exc:
         log.error("degenerate geometry: %s", exc)
         return EXIT_DEGENERATE
-    except NoFeasibleStart as exc:
-        log.error("calibration failed: %s", exc)
-        return EXIT_CALIB
     except TwosphereError as exc:
         log.error("calibration failed: %s", exc)
         return EXIT_CALIB
@@ -212,7 +196,7 @@ def cmd_reconstruct(args) -> int:
     try:
         bundle = SceneBundle.load(args.bundle)
         calib = CalibResult.from_json_dict(json.loads(Path(args.calib).read_text()))
-    except (OSError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError) as exc:
         log.error("cannot load inputs: %s", exc)
         return EXIT_INPUT
     points, errors, stats = reconstruct_cloud(
@@ -238,7 +222,7 @@ def cmd_evaluate(args) -> int:
                 log.error("truth %s", p)
             return EXIT_INPUT
         truth = SceneTruth.from_config(truth_cfg)
-    except (OSError, FileNotFoundError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         log.error("cannot load inputs: %s", exc)
         return EXIT_INPUT
     except TwosphereError as exc:

@@ -25,12 +25,12 @@ __all__ = [
     "Intrinsics",
     "Conic",
     "homogenize",
-    "dehomogenize",
     "unit_vector",
     "hom_allclose",
     "fit_conic",
     "adjugate",
     "constraint_pair",
+    "pole_polar_cross",
     "pole_polar_residual",
     "ellipse_parameters",
     "sample_conic_points",
@@ -115,14 +115,6 @@ def homogenize(points: np.ndarray) -> np.ndarray:
     if points.ndim == 1:
         return np.append(points, 1.0)
     return np.column_stack([points, np.ones(len(points))])
-
-
-def dehomogenize(h: np.ndarray) -> np.ndarray:
-    """Divide by the last coordinate: (n, d+1) -> (n, d), or (d+1,) -> (d,)."""
-    h = np.asarray(h, dtype=float)
-    if h.ndim == 1:
-        return h[:-1] / h[-1]
-    return h[:, :-1] / h[:, -1:]
 
 
 def unit_vector(v: np.ndarray) -> np.ndarray:
@@ -377,8 +369,8 @@ def constraint_pair(
     evals, evecs = np.linalg.eig(m)
     eval_scale = np.max(np.abs(evals))
     is_real = np.abs(evals.imag) <= 1e-9 * max(eval_scale, 1e-300)
-
-    omega = (bootstrap.iac() if bootstrap is not None else np.eye(3))
+    if bootstrap is None:
+        bootstrap = Intrinsics(fx=1.0, fy=1.0, skew=0.0, u0=0.0, v0=0.0)  # omega = I
 
     candidates: list[tuple[float, np.ndarray, np.ndarray]] = []
     for i in range(3):
@@ -400,13 +392,23 @@ def constraint_pair(
             continue
         line_u = unit_vector(line)
         point_u = unit_vector(point)
-        resid = np.linalg.norm(np.cross(line_u, unit_vector(omega @ point_u)))
+        resid = np.linalg.norm(pole_polar_cross(line_u, point_u, bootstrap))
         candidates.append((resid, line_u, point_u))
 
     if not candidates:
         raise NonRealSelection("no admissible real eigenvector for the vanishing line")
     best = min(candidates, key=lambda c: c[0])
     return best[1], best[2]
+
+
+def pole_polar_cross(line: np.ndarray, point: np.ndarray, K: Intrinsics) -> np.ndarray:
+    """Cross product ``l x (omega v)_hat`` of the pole-polar relation.
+
+    ``line`` and ``point`` are taken as given, unit-normalized by the caller
+    (``constraint_pair`` returns them so); only ``omega v`` is normalized
+    here, with ``omega = K^-T K^-1``. Zero when ``l ~ omega v``.
+    """
+    return np.cross(line, unit_vector(K.iac() @ point))
 
 
 def pole_polar_residual(line: np.ndarray, point: np.ndarray, K: Intrinsics) -> float:
@@ -416,5 +418,4 @@ def pole_polar_residual(line: np.ndarray, point: np.ndarray, K: Intrinsics) -> f
     input.
     """
     l_u = unit_vector(np.ravel(line))
-    mapped = K.iac() @ unit_vector(np.ravel(point))
-    return float(np.linalg.norm(np.cross(l_u, unit_vector(mapped))))
+    return float(np.linalg.norm(pole_polar_cross(l_u, unit_vector(np.ravel(point)), K)))

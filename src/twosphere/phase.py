@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import imageio
 from .errors import DimensionMismatch, OutOfRange
 
 __all__ = [
@@ -234,20 +233,3 @@ class PhaseMap:
             top_freq=cfg.top_freq,
             span=cfg.coded_span,
         )
-
-    def proj_coords(self) -> np.ndarray:
-        """Projector coordinates in pixels for the whole map (mask not applied)."""
-        return phase_to_proj_coord(self.phase, self.top_freq, self.span)
-
-    def save(self, prefix) -> None:
-        """Persist as ``{prefix}.phase.f32`` (+sidecar), ``.mod.f32`` and ``.mask.pgm``."""
-        imageio.write_float32(f"{prefix}.phase.f32", self.phase)
-        imageio.write_float32(f"{prefix}.mod.f32", self.modulation)
-        imageio.write_pgm(f"{prefix}.mask.pgm", self.mask.astype(np.uint8) * 255, bits=8)
-
-    @classmethod
-    def load(cls, prefix, top_freq: int, span: int) -> "PhaseMap":
-        phase = imageio.read_float32(f"{prefix}.phase.f32").astype(float)
-        modulation = imageio.read_float32(f"{prefix}.mod.f32").astype(float)
-        mask = imageio.read_pgm(f"{prefix}.mask.pgm") > 0
-        return cls(phase=phase, mask=mask, modulation=modulation, top_freq=top_freq, span=span)

@@ -9,31 +9,19 @@ pixel coordinates.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
-from .calibrate import CalibOptions, CalibResult, IscProblem, SphereObservation, calibrate
+from .calibrate import CalibResult, IscProblem, SphereObservation, calibrate
 from .errors import TwosphereError
 from .geometry import fit_conic
-from .phase import DEFAULT_MIN_MODULATION, PhaseMap, phase_to_proj_coord
+from .phase import PhaseMap, phase_to_proj_coord
 from .simulate import SceneBundle
 from .sphere import sample_interior_pixels
 
-__all__ = ["AssemblyOptions", "decode_bundle", "assemble_observations", "build_problem",
-           "run_calibration"]
+__all__ = ["decode_bundle", "assemble_observations", "build_problem", "run_calibration"]
 
 log = logging.getLogger(__name__)
-
-
-@dataclass
-class AssemblyOptions:
-    """Sampling and masking knobs for correspondence assembly."""
-
-    stride: int | None = None  # None: ~24 samples across each silhouette
-    margin_px: float = 2.0
-    margin_frac: float = 0.05
-    min_modulation: float = DEFAULT_MIN_MODULATION
 
 
 def _contour_rois(bundle: SceneBundle, pad: int = 8) -> list[tuple[int, int, int, int]]:
@@ -50,26 +38,16 @@ def _contour_rois(bundle: SceneBundle, pad: int = 8) -> list[tuple[int, int, int
     return rois
 
 
-def decode_bundle(
-    bundle: SceneBundle,
-    min_modulation: float = DEFAULT_MIN_MODULATION,
-    rois: list | None = None,
-    full_frame: bool = False,
-) -> tuple[PhaseMap, PhaseMap]:
+def decode_bundle(bundle: SceneBundle) -> tuple[PhaseMap, PhaseMap]:
     """Absolute phase maps for the vertical (codes x) and horizontal (codes y)
     pattern sets.
 
-    Decoding runs inside regions of interest around the sphere contours by
-    default (pixels elsewhere carry no fringe signal and are reported
-    invalid); pass ``full_frame=True`` to decode every pixel, or explicit
-    ``rois`` as (y0, y1, x0, x1) tuples.
+    Decoding runs inside regions of interest around the sphere contours;
+    pixels elsewhere carry no fringe signal and are reported invalid.
     """
     sample = next(iter(bundle.stacks.values()))[0]
     h, w = sample.shape
-    if full_frame:
-        rois = [(0, h, 0, w)]
-    elif rois is None:
-        rois = _contour_rois(bundle)
+    rois = _contour_rois(bundle)
 
     maps = []
     for cfg in (bundle.truth.fringe_vertical, bundle.truth.fringe_horizontal):
@@ -79,7 +57,7 @@ def decode_bundle(
         mask = np.zeros((h, w), dtype=bool)
         for y0, y1, x0, x1 in rois:
             crops = [[img[y0:y1, x0:x1] for img in stack] for stack in stacks]
-            pm = PhaseMap.from_stacks(crops, cfg, min_modulation)
+            pm = PhaseMap.from_stacks(crops, cfg)
             phase[y0:y1, x0:x1] = pm.phase
             modulation[y0:y1, x0:x1] = pm.modulation
             mask[y0:y1, x0:x1] = pm.mask
@@ -89,15 +67,18 @@ def decode_bundle(
 
 
 def assemble_observations(
-    bundle: SceneBundle, options: AssemblyOptions | None = None
+    bundle: SceneBundle, stride: int | None = None
 ) -> list[SphereObservation]:
-    """Fitted conic plus pixel correspondences for every sphere in the bundle."""
-    options = options or AssemblyOptions()
+    """Fitted conic plus pixel correspondences for every sphere in the bundle.
+
+    ``stride`` is the sampling grid step in pixels; None gives ~24 samples
+    across each silhouette.
+    """
     if len(bundle.contours) != 2:
         raise TwosphereError(
             f"two sphere observations required, bundle has {len(bundle.contours)}"
         )
-    map_v, map_h = decode_bundle(bundle, options.min_modulation)
+    map_v, map_h = decode_bundle(bundle)
     coords_x = phase_to_proj_coord(map_v.phase, map_v.top_freq, map_v.span)
     coords_y = phase_to_proj_coord(map_h.phase, map_h.top_freq, map_h.span)
     valid = map_v.mask & map_h.mask
@@ -106,12 +87,7 @@ def assemble_observations(
     observations = []
     for i, contour in enumerate(bundle.contours):
         conic = fit_conic(contour)
-        pix = sample_interior_pixels(
-            conic,
-            stride=options.stride,
-            margin_px=options.margin_px,
-            margin_frac=options.margin_frac,
-        )
+        pix = sample_interior_pixels(conic, stride=stride)
         pix = pix[
             (pix[:, 0] >= 0) & (pix[:, 0] < w) & (pix[:, 1] >= 0) & (pix[:, 1] < h)
         ]
@@ -126,11 +102,9 @@ def assemble_observations(
 
 
 def build_problem(
-    bundle: SceneBundle,
-    options: AssemblyOptions | None = None,
-    mu: float | None = None,
+    bundle: SceneBundle, stride: int | None = None, mu: float | None = None
 ) -> IscProblem:
-    obs = assemble_observations(bundle, options)
+    obs = assemble_observations(bundle, stride)
     radii = tuple(s.radius for s in bundle.truth.spheres)
     return IscProblem.build(
         obs[0], obs[1], radii, bundle.truth.cam_w, bundle.truth.cam_h, mu=mu
@@ -139,13 +113,13 @@ def build_problem(
 
 def run_calibration(
     bundle: SceneBundle,
-    assembly: AssemblyOptions | None = None,
-    calib_opts: CalibOptions | None = None,
+    stride: int | None = None,
     mu: float | None = None,
+    max_iters: int = 200,
 ) -> tuple[CalibResult, IscProblem]:
     """Full pipeline: decode, assemble, extract the constraint, optimize."""
-    problem = build_problem(bundle, assembly, mu)
-    result = calibrate(problem, calib_opts)
+    problem = build_problem(bundle, stride, mu)
+    result = calibrate(problem, max_iters)
     log.info(
         "calibration %s after %d iterations, objective %.6g",
         "converged" if result.converged else "stopped",

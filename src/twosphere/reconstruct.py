@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import NearParallelRays
 from .geometry import Intrinsics, homogenize
-from .phase import DEFAULT_MIN_MODULATION, phase_to_proj_coord
+from .phase import phase_to_proj_coord
 from .projector import ProjMatrix
 from .simulate import SceneBundle
 
@@ -63,7 +63,6 @@ def reconstruct_cloud(
     bundle: SceneBundle,
     K_C: Intrinsics,
     M_P: ProjMatrix,
-    min_modulation: float = DEFAULT_MIN_MODULATION,
     stride: int = 1,
 ) -> tuple[np.ndarray, np.ndarray | None, dict]:
     """Triangulate every valid decoded pixel of a bundle.
@@ -75,7 +74,7 @@ def reconstruct_cloud(
     """
     from .pipeline import decode_bundle
 
-    map_v, map_h = decode_bundle(bundle, min_modulation)
+    map_v, map_h = decode_bundle(bundle)
     valid = map_v.mask & map_h.mask
     if stride > 1:
         keep = np.zeros_like(valid)

@@ -21,7 +21,6 @@ __all__ = [
     "SpherePose",
     "sphere_center_from_conic",
     "lift_pixel_to_sphere",
-    "ray_sphere_hits",
     "sample_interior_pixels",
 ]
 
@@ -115,46 +114,28 @@ def sphere_center_from_conic(
     return SpherePose(center=center, radius=radius)
 
 
-def _ray_intersections(
-    pixels: np.ndarray, K: Intrinsics, pose: SpherePose
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Near ray-sphere intersections for (n, 2) pixels.
+def lift_pixel_to_sphere(pixel: np.ndarray, K: Intrinsics, pose: SpherePose) -> np.ndarray:
+    """Near intersection of the back-projected pixel ray with the sphere.
 
-    Returns (points (n,3), hit mask, discriminants). Discriminants use
-    unit-norm ray directions so the tolerance band scales with the scene.
+    Accepts a single (2,) pixel or an (n, 2) batch; returns (3,) or (n, 3).
+    Discriminants use unit-norm ray directions so the tolerance band scales
+    with the scene: values in (-1e-12 |X_S|^2, 0] clamp to the tangent
+    point; anything below is a hard miss.
+
+    Raises RayMissesSphere if any ray misses.
     """
-    pix = np.atleast_2d(np.asarray(pixels, dtype=float))
+    single = np.asarray(pixel).ndim == 1
+    pix = np.atleast_2d(np.asarray(pixel, dtype=float))
     dirs = (K.inverse() @ homogenize(pix).T).T
     dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
     c = pose.center
     b = dirs @ c
     disc = b * b - (c @ c - pose.radius**2)
-    hard_miss = disc < -1e-12 * (c @ c)
-    t = b - np.sqrt(np.maximum(disc, 0.0))
-    return t[:, None] * dirs, ~hard_miss, disc
-
-
-def lift_pixel_to_sphere(pixel: np.ndarray, K: Intrinsics, pose: SpherePose) -> np.ndarray:
-    """Near intersection of the back-projected pixel ray with the sphere.
-
-    Accepts a single (2,) pixel or an (n, 2) batch; returns (3,) or (n, 3).
-    Discriminants in (-1e-12 |X_S|^2, 0] clamp to the tangent point; anything
-    below is a hard miss.
-
-    Raises RayMissesSphere if any ray misses.
-    """
-    single = np.asarray(pixel).ndim == 1
-    points, hit, _ = _ray_intersections(pixel, K, pose)
-    if not np.all(hit):
-        n_miss = int(np.count_nonzero(~hit))
-        raise RayMissesSphere(f"{n_miss} of {len(hit)} rays miss the sphere")
+    miss = disc < -1e-12 * (c @ c)
+    if np.any(miss):
+        raise RayMissesSphere(f"{int(np.count_nonzero(miss))} of {len(miss)} rays miss the sphere")
+    points = (b - np.sqrt(np.maximum(disc, 0.0)))[:, None] * dirs
     return points[0] if single else points
-
-
-def ray_sphere_hits(pixels: np.ndarray, K: Intrinsics, pose: SpherePose) -> np.ndarray:
-    """Boolean mask of pixels whose rays reach the sphere (tangency included)."""
-    _, hit, _ = _ray_intersections(pixels, K, pose)
-    return hit
 
 
 def sample_interior_pixels(

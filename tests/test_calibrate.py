@@ -4,12 +4,12 @@ import pytest
 from conftest import exact_observations, exact_problem
 
 from twosphere import (
-    CalibOptions,
     Intrinsics,
     IscProblem,
     SceneTruth,
     SpherePose,
     SphereObservation,
+    build_problem,
     calibrate,
     evaluate_against_truth,
     format_error_report,
@@ -181,6 +181,25 @@ class TestCalibrate:
         rel = 100 * np.abs(got - true) / np.abs(true)
         assert np.all(rel[[0, 1, 3, 4]] < 10.0)
 
+    def test_reported_objective_is_the_objective(self, bundle_small_noisy):
+        # one objective definition: the reported value is isc_objective at
+        # the reported camera, and the constraint residual is the shared
+        # pole-polar function's
+        problem = build_problem(bundle_small_noisy, mu=0.0)
+        result = calibrate(problem)
+        assert result.objective == isc_objective(result.camera, problem)[0]
+        expected = pole_polar_residual(*problem.constraint, result.camera)
+        assert expected > 0
+        assert abs(result.constraint_residual - expected) <= 1e-12 * expected
+
+    def test_stride_and_max_iters_reach_the_search(self, bundle_small):
+        def n_corr(problem):
+            return len(problem.obs1) + len(problem.obs2)
+
+        result, coarse = run_calibration(bundle_small, stride=8, max_iters=1)
+        assert n_corr(coarse) < n_corr(build_problem(bundle_small, stride=4))
+        assert result.iterations <= 1
+
     def test_deterministic_repeat(self, truth_small):
         problem = exact_problem(truth_small)
         r1 = calibrate(problem)
@@ -188,21 +207,6 @@ class TestCalibrate:
         assert params_of(r1.camera).tolist() == params_of(r2.camera).tolist()
         assert r1.history == r2.history
         assert r1.iterations == r2.iterations
-
-    def test_thread_cap_env_var(self, monkeypatch):
-        monkeypatch.setenv("ISC_CALIB_THREADS", "3")
-        assert CalibOptions().threads == 3
-        monkeypatch.setenv("ISC_CALIB_THREADS", "not-a-number")
-        assert CalibOptions().threads == 1
-
-    def test_threaded_derivatives_bit_identical(self, truth_small):
-        # concurrent finite-difference columns must assemble in order, so a
-        # thread cap above 1 cannot change the result
-        problem = exact_problem(truth_small)
-        r1 = calibrate(problem, CalibOptions(threads=1))
-        r2 = calibrate(problem, CalibOptions(threads=4))
-        assert params_of(r1.camera).tolist() == params_of(r2.camera).tolist()
-        assert r1.history == r2.history
 
     def test_monotone_accepted_objective(self, truth_small):
         problem = exact_problem(truth_small)
@@ -237,7 +241,7 @@ class TestCalibrate:
             bad[0], bad[1], (0.4, 0.55), truth_small.cam_w, truth_small.cam_h
         )
         with pytest.raises(NoFeasibleStart):
-            calibrate(problem, CalibOptions(f_scan_samples=12))
+            calibrate(problem)
 
     def test_result_serialization_round_trip(self, truth_small):
         from twosphere.calibrate import CalibResult

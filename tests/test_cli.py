@@ -1,5 +1,6 @@
 import copy
 import json
+import logging
 from pathlib import Path
 
 import pytest
@@ -123,6 +124,24 @@ class TestCalibrate:
                      "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["constraint_checked"] is False
+
+    def test_max_iters_flag_caps_iterations(self, micro_bundle_dir, tmp_path):
+        out = tmp_path / "calib1.json"
+        assert main(["--quiet", "calibrate", str(micro_bundle_dir), "--max-iters", "1",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["iterations"] <= 1
+
+    def test_stride_flag_thins_correspondences(self, micro_bundle_dir, tmp_path, caplog):
+        def correspondences(extra):
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="twosphere.pipeline"):
+                assert main(["--quiet", "calibrate", str(micro_bundle_dir), "--mu", "0",
+                             "--out", str(tmp_path / "c.json"), *extra]) == 0
+            counts = [r.args[1] for r in caplog.records if "correspondence pixels" in r.message]
+            assert len(counts) == 2
+            return sum(counts)
+
+        assert correspondences(["--stride", "6"]) < correspondences([])
 
     def test_single_sphere_bundle_exits_5(self, micro_bundle_dir, tmp_path):
         import shutil

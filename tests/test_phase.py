@@ -231,12 +231,3 @@ class TestPhaseMap:
         assert not pm.mask[:, :8].any()
         assert pm.mask[:, 12:].all()
         assert np.all(pm.phase[pm.mask] <= 2 * np.pi * 8 + 1e-9)
-
-    def test_save_load_round_trip(self, tmp_path):
-        cfg = cfg_vertical(n_steps=4, freqs=(1, 8), w=64, h=4)
-        stacks = [render_patterns(FringeConfig(4, (f,), 64, 4, "vertical")) for f in (1, 8)]
-        pm = PhaseMap.from_stacks(stacks, cfg)
-        pm.save(tmp_path / "pm")
-        again = PhaseMap.load(tmp_path / "pm", pm.top_freq, pm.span)
-        np.testing.assert_allclose(again.phase, pm.phase, atol=1e-4)
-        np.testing.assert_array_equal(again.mask, pm.mask)

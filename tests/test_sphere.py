@@ -12,7 +12,6 @@ from twosphere import (
 )
 from twosphere.errors import BehindCamera, NotASphereImage, RayMissesSphere
 from twosphere.geometry import homogenize, sample_conic_points
-from twosphere.sphere import ray_sphere_hits
 
 K_IDENTITY = Intrinsics(fx=1.0, fy=1.0, skew=0.0, u0=0.0, v0=0.0)
 TABLE_CAMERA = Intrinsics(fx=3277.5, fy=3277.8, skew=-18.6, u0=1699.4, v0=1330.1)
@@ -164,12 +163,6 @@ class TestLiftPixel:
         just_outside = np.array([rho * (1.0 + 1e-15), 0.0])
         x = lift_pixel_to_sphere(just_outside, K_IDENTITY, self.POSE)
         assert abs(np.linalg.norm(x - self.POSE.center) - 1.0) < 1e-6
-
-    def test_hit_mask(self):
-        pix = np.array([[0.0, 0.0], [2.0, 0.0]])
-        np.testing.assert_array_equal(
-            ray_sphere_hits(pix, K_IDENTITY, self.POSE), [True, False]
-        )
 
     def test_rotation_equivariance(self):
         rng = np.random.default_rng(9)
