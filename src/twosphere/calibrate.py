@@ -40,11 +40,9 @@ __all__ = [
     "format_error_report",
 ]
 
-BARRIER_VALUE = 1e12
 F_SCAN_LO = 0.3  # focal scan range as multiples of the image width
 F_SCAN_HI = 5.0
 F_SCAN_SAMPLES = 40
-N_STARTS = 3  # well-separated scan minima the descent starts from
 REL_OBJ_TOL = 1e-10
 REL_STEP_TOL = 1e-8
 FD_REL_STEP = 1e-5  # central-difference step relative to max(|p_j|, 1)
@@ -218,8 +216,8 @@ def isc_objective(K: Intrinsics, problem: IscProblem) -> tuple[float, ProjMatrix
 
     The value is the sum of unsquared reprojection norms over both spheres
     plus ``mu`` times the squared scale-free pole-polar residual. Geometric
-    impossibilities raise InfeasibleCandidate; the outer search treats those
-    as a large finite barrier rather than a crash.
+    impossibilities raise InfeasibleCandidate; the search treats those
+    candidates as rejected steps rather than a crash.
     """
     params = np.array([K.fx, K.fy, K.skew, K.u0, K.v0])
     vec, M = _residual_vector(params, problem)
@@ -269,11 +267,12 @@ def _jacobian(params, r0, problem):
 
 
 def _levenberg_marquardt(p0, problem, max_iters):
-    """Damped least squares from p0. Returns (p, F, history, iterations, converged)."""
+    """Damped least squares from the feasible point p0.
+
+    Returns (p, history, iterations, converged).
+    """
     p = np.asarray(p0, dtype=float).copy()
-    r = _try_residuals(p, problem)
-    if r is None:
-        return None
+    r = _residual_vector(p, problem)[0]
     F = float(r @ r)
     history = [F]
     lam = 1e-3
@@ -317,81 +316,54 @@ def _levenberg_marquardt(p0, problem, max_iters):
         ):
             converged = True
             break
-    return p, F, history, iterations, converged
+    return p, history, iterations, converged
 
 
-def _descend_from_scan(problem: IscProblem, max_iters: int, extra_start=None):
-    """Focal scan at a centered, skewless start plus damped descent.
+def _scan_start(problem: IscProblem) -> np.ndarray:
+    """Lowest feasible sample of the focal scan, the start of the descent.
 
-    Runs from the best few well-separated scan minima (and an optional warm
-    start, tried first); the lowest final value wins. Deterministic.
+    The focal length runs logarithmically over ``[F_SCAN_LO, F_SCAN_HI] *
+    cam_w`` with the principal point at the image center and zero skew.
+    Raises NoFeasibleStart when every sample is infeasible.
     """
     width = float(problem.cam_w)
     center = (problem.cam_w / 2.0, problem.cam_h / 2.0)
-
-    scan = []
+    best_F, start = np.inf, None
     for f in np.geomspace(F_SCAN_LO * width, F_SCAN_HI * width, F_SCAN_SAMPLES):
         params = np.array([f, f, 0.0, center[0], center[1]])
         r = _try_residuals(params, problem)
-        scan.append((float(r @ r) if r is not None else BARRIER_VALUE, f))
-
-    feasible = sorted((v, f) for v, f in scan if v < BARRIER_VALUE)
-    if not feasible and extra_start is None:
+        F = np.inf if r is None else float(r @ r)
+        if F < best_F:
+            best_F, start = F, params
+    if start is None:
         raise NoFeasibleStart("no feasible focal length in the scan range")
-
-    starts: list[np.ndarray] = []
-    if extra_start is not None:
-        starts.append(np.asarray(extra_start, dtype=float))
-    focals: list[float] = []
-    for _, f in feasible:
-        if all(abs(np.log(f / s)) > 0.25 for s in focals):
-            focals.append(f)
-        if len(focals) >= N_STARTS:
-            break
-    starts.extend(np.array([f, f, 0.0, center[0], center[1]]) for f in focals)
-
-    best = None
-    n_total = len(problem.obs1) + len(problem.obs2)
-    for p0 in starts:
-        fit = _levenberg_marquardt(p0, problem, max_iters)
-        if fit is None:
-            continue
-        if best is None or fit[1] < best[1]:
-            best = fit
-        if best[1] < 1e-10 * n_total:
-            break  # residuals at numerical zero; later starts cannot improve
-
-    if best is None:
-        raise NoFeasibleStart("descent could not start from any scan candidate")
-    return best
+    return start
 
 
 def calibrate(problem: IscProblem, max_iters: int = 200) -> CalibResult:
     """Search the five intrinsics parameters for the consistency optimum.
 
-    Initialization puts the principal point at the image center with zero
-    skew and scans the focal length logarithmically over
-    ``[F_SCAN_LO, F_SCAN_HI] * cam_w``. Each descent stops after at most
-    ``max_iters`` accepted steps. When the constraint penalty is active, the
-    search runs twice: a penalty-free pass first localizes the intrinsics,
-    the vanishing pair is re-selected under that much sharper focal
-    estimate (the image-width bootstrap can rank the eigenvector candidates
-    wrongly), and the penalized problem is then solved from the warm start.
-    Fully deterministic for identical inputs.
+    One focal scan of the penalty-free problem picks the start (see
+    ``_scan_start``), and one damped descent from it localizes the
+    intrinsics. When the constraint penalty is active, the vanishing pair is
+    then re-selected under that much sharper estimate (the image-width
+    bootstrap can rank the eigenvector candidates wrongly), and one more
+    descent solves the penalized problem from the warm start. Each descent
+    stops after at most ``max_iters`` accepted steps; ``iterations`` and
+    ``history`` describe the final descent only. Fully deterministic for
+    identical inputs.
 
     Raises NoFeasibleStart when every scan sample is infeasible.
     """
+    free = replace(problem, mu=0.0)
+    params, history, iterations, converged = _levenberg_marquardt(
+        _scan_start(free), free, max_iters
+    )
     if problem.mu > 0:
-        free = replace(problem, mu=0.0)
-        pre_params, _, _, _, _ = _descend_from_scan(free, max_iters)
-        pre_K = Intrinsics(*pre_params)
-        line, point = constraint_pair(problem.obs1.conic, problem.obs2.conic, pre_K)
+        line, point = constraint_pair(problem.obs1.conic, problem.obs2.conic, Intrinsics(*params))
         problem = replace(problem, constraint=(line, point))
-        best = _descend_from_scan(problem, max_iters, extra_start=pre_params)
-    else:
-        best = _descend_from_scan(problem, max_iters)
+        params, history, iterations, converged = _levenberg_marquardt(params, problem, max_iters)
 
-    params, _, history, iterations, converged = best
     K = Intrinsics(*params)
     vec, M = _residual_vector(params, problem)
     norms, objective = _objective_parts(vec, problem)

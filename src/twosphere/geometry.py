@@ -329,11 +329,7 @@ def sample_conic_points(conic: Conic, n: int) -> np.ndarray:
 # eigen-structure of a conic pair
 # ---------------------------------------------------------------------------
 
-def constraint_pair(
-    c1: Conic,
-    c2: Conic,
-    bootstrap: Intrinsics | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def constraint_pair(c1: Conic, c2: Conic, bootstrap: Intrinsics) -> tuple[np.ndarray, np.ndarray]:
     """Vanishing line / vanishing point pair from two sphere silhouettes.
 
     The candidates are the real eigenvectors of ``C2 adj(C1)`` read as lines;
@@ -346,9 +342,8 @@ def constraint_pair(
     Parameters
     ----------
     c1, c2 : distinct real-ellipse conics; c1 must be invertible.
-    bootstrap : rough intrinsics guess used only to rank candidates.
-        Defaults to the identity, appropriate for unit-scale coordinates;
-        pass an image-center guess for pixel-scale data.
+    bootstrap : rough intrinsics guess used only to rank candidates, e.g.
+        an image-center guess for pixel-scale data.
 
     Returns
     -------
@@ -369,8 +364,6 @@ def constraint_pair(
     evals, evecs = np.linalg.eig(m)
     eval_scale = np.max(np.abs(evals))
     is_real = np.abs(evals.imag) <= 1e-9 * max(eval_scale, 1e-300)
-    if bootstrap is None:
-        bootstrap = Intrinsics(fx=1.0, fy=1.0, skew=0.0, u0=0.0, v0=0.0)  # omega = I
 
     candidates: list[tuple[float, np.ndarray, np.ndarray]] = []
     for i in range(3):

@@ -194,8 +194,8 @@ def phase_to_proj_coord(phase, top_freq: int, span: int):
 class PhaseMap:
     """Absolute phase per pixel with a validity mask and modulation image.
 
-    Valid pixels have modulation at or above the threshold used to build
-    the map; phase lies in [0, 2 pi f_top].
+    Valid pixels have modulation at or above ``DEFAULT_MIN_MODULATION``;
+    phase lies in [0, 2 pi f_top].
     """
 
     phase: np.ndarray
@@ -205,12 +205,7 @@ class PhaseMap:
     span: int = field(default=0)
 
     @classmethod
-    def from_stacks(
-        cls,
-        stacks_by_freq,
-        cfg: FringeConfig,
-        min_modulation: float = DEFAULT_MIN_MODULATION,
-    ) -> "PhaseMap":
+    def from_stacks(cls, stacks_by_freq, cfg: FringeConfig) -> "PhaseMap":
         """Decode per-frequency stacks and unwrap along the ladder.
 
         ``stacks_by_freq`` is a sequence aligned with cfg.freqs, each entry a
@@ -225,7 +220,7 @@ class PhaseMap:
             wrapped.append(phi)
             modulation = mod if modulation is None else np.minimum(modulation, mod)
         absolute = unwrap_ladder(wrapped, cfg.freqs)
-        mask = modulation >= min_modulation
+        mask = modulation >= DEFAULT_MIN_MODULATION
         return cls(
             phase=absolute,
             mask=mask,

@@ -79,8 +79,6 @@ def assemble_observations(
             f"two sphere observations required, bundle has {len(bundle.contours)}"
         )
     map_v, map_h = decode_bundle(bundle)
-    coords_x = phase_to_proj_coord(map_v.phase, map_v.top_freq, map_v.span)
-    coords_y = phase_to_proj_coord(map_h.phase, map_h.top_freq, map_h.span)
     valid = map_v.mask & map_h.mask
 
     h, w = valid.shape
@@ -95,7 +93,12 @@ def assemble_observations(
         iy = pix[:, 1].astype(int)
         ok = valid[iy, ix]
         pix, ix, iy = pix[ok], ix[ok], iy[ok]
-        proj_px = np.column_stack([coords_x[iy, ix], coords_y[iy, ix]])
+        proj_px = np.column_stack(
+            [
+                phase_to_proj_coord(map_v.phase[iy, ix], map_v.top_freq, map_v.span),
+                phase_to_proj_coord(map_h.phase[iy, ix], map_h.top_freq, map_h.span),
+            ]
+        )
         log.info("sphere %d: %d valid correspondence pixels", i, len(pix))
         observations.append(SphereObservation(conic=conic, cam_px=pix, proj_px=proj_px))
     return observations

@@ -13,6 +13,7 @@ from .simulate import SceneBundle
 __all__ = ["triangulate", "reconstruct_cloud", "write_ply"]
 
 PARALLEL_ANGLE_RAD = 1e-6
+PLY_CHUNK_ROWS = 4096  # rows converted to Python floats at a time; bounds write_ply's memory
 
 
 def _ray_geometry(cam_px, proj_px, K_C: Intrinsics, M_P: ProjMatrix):
@@ -100,7 +101,7 @@ def reconstruct_cloud(
     stats["skipped_parallel"] = int(np.count_nonzero(~ok))
 
     errors = None
-    if bundle.truth is not None and len(points):
+    if len(points):
         per_sphere = [
             np.abs(np.linalg.norm(points - s.center[None, :], axis=1) - s.radius)
             for s in bundle.truth.spheres
@@ -109,7 +110,7 @@ def reconstruct_cloud(
         stats["surface_rmse"] = float(np.sqrt(np.mean(errors**2)))
         stats["surface_mean"] = float(np.mean(errors))
         stats["surface_max"] = float(np.max(errors))
-    elif len(points) == 0:
+    else:
         stats["surface_rmse"] = None
     return points, errors, stats
 
@@ -117,6 +118,8 @@ def reconstruct_cloud(
 def write_ply(path, points: np.ndarray, errors: np.ndarray | None = None) -> None:
     """ASCII PLY with x y z and an optional per-point scalar error property."""
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    rows = pts if errors is None else np.column_stack([pts, np.asarray(errors, dtype=float)])
+    fmt = " ".join(["%.8g"] * rows.shape[1]) + "\n"
     with open(path, "w") as f:
         f.write("ply\nformat ascii 1.0\n")
         f.write(f"element vertex {len(pts)}\n")
@@ -124,10 +127,6 @@ def write_ply(path, points: np.ndarray, errors: np.ndarray | None = None) -> Non
         if errors is not None:
             f.write("property float error\n")
         f.write("end_header\n")
-        if errors is not None:
-            rows = np.column_stack([pts, np.asarray(errors, dtype=float)])
-            for row in rows:
-                f.write(f"{row[0]:.8g} {row[1]:.8g} {row[2]:.8g} {row[3]:.8g}\n")
-        else:
-            for row in pts:
-                f.write(f"{row[0]:.8g} {row[1]:.8g} {row[2]:.8g}\n")
+        for start in range(0, len(rows), PLY_CHUNK_ROWS):
+            chunk = rows[start : start + PLY_CHUNK_ROWS].tolist()
+            f.writelines(fmt % tuple(row) for row in chunk)

@@ -24,6 +24,9 @@ __all__ = [
     "sample_interior_pixels",
 ]
 
+RIM_MARGIN_PX = 2.0  # least distance of an interior sample from the silhouette
+RIM_MARGIN_FRAC = 0.05  # or this fraction of the semi-minor axis, if larger
+
 
 @dataclass(frozen=True)
 class SpherePose:
@@ -138,17 +141,12 @@ def lift_pixel_to_sphere(pixel: np.ndarray, K: Intrinsics, pose: SpherePose) -> 
     return points[0] if single else points
 
 
-def sample_interior_pixels(
-    conic: Conic,
-    stride: int | None = None,
-    margin_px: float = 2.0,
-    margin_frac: float = 0.05,
-) -> np.ndarray:
+def sample_interior_pixels(conic: Conic, stride: int | None = None) -> np.ndarray:
     """Integer pixel grid inside a silhouette ellipse, away from the rim.
 
     A uniform grid with the given stride covers the ellipse bounding box;
     pixels are kept when they are inside the conic and their distance to the
-    silhouette exceeds ``max(margin_px, margin_frac * semi_minor)``. The
+    silhouette exceeds ``max(RIM_MARGIN_PX, RIM_MARGIN_FRAC * semi_minor)``. The
     2 px floor rejects rim pixels whose phase decodes unreliably at grazing
     angles; the fractional part keeps the lifted geometry well conditioned
     when candidate intrinsics deform the back-projected cone.
@@ -156,7 +154,7 @@ def sample_interior_pixels(
     stride=None picks a stride giving roughly a 24x24 grid over the box.
     """
     center, a, b, _ = ellipse_parameters(conic)
-    margin = max(float(margin_px), float(margin_frac) * b)
+    margin = max(RIM_MARGIN_PX, RIM_MARGIN_FRAC * b)
     if stride is None:
         stride = max(1, int(round(2.0 * a / 24.0)))
     if stride < 1:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,19 @@ from twosphere import (
     SphereObservation,
     build_problem,
     calibrate,
+    constraint_pair,
     evaluate_against_truth,
     format_error_report,
     isc_objective,
     pole_polar_residual,
     run_calibration,
+)
+from twosphere.calibrate import (
+    F_SCAN_HI,
+    F_SCAN_LO,
+    F_SCAN_SAMPLES,
+    _levenberg_marquardt,
+    _residual_vector,
 )
 from twosphere.errors import CoincidentConics, InfeasibleCandidate, NoFeasibleStart
 from twosphere.simulate import rotation_about_y
@@ -251,6 +261,48 @@ class TestCalibrate:
         assert again.camera == result.camera
         np.testing.assert_allclose(again.proj_matrix.m, result.proj_matrix.m)
         assert again.converged == result.converged
+
+
+class TestSingleStart:
+    """Each pass of calibrate descends once, from one start. The former search
+    also descended from the next well-separated scan minima and kept the
+    lowest end point; on the small noisy scene every one of those starts
+    reaches calibrate's camera."""
+
+    @staticmethod
+    def former_starts(problem):
+        """The former rule: the three lowest feasible focal-scan samples
+        whose focals lie pairwise more than 0.25 apart in log."""
+        cx, cy = problem.cam_w / 2.0, problem.cam_h / 2.0
+        scan = []
+        for f in np.geomspace(F_SCAN_LO * problem.cam_w, F_SCAN_HI * problem.cam_w, F_SCAN_SAMPLES):
+            try:
+                r = _residual_vector(np.array([f, f, 0.0, cx, cy]), problem)[0]
+            except InfeasibleCandidate:
+                continue
+            scan.append((float(r @ r), f))
+        focals = []
+        for _, f in sorted(scan):
+            if all(abs(np.log(f / s)) > 0.25 for s in focals):
+                focals.append(f)
+            if len(focals) == 3:
+                break
+        return [np.array([f, f, 0.0, cx, cy]) for f in focals]
+
+    @pytest.mark.parametrize("mu", [0.0, None], ids=["mu0", "default_mu"])
+    def test_former_starts_reach_the_same_camera(self, bundle_small_noisy, mu):
+        problem = build_problem(bundle_small_noisy, mu=mu)
+        expected = params_of(calibrate(problem).camera)
+        if problem.mu > 0:
+            # the penalized pass: its pair is re-selected at the penalty-free optimum
+            free_camera = calibrate(replace(problem, mu=0.0)).camera
+            pair = constraint_pair(problem.obs1.conic, problem.obs2.conic, free_camera)
+            problem = replace(problem, constraint=pair)
+        starts = self.former_starts(problem)
+        assert len(starts) >= 2
+        for p0 in starts:
+            got = _levenberg_marquardt(p0, problem, 200)[0]
+            np.testing.assert_allclose(got, expected, rtol=1e-5)
 
 
 class TestEvaluate:

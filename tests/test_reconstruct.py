@@ -11,6 +11,7 @@ from twosphere import (
     write_ply,
 )
 from twosphere.errors import NearParallelRays
+from twosphere.reconstruct import PLY_CHUNK_ROWS
 from twosphere.simulate import rotation_about_y
 
 K_PROJ = Intrinsics(fx=1202.7, fy=1199.0, skew=-8.2, u0=390.7, v0=222.8)
@@ -79,6 +80,43 @@ class TestReconstructCloud:
 
 
 class TestPly:
+    # values reaching %.8g's exponent, sign and rounding forms
+    PTS = np.array([[1e-300, 1e20, -2.5e-7], [-0.0, 1.0 / 3.0, 123456789.0]])
+    ERRS = np.array([0.1, -1e-5])
+    HEADER = (
+        "ply\nformat ascii 1.0\nelement vertex 2\n"
+        "property float x\nproperty float y\nproperty float z\n"
+    )
+
+    def test_exact_bytes_without_errors(self, tmp_path):
+        path = tmp_path / "cloud.ply"
+        write_ply(path, self.PTS)
+        assert path.read_bytes() == (
+            self.HEADER + "end_header\n"
+            "1e-300 1e+20 -2.5e-07\n"
+            "-0 0.33333333 1.2345679e+08\n"
+        ).encode()
+
+    def test_exact_bytes_with_errors(self, tmp_path):
+        path = tmp_path / "cloud.ply"
+        write_ply(path, self.PTS, self.ERRS)
+        assert path.read_bytes() == (
+            self.HEADER + "property float error\nend_header\n"
+            "1e-300 1e+20 -2.5e-07 0.1\n"
+            "-0 0.33333333 1.2345679e+08 -1e-05\n"
+        ).encode()
+
+    def test_rows_across_chunks(self, tmp_path):
+        rng = np.random.default_rng(3)
+        pts = rng.normal(scale=10.0, size=(2 * PLY_CHUNK_ROWS + 3, 3))
+        errs = rng.exponential(size=len(pts))
+        path = tmp_path / "cloud.ply"
+        write_ply(path, pts, errs)
+        body = path.read_text().split("end_header\n")[1]
+        assert body == "".join(
+            f"{x:.8g} {y:.8g} {z:.8g} {e:.8g}\n" for (x, y, z), e in zip(pts, errs)
+        )
+
     def test_header_and_rows(self, tmp_path):
         pts = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         errs = np.array([0.1, 0.2])

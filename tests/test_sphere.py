@@ -186,7 +186,7 @@ class TestLiftPixel:
 class TestSampleInteriorPixels:
     def test_margin_and_interior(self, truth_small):
         conic = project_sphere_to_conic(truth_small.spheres[1], truth_small.camera)
-        pix = sample_interior_pixels(conic, stride=3, margin_px=2.0, margin_frac=0.05)
+        pix = sample_interior_pixels(conic, stride=3)
         assert len(pix) > 50
         assert np.all(pix == np.round(pix))  # integer grid
         assert np.all(conic.normalized().evaluate(pix) < 0)  # strictly inside
