@@ -152,7 +152,7 @@ def cmd_simulate(args) -> int:
 def cmd_calibrate(args) -> int:
     try:
         bundle = SceneBundle.load(args.bundle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, TwosphereError) as exc:
         log.error("cannot load bundle: %s", exc)
         return EXIT_INPUT
     if len(bundle.contours) != 2:
@@ -196,7 +196,7 @@ def cmd_reconstruct(args) -> int:
     try:
         bundle = SceneBundle.load(args.bundle)
         calib = CalibResult.from_json_dict(json.loads(Path(args.calib).read_text()))
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TwosphereError) as exc:
         log.error("cannot load inputs: %s", exc)
         return EXIT_INPUT
     points, errors, stats = reconstruct_cloud(
@@ -236,6 +236,17 @@ def cmd_evaluate(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _at_least(kind, low):
+    """argparse type: ``kind(text)``, rejected (exit 2) unless at least ``low``."""
+    def parse(text: str):
+        value = kind(text)
+        if not value >= low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names the type in its messages
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twosphere",
@@ -257,9 +268,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cal = sub.add_parser("calibrate", help="calibrate from a bundle directory")
     p_cal.add_argument("bundle")
-    p_cal.add_argument("--mu", type=float, default=None, help="constraint weight (0 disables)")
+    p_cal.add_argument(
+        "--mu", type=_at_least(float, 0.0), default=None, help="constraint weight (0 disables)"
+    )
     p_cal.add_argument("--max-iters", type=int, default=200)
-    p_cal.add_argument("--stride", type=int, default=None, help="correspondence grid stride, px")
+    p_cal.add_argument(
+        "--stride", type=_at_least(int, 1), default=None, help="correspondence grid stride, px"
+    )
     p_cal.add_argument("--out", default=None, help="calib JSON path (default: bundle/calib.json)")
     p_cal.set_defaults(func=cmd_calibrate)
 
@@ -268,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("calib")
     p_rec.add_argument("--out-ply", default="cloud.ply")
     p_rec.add_argument("--out-stats", default="stats.json")
-    p_rec.add_argument("--stride", type=int, default=1)
+    p_rec.add_argument("--stride", type=_at_least(int, 1), default=1)
     p_rec.set_defaults(func=cmd_reconstruct)
 
     p_eval = sub.add_parser("evaluate", help="compare a calibration against scene truth")

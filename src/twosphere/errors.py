@@ -45,7 +45,7 @@ class RayMissesSphere(TwosphereError):
 # --- phase codec ---
 
 class DimensionMismatch(TwosphereError):
-    """Images in a stack do not share one shape."""
+    """Images in a stack do not share one shape, or not the camera frame's."""
 
 
 class OutOfRange(TwosphereError):

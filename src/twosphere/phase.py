@@ -12,7 +12,7 @@ coordinate is recovered as ``u = W phi / (2 pi f)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -192,17 +192,16 @@ def phase_to_proj_coord(phase, top_freq: int, span: int):
 
 @dataclass
 class PhaseMap:
-    """Absolute phase per pixel with a validity mask and modulation image.
+    """Absolute phase per pixel with a validity mask.
 
-    Valid pixels have modulation at or above ``DEFAULT_MIN_MODULATION``;
-    phase lies in [0, 2 pi f_top].
+    Valid pixels have modulation at or above ``DEFAULT_MIN_MODULATION`` at
+    every frequency; phase lies in [0, 2 pi f_top].
     """
 
     phase: np.ndarray
     mask: np.ndarray
-    modulation: np.ndarray
     top_freq: int
-    span: int = field(default=0)
+    span: int
 
     @classmethod
     def from_stacks(cls, stacks_by_freq, cfg: FringeConfig) -> "PhaseMap":
@@ -213,18 +212,10 @@ class PhaseMap:
         """
         if len(stacks_by_freq) != len(cfg.freqs):
             raise DimensionMismatch("one stack per configured frequency required")
-        wrapped = []
-        modulation = None
-        for stack in stacks_by_freq:
-            phi, mod = decode_wrapped(stack)
-            wrapped.append(phi)
-            modulation = mod if modulation is None else np.minimum(modulation, mod)
-        absolute = unwrap_ladder(wrapped, cfg.freqs)
-        mask = modulation >= DEFAULT_MIN_MODULATION
+        wrapped, modulation = zip(*(decode_wrapped(stack) for stack in stacks_by_freq))
         return cls(
-            phase=absolute,
-            mask=mask,
-            modulation=modulation,
+            phase=unwrap_ladder(wrapped, cfg.freqs),
+            mask=np.minimum.reduce(modulation) >= DEFAULT_MIN_MODULATION,
             top_freq=cfg.top_freq,
             span=cfg.coded_span,
         )

@@ -24,46 +24,13 @@ __all__ = ["decode_bundle", "assemble_observations", "build_problem", "run_calib
 log = logging.getLogger(__name__)
 
 
-def _contour_rois(bundle: SceneBundle, pad: int = 8) -> list[tuple[int, int, int, int]]:
-    """Per-sphere (y0, y1, x0, x1) crops around the contour bounding boxes."""
-    sample = next(iter(bundle.stacks.values()))[0]
-    h, w = sample.shape
-    rois = []
-    for pts in bundle.contours:
-        x0 = max(0, int(np.floor(pts[:, 0].min())) - pad)
-        x1 = min(w, int(np.ceil(pts[:, 0].max())) + pad + 1)
-        y0 = max(0, int(np.floor(pts[:, 1].min())) - pad)
-        y1 = min(h, int(np.ceil(pts[:, 1].max())) + pad + 1)
-        rois.append((y0, y1, x0, x1))
-    return rois
-
-
 def decode_bundle(bundle: SceneBundle) -> tuple[PhaseMap, PhaseMap]:
     """Absolute phase maps for the vertical (codes x) and horizontal (codes y)
-    pattern sets.
-
-    Decoding runs inside regions of interest around the sphere contours;
-    pixels elsewhere carry no fringe signal and are reported invalid.
-    """
-    sample = next(iter(bundle.stacks.values()))[0]
-    h, w = sample.shape
-    rois = _contour_rois(bundle)
-
-    maps = []
-    for cfg in (bundle.truth.fringe_vertical, bundle.truth.fringe_horizontal):
-        stacks = bundle.stack_list(cfg)
-        phase = np.zeros((h, w))
-        modulation = np.zeros((h, w))
-        mask = np.zeros((h, w), dtype=bool)
-        for y0, y1, x0, x1 in rois:
-            crops = [[img[y0:y1, x0:x1] for img in stack] for stack in stacks]
-            pm = PhaseMap.from_stacks(crops, cfg)
-            phase[y0:y1, x0:x1] = pm.phase
-            modulation[y0:y1, x0:x1] = pm.modulation
-            mask[y0:y1, x0:x1] = pm.mask
-        maps.append(PhaseMap(phase=phase, mask=mask, modulation=modulation,
-                             top_freq=cfg.top_freq, span=cfg.coded_span))
-    return maps[0], maps[1]
+    pattern sets, 1-D and aligned with ``bundle.pixels``."""
+    return tuple(
+        PhaseMap.from_stacks(bundle.stack_list(cfg), cfg)
+        for cfg in (bundle.truth.fringe_vertical, bundle.truth.fringe_horizontal)
+    )
 
 
 def assemble_observations(
@@ -80,23 +47,24 @@ def assemble_observations(
         )
     map_v, map_h = decode_bundle(bundle)
     valid = map_v.mask & map_h.mask
-
-    h, w = valid.shape
+    flat = bundle.flat_index
+    w, h = bundle.truth.cam_w, bundle.truth.cam_h
     observations = []
     for i, contour in enumerate(bundle.contours):
         conic = fit_conic(contour)
         pix = sample_interior_pixels(conic, stride=stride)
+        # off-frame pixels would alias to other rows of the flat index
         pix = pix[
             (pix[:, 0] >= 0) & (pix[:, 0] < w) & (pix[:, 1] >= 0) & (pix[:, 1] < h)
         ]
-        ix = pix[:, 0].astype(int)
-        iy = pix[:, 1].astype(int)
-        ok = valid[iy, ix]
-        pix, ix, iy = pix[ok], ix[ok], iy[ok]
+        want = pix[:, 1].astype(int) * w + pix[:, 0].astype(int)
+        at = np.minimum(np.searchsorted(flat, want), len(flat) - 1)
+        ok = (flat[at] == want) & valid[at]
+        pix, at = pix[ok], at[ok]
         proj_px = np.column_stack(
             [
-                phase_to_proj_coord(map_v.phase[iy, ix], map_v.top_freq, map_v.span),
-                phase_to_proj_coord(map_h.phase[iy, ix], map_h.top_freq, map_h.span),
+                phase_to_proj_coord(map_v.phase[at], map_v.top_freq, map_v.span),
+                phase_to_proj_coord(map_h.phase[at], map_h.top_freq, map_h.span),
             ]
         )
         log.info("sphere %d: %d valid correspondence pixels", i, len(pix))

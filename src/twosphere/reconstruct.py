@@ -75,23 +75,21 @@ def reconstruct_cloud(
     """
     from .pipeline import decode_bundle
 
+    if stride < 1:
+        raise ValueError(f"stride must be at least 1, got {stride}")
     map_v, map_h = decode_bundle(bundle)
-    valid = map_v.mask & map_h.mask
-    if stride > 1:
-        keep = np.zeros_like(valid)
-        keep[::stride, ::stride] = True
-        valid &= keep
-    ys, xs = np.nonzero(valid)
-    stats: dict = {"valid_pixels": int(len(xs))}
-    if len(xs) == 0:
+    xs, ys = bundle.pixels.T
+    valid = map_v.mask & map_h.mask & (xs % stride == 0) & (ys % stride == 0)
+    cam_px = bundle.pixels[valid].astype(float)
+    stats: dict = {"valid_pixels": int(len(cam_px))}
+    if len(cam_px) == 0:
         stats.update({"points": 0, "skipped_parallel": 0, "surface_rmse": None})
         return np.zeros((0, 3)), None, stats
 
-    cam_px = np.column_stack([xs, ys]).astype(float)
     proj_px = np.column_stack(
         [
-            phase_to_proj_coord(map_v.phase[ys, xs], map_v.top_freq, map_v.span),
-            phase_to_proj_coord(map_h.phase[ys, xs], map_h.top_freq, map_h.span),
+            phase_to_proj_coord(map_v.phase[valid], map_v.top_freq, map_v.span),
+            phase_to_proj_coord(map_h.phase[valid], map_h.top_freq, map_h.span),
         ]
     )
     d_cam, d_prj, origin = _ray_geometry(cam_px, proj_px, K_C, M_P)

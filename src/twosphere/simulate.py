@@ -9,13 +9,13 @@ be checked against an independent analytic oracle.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import imageio
-from .errors import BehindCamera, SphereOutOfView, SpheresOverlapInImage
+from .errors import BehindCamera, DimensionMismatch, SphereOutOfView, SpheresOverlapInImage
 from .geometry import Conic, Intrinsics, sample_conic_points
 from .phase import FringeConfig, pattern_value
 from .projector import Correspondences, ProjMatrix, compose, project_points
@@ -30,9 +30,11 @@ __all__ = [
     "project_sphere_to_conic",
     "render_scene",
     "rotation_about_y",
+    "signal_pixels",
 ]
 
 CONTOUR_SAMPLES = 256
+BOX_PAD_PX = 8  # margin around each contour's bounding box in the signal pixel list
 MANIFEST_NAME = "manifest.json"
 
 
@@ -100,20 +102,7 @@ class SceneTruth:
         return FringeConfig(self.n_steps, self.freqs, self.proj_w, self.proj_h, "horizontal")
 
     def with_noise(self, noise: NoiseSpec) -> "SceneTruth":
-        return SceneTruth(
-            camera=self.camera,
-            cam_w=self.cam_w,
-            cam_h=self.cam_h,
-            proj_intrinsics=self.proj_intrinsics,
-            proj_w=self.proj_w,
-            proj_h=self.proj_h,
-            rotation=self.rotation,
-            translation=self.translation,
-            spheres=self.spheres,
-            n_steps=self.n_steps,
-            freqs=self.freqs,
-            noise=noise,
-        )
+        return replace(self, noise=noise)
 
     def to_config(self) -> dict:
         cam = self.camera
@@ -249,20 +238,45 @@ def project_sphere_to_conic(pose: SpherePose, K: Intrinsics) -> Conic:
 # scene rendering
 # ---------------------------------------------------------------------------
 
+def signal_pixels(contours, w: int, h: int) -> np.ndarray:
+    """(n, 2) integer (x, y) of the union of the contours' bounding boxes, each
+    padded by ``BOX_PAD_PX`` and clipped to the w x h frame; row-major, unique."""
+    flat = [np.zeros(0, dtype=np.int64)]
+    for pts in contours:
+        x0 = max(0, int(np.floor(pts[:, 0].min())) - BOX_PAD_PX)
+        x1 = min(w, int(np.ceil(pts[:, 0].max())) + BOX_PAD_PX + 1)
+        y0 = max(0, int(np.floor(pts[:, 1].min())) - BOX_PAD_PX)
+        y1 = min(h, int(np.ceil(pts[:, 1].max())) + BOX_PAD_PX + 1)
+        flat.append((np.arange(y0, y1)[:, None] * w + np.arange(x0, x1)).ravel())
+    # a stable sort merges the boxes' sorted runs: ~1 ms on cppB on a 2-core VM,
+    # where np.unique (numpy 2.4) took ~100 ms
+    flat = np.sort(np.concatenate(flat), kind="stable")
+    flat = flat[np.diff(flat, prepend=-1) > 0]
+    return np.column_stack([flat % w, flat // w])
+
+
 @dataclass
 class SceneBundle:
     """Everything one simulated capture produces.
 
+    ``pixels`` is the signal pixel list (see ``signal_pixels``).
     ``stacks[(orientation, freq)]`` holds the n_steps camera images for that
-    pattern set. ``oracle`` carries the hidden exact correspondences; consumer
+    pattern set, each the 1-D float32 array of the image's values at
+    ``pixels``. ``oracle`` carries the hidden exact correspondences; consumer
     code must treat it as ground truth for verification only.
     """
 
     truth: SceneTruth
     contours: list  # per sphere: (m, 2) contour points, noisy if configured
     analytic_conics: list  # per sphere: exact silhouette Conic
+    pixels: np.ndarray  # (n, 2) integer (x, y), row-major
     stacks: dict
     oracle: list | None  # per sphere: Correspondences, or None when stripped
+
+    @property
+    def flat_index(self) -> np.ndarray:
+        """Row-major frame index ``y * w + x`` of each pixel, ascending."""
+        return self.pixels[:, 1] * self.truth.cam_w + self.pixels[:, 0]
 
     def stack_list(self, cfg: FringeConfig) -> list:
         """Per-frequency stacks for one orientation, aligned with cfg.freqs."""
@@ -271,7 +285,8 @@ class SceneBundle:
     # -- persistence ---------------------------------------------------
 
     def save(self, out_dir, image_format: str = "f32") -> None:
-        """Write the bundle directory (manifest, contours, fringes, oracle)."""
+        """Write the bundle directory (manifest, contours, fringes, oracle).
+        Fringe files are full frames, 0 outside ``pixels``."""
         if image_format not in ("f32", "pgm16"):
             raise ValueError("image_format must be 'f32' or 'pgm16'")
         out = Path(out_dir)
@@ -287,13 +302,17 @@ class SceneBundle:
             f.write("\n")
         for i, pts in enumerate(self.contours):
             np.savetxt(out / "contours" / f"sphere{i}.csv", pts, fmt="%.17g", delimiter=",")
+        flat = self.flat_index
+        image = np.zeros((self.truth.cam_h, self.truth.cam_w), dtype=np.float32)
+        frame = image.reshape(-1)  # one buffer; only ``flat`` is rewritten
         for (orientation, freq), stack in sorted(self.stacks.items()):
-            for k, img in enumerate(stack):
+            for k, values in enumerate(stack):
+                frame[flat] = values
                 name = f"{orientation[0]}_f{freq:03d}_s{k}"
                 if image_format == "f32":
-                    imageio.write_float32(out / "fringes" / f"{name}.f32", img)
+                    imageio.write_float32(out / "fringes" / f"{name}.f32", image)
                 else:
-                    imageio.write_pgm(out / "fringes" / f"{name}.pgm", img, bits=16)
+                    imageio.write_pgm(out / "fringes" / f"{name}.pgm", image, bits=16)
         if self.oracle is not None:
             (out / "oracle").mkdir(exist_ok=True)
             for i, corr in enumerate(self.oracle):
@@ -319,20 +338,22 @@ class SceneBundle:
         contours = []
         for path in sorted((root / "contours").glob("sphere*.csv")):
             contours.append(np.loadtxt(path, delimiter=",").reshape(-1, 2))
+        pixels = signal_pixels(contours, truth.cam_w, truth.cam_h)
+        flat = pixels[:, 1] * truth.cam_w + pixels[:, 0]
 
         stacks = {}
         for orientation in ("vertical", "horizontal"):
             for freq in truth.freqs:
                 stack = []
                 for k in range(truth.n_steps):
-                    name = f"{orientation[0]}_f{freq:03d}_s{k}"
+                    path = root / "fringes" / f"{orientation[0]}_f{freq:03d}_s{k}"
                     if image_format == "f32":
-                        img = imageio.read_float32(root / "fringes" / f"{name}.f32")
+                        img = imageio.read_float32(f"{path}.f32")
                     else:
-                        img = imageio.read_pgm(root / "fringes" / f"{name}.pgm").astype(
-                            np.float32
-                        ) / 65535.0
-                    stack.append(img)
+                        img = imageio.read_pgm(f"{path}.pgm").astype(np.float32) / 65535.0
+                    if img.shape != (truth.cam_h, truth.cam_w):
+                        raise DimensionMismatch(f"{path.name}: wrong frame size {img.shape}")
+                    stack.append(img.ravel()[flat])
                 stacks[(orientation, freq)] = stack
 
         oracle = None
@@ -347,7 +368,7 @@ class SceneBundle:
 
         analytic = [project_sphere_to_conic(s, truth.camera) for s in truth.spheres]
         return cls(truth=truth, contours=contours, analytic_conics=analytic,
-                   stacks=stacks, oracle=oracle)
+                   pixels=pixels, stacks=stacks, oracle=oracle)
 
 
 def _check_in_frame(points: np.ndarray, w: int, h: int, what: str) -> None:
@@ -437,7 +458,10 @@ def render_scene(truth: SceneTruth) -> SceneBundle:
         lit_pixels.append((grid.astype(int), coded))
 
     # fringe stacks: camera-frame images, intensities evaluated at the exact
-    # projector coordinate of each lit pixel
+    # projector coordinate of each lit pixel, kept at the signal pixels
+    pixels = signal_pixels(contours, truth.cam_w, truth.cam_h)
+    flat = pixels[:, 1] * truth.cam_w + pixels[:, 0]
+    frame = np.zeros((truth.cam_h, truth.cam_w), dtype=np.float32)  # reused; lit pixels repainted
     stacks = {}
     image_index = 0
     for cfg in (truth.fringe_vertical, truth.fringe_horizontal):
@@ -445,16 +469,17 @@ def render_scene(truth: SceneTruth) -> SceneBundle:
         for freq in cfg.freqs:
             stack = []
             for k in range(cfg.n_steps):
-                img = np.zeros((truth.cam_h, truth.cam_w), dtype=np.float32)
                 for grid, coded in lit_pixels:
-                    img[grid[:, 1], grid[:, 0]] = pattern_value(
+                    frame[grid[:, 1], grid[:, 0]] = pattern_value(
                         freq, k, cfg.n_steps, coded[:, axis], cfg.coded_span
                     )
+                img = frame.ravel()[flat]
                 if truth.noise.intensity_sigma > 0:
+                    # a full-frame draw keeps the noise stream independent of the boxes
                     rng = np.random.default_rng(np.random.SeedSequence([seed, 1, image_index]))
-                    noise = rng.standard_normal(img.shape, dtype=np.float32)
+                    noise = rng.standard_normal(frame.shape, dtype=np.float32)
                     noise *= truth.noise.intensity_sigma
-                    img += noise
+                    img += noise.ravel()[flat]
                 stack.append(img)
                 image_index += 1
             stacks[(cfg.orientation, freq)] = stack
@@ -463,6 +488,7 @@ def render_scene(truth: SceneTruth) -> SceneBundle:
         truth=truth,
         contours=contours,
         analytic_conics=conics,
+        pixels=pixels,
         stacks=stacks,
         oracle=oracle,
     )

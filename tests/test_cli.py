@@ -155,6 +155,31 @@ class TestCalibrate:
     def test_missing_bundle_exits_2(self, tmp_path):
         assert main(["--quiet", "calibrate", str(tmp_path / "nowhere")]) == 2
 
+    def test_fringe_frame_of_wrong_size_exits_2(self, micro_bundle_dir, tmp_path):
+        import shutil
+
+        import numpy as np
+
+        from twosphere.imageio import write_float32
+
+        broken = tmp_path / "small_frame"
+        shutil.copytree(micro_bundle_dir, broken)
+        write_float32(broken / "fringes" / "v_f064_s2.f32", np.zeros((120, 160), np.float32))
+        out = ["--out-ply", str(tmp_path / "c.ply"), "--out-stats", str(tmp_path / "s.json")]
+        assert main(["--quiet", "calibrate", str(broken), "--out", str(tmp_path / "c.json")]) == 2
+        # the bundle is loaded first, so its error decides the exit code
+        assert main(["--quiet", "reconstruct", str(broken), str(tmp_path / "c.json"), *out]) == 2
+        assert not (tmp_path / "c.json").exists() and not (tmp_path / "c.ply").exists()
+
+    @pytest.mark.parametrize("flag", [["--stride", "0"], ["--stride", "-2"], ["--mu", "-1"]])
+    def test_bad_numeric_flag_exits_2(self, micro_bundle_dir, tmp_path, flag):
+        # the parser rejects the value before any work starts
+        with pytest.raises(SystemExit) as exc:
+            main(["--quiet", "calibrate", str(micro_bundle_dir),
+                  "--out", str(tmp_path / "c.json"), *flag])
+        assert exc.value.code == 2
+        assert not (tmp_path / "c.json").exists()
+
 
 class TestReconstructAndEvaluate:
     def test_reconstruct_writes_ply_and_stats(self, micro_bundle_dir, tmp_path):
@@ -172,6 +197,16 @@ class TestReconstructAndEvaluate:
     def test_reconstruct_missing_calib_exits_2(self, micro_bundle_dir, tmp_path):
         assert main(["--quiet", "reconstruct", str(micro_bundle_dir),
                      str(tmp_path / "none.json")]) == 2
+
+    @pytest.mark.parametrize("stride", ["0", "-1"])
+    def test_reconstruct_bad_stride_exits_2(self, micro_bundle_dir, tmp_path, stride):
+        ply = tmp_path / "cloud.ply"
+        with pytest.raises(SystemExit) as exc:
+            main(["--quiet", "reconstruct", str(micro_bundle_dir),
+                  str(micro_bundle_dir / "calib.json"), "--out-ply", str(ply),
+                  "--out-stats", str(tmp_path / "stats.json"), "--stride", stride])
+        assert exc.value.code == 2
+        assert not ply.exists()
 
     def test_evaluate_prints_table(self, micro_bundle_dir, capsys):
         assert main(["--quiet", "evaluate", str(micro_bundle_dir / "calib.json"),

@@ -64,6 +64,12 @@ class TestReconstructCloud:
         mean_radius = np.mean([s.radius for s in bundle_small.truth.spheres])
         assert stats["surface_rmse"] < 1e-3 * mean_radius
 
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_stride_below_one_rejected(self, bundle_small, stride):
+        truth = bundle_small.truth
+        with pytest.raises(ValueError, match="stride"):
+            reconstruct_cloud(bundle_small, truth.camera, truth.proj_matrix, stride=stride)
+
     def test_empty_after_masking(self, bundle_small):
         import copy
 

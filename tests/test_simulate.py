@@ -109,11 +109,14 @@ class TestRenderScene:
         map_v, map_h = decode_bundle(bundle_small)
         xs = phase_to_proj_coord(map_v.phase, map_v.top_freq, map_v.span)
         ys = phase_to_proj_coord(map_h.phase, map_h.top_freq, map_h.span)
+        flat = bundle_small.flat_index
+        w = bundle_small.truth.cam_w
         for corr in bundle_small.oracle:
-            ix = corr.cam_px[:, 0].astype(int)
-            iy = corr.cam_px[:, 1].astype(int)
-            assert map_v.mask[iy, ix].all() and map_h.mask[iy, ix].all()
-            decoded = np.column_stack([xs[iy, ix], ys[iy, ix]])
+            want = corr.cam_px[:, 1].astype(int) * w + corr.cam_px[:, 0].astype(int)
+            at = np.searchsorted(flat, want)
+            assert np.all(at < len(flat)) and np.array_equal(flat[at], want)
+            assert map_v.mask[at].all() and map_h.mask[at].all()
+            decoded = np.column_stack([xs[at], ys[at]])
             assert np.max(np.abs(decoded - corr.proj_px)) < 1e-6
 
     def test_determinism_same_seed(self):
@@ -178,6 +181,53 @@ class TestRenderScene:
             assert np.all(facing > 0)
 
 
+class TestSignalPixels:
+    def test_overlapping_boxes_hold_each_pixel_once(self, monkeypatch):
+        import dataclasses
+
+        from twosphere import reconstruct
+        from twosphere.simulate import BOX_PAD_PX
+
+        # diagonal neighbours: the bounding boxes overlap, the silhouettes do not
+        truth = dataclasses.replace(
+            make_small_truth(),
+            spheres=(
+                SpherePose(center=[-0.35, -0.30, 5.0], radius=0.4),
+                SpherePose(center=[0.33, 0.38, 5.0], radius=0.4),
+            ),
+        )
+        bundle = render_scene(truth)
+        (lo0, hi0), (lo1, hi1) = [(c.min(axis=0), c.max(axis=0)) for c in bundle.contours]
+        assert np.all(np.minimum(hi0, hi1) > np.maximum(lo0, lo1))
+
+        w, h = truth.cam_w, truth.cam_h
+        flat = bundle.flat_index
+        assert np.all(np.diff(flat) > 0)  # row-major, no duplicates
+        areas = sum(
+            np.prod(np.ceil(c.max(axis=0)) - np.floor(c.min(axis=0)) + 2 * BOX_PAD_PX + 1)
+            for c in bundle.contours
+        )
+        assert len(flat) < areas
+
+        stack_bytes = sum(v.nbytes for stack in bundle.stacks.values() for v in stack)
+        frame_bytes = sum(len(stack) for stack in bundle.stacks.values()) * w * h * 4
+        assert stack_bytes < 0.25 * frame_bytes
+
+        seen = []
+        ray_geometry = reconstruct._ray_geometry
+
+        def record(cam_px, *args):
+            seen.append(np.asarray(cam_px))
+            return ray_geometry(cam_px, *args)
+
+        monkeypatch.setattr(reconstruct, "_ray_geometry", record)
+        _, _, stats = reconstruct.reconstruct_cloud(bundle, truth.camera, truth.proj_matrix)
+        (cam_px,) = seen
+        assert len(cam_px) == stats["points"] > 1000
+        assert len(np.unique(cam_px, axis=0)) == len(cam_px)
+        assert stats["surface_rmse"] < 1e-6
+
+
 class TestBundleIO:
     @pytest.mark.parametrize("image_format", ["f32", "pgm16"])
     def test_save_load_round_trip(self, tmp_path, image_format):
@@ -190,6 +240,7 @@ class TestBundleIO:
         assert again.truth.noise == bundle.truth.noise
         for c1, c2 in zip(bundle.contours, again.contours):
             np.testing.assert_allclose(c1, c2, atol=1e-12)
+        np.testing.assert_array_equal(again.pixels, bundle.pixels)
         for corr1, corr2 in zip(bundle.oracle, again.oracle):
             np.testing.assert_allclose(corr1.points, corr2.points, atol=1e-12)
         key = ("vertical", 64)
@@ -201,6 +252,24 @@ class TestBundleIO:
                 np.testing.assert_allclose(
                     np.clip(i1, 0.0, 1.0), i2, atol=1.0 / 65535.0
                 )
+
+    def test_saved_frames_hold_stacks_at_pixels_and_zero_elsewhere(self, tmp_path):
+        from twosphere.imageio import read_float32
+
+        t = make_micro_truth(NoiseSpec(contour_sigma=0.2, intensity_sigma=0.01, seed=5))
+        bundle = render_scene(t)
+        bundle.save(tmp_path / "bundle")
+        flat = bundle.flat_index
+        outside = np.ones(t.cam_w * t.cam_h, dtype=bool)
+        outside[flat] = False
+        assert outside.any()
+        for (orientation, freq), stack in bundle.stacks.items():
+            for k, values in enumerate(stack):
+                name = f"{orientation[0]}_f{freq:03d}_s{k}.f32"
+                frame = read_float32(tmp_path / "bundle" / "fringes" / name)
+                assert frame.shape == (t.cam_h, t.cam_w)
+                np.testing.assert_array_equal(frame.ravel()[flat], values)
+                assert not frame.ravel()[outside].any()
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):
