@@ -353,8 +353,11 @@ def calibrate(problem: IscProblem, max_iters: int = 200) -> CalibResult:
     ``history`` describe the final descent only. Fully deterministic for
     identical inputs.
 
-    Raises NoFeasibleStart when every scan sample is infeasible.
+    Raises NoFeasibleStart when every scan sample is infeasible, and
+    ValueError when ``max_iters`` is below 1.
     """
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     free = replace(problem, mu=0.0)
     params, history, iterations, converged = _levenberg_marquardt(
         _scan_start(free), free, max_iters

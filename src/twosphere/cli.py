@@ -94,6 +94,18 @@ def validate_config(cfg: dict) -> list[str]:
             problems.append("fringe.frequencies_cpf: positive integers required")
         elif any(b <= a or b / a > 8 for a, b in zip(freqs, freqs[1:])):
             problems.append("fringe.frequencies_cpf: strictly increasing, ratio <= 8")
+
+    noise = cfg.get("noise", {})
+    if not isinstance(noise, dict):
+        problems.append("noise: must be an object")
+    else:
+        for fld in ("contour_sigma_px", "intensity_sigma"):
+            sigma = noise.get(fld, 0.0)
+            if not isinstance(sigma, (int, float)) or not sigma >= 0:
+                problems.append(f"noise.{fld}: non-negative number required")
+        seed = noise.get("seed", 0)
+        if not isinstance(seed, int) or seed < 0:
+            problems.append("noise.seed: non-negative integer required")
     return problems
 
 
@@ -259,9 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_sim.add_mutually_exclusive_group(required=True)
     group.add_argument("--preset", choices=PRESET_NAMES)
     group.add_argument("--config", help="scene config JSON path")
-    p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--noise-contour", type=float, default=None, metavar="SIGMA_PX")
-    p_sim.add_argument("--noise-intensity", type=float, default=None, metavar="SIGMA")
+    p_sim.add_argument("--seed", type=_at_least(int, 0))
+    p_sim.add_argument("--noise-contour", type=_at_least(float, 0.0), metavar="SIGMA_PX")
+    p_sim.add_argument("--noise-intensity", type=_at_least(float, 0.0), metavar="SIGMA")
     p_sim.add_argument("--out", required=True, help="output bundle directory")
     p_sim.add_argument("--image-format", choices=("f32", "pgm16"), default="f32")
     p_sim.set_defaults(func=cmd_simulate)
@@ -271,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument(
         "--mu", type=_at_least(float, 0.0), default=None, help="constraint weight (0 disables)"
     )
-    p_cal.add_argument("--max-iters", type=int, default=200)
+    p_cal.add_argument("--max-iters", type=_at_least(int, 1), default=200)
     p_cal.add_argument(
         "--stride", type=_at_least(int, 1), default=None, help="correspondence grid stride, px"
     )

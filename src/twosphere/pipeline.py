@@ -1,9 +1,8 @@
 """Glue from a captured (or simulated) bundle to a calibration problem.
 
-Stages: fit each sphere's contour conic, decode both fringe orientations to
-absolute phase, sample interior pixels away from the silhouettes, keep those
-with valid phase in both orientations, and map their phases to projector
-pixel coordinates.
+Stages: decode both fringe orientations to projector pixel coordinates, fit
+each sphere's contour conic, sample interior pixels away from the
+silhouettes, and keep those with valid phase in both orientations.
 """
 
 from __future__ import annotations
@@ -24,13 +23,16 @@ __all__ = ["decode_bundle", "assemble_observations", "build_problem", "run_calib
 log = logging.getLogger(__name__)
 
 
-def decode_bundle(bundle: SceneBundle) -> tuple[PhaseMap, PhaseMap]:
-    """Absolute phase maps for the vertical (codes x) and horizontal (codes y)
-    pattern sets, 1-D and aligned with ``bundle.pixels``."""
-    return tuple(
+def decode_bundle(bundle: SceneBundle) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, 2) decoded projector (x, y) of each row of ``bundle.pixels``, and
+    the (n,) mask of pixels whose phase is valid in both the vertical (codes x)
+    and the horizontal (codes y) pattern set."""
+    maps = [
         PhaseMap.from_stacks(bundle.stack_list(cfg), cfg)
         for cfg in (bundle.truth.fringe_vertical, bundle.truth.fringe_horizontal)
-    )
+    ]
+    proj_px = np.column_stack([phase_to_proj_coord(m.phase, m.top_freq, m.span) for m in maps])
+    return proj_px, maps[0].mask & maps[1].mask
 
 
 def assemble_observations(
@@ -45,8 +47,7 @@ def assemble_observations(
         raise TwosphereError(
             f"two sphere observations required, bundle has {len(bundle.contours)}"
         )
-    map_v, map_h = decode_bundle(bundle)
-    valid = map_v.mask & map_h.mask
+    proj_px, valid = decode_bundle(bundle)
     flat = bundle.flat_index
     w, h = bundle.truth.cam_w, bundle.truth.cam_h
     observations = []
@@ -61,14 +62,8 @@ def assemble_observations(
         at = np.minimum(np.searchsorted(flat, want), len(flat) - 1)
         ok = (flat[at] == want) & valid[at]
         pix, at = pix[ok], at[ok]
-        proj_px = np.column_stack(
-            [
-                phase_to_proj_coord(map_v.phase[at], map_v.top_freq, map_v.span),
-                phase_to_proj_coord(map_h.phase[at], map_h.top_freq, map_h.span),
-            ]
-        )
         log.info("sphere %d: %d valid correspondence pixels", i, len(pix))
-        observations.append(SphereObservation(conic=conic, cam_px=pix, proj_px=proj_px))
+        observations.append(SphereObservation(conic=conic, cam_px=pix, proj_px=proj_px[at]))
     return observations
 
 

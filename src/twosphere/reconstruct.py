@@ -6,7 +6,6 @@ import numpy as np
 
 from .errors import NearParallelRays
 from .geometry import Intrinsics, homogenize
-from .phase import phase_to_proj_coord
 from .projector import ProjMatrix
 from .simulate import SceneBundle
 
@@ -77,22 +76,16 @@ def reconstruct_cloud(
 
     if stride < 1:
         raise ValueError(f"stride must be at least 1, got {stride}")
-    map_v, map_h = decode_bundle(bundle)
+    proj_px, valid = decode_bundle(bundle)
     xs, ys = bundle.pixels.T
-    valid = map_v.mask & map_h.mask & (xs % stride == 0) & (ys % stride == 0)
+    valid &= (xs % stride == 0) & (ys % stride == 0)
     cam_px = bundle.pixels[valid].astype(float)
     stats: dict = {"valid_pixels": int(len(cam_px))}
     if len(cam_px) == 0:
         stats.update({"points": 0, "skipped_parallel": 0, "surface_rmse": None})
         return np.zeros((0, 3)), None, stats
 
-    proj_px = np.column_stack(
-        [
-            phase_to_proj_coord(map_v.phase[valid], map_v.top_freq, map_v.span),
-            phase_to_proj_coord(map_h.phase[valid], map_h.top_freq, map_h.span),
-        ]
-    )
-    d_cam, d_prj, origin = _ray_geometry(cam_px, proj_px, K_C, M_P)
+    d_cam, d_prj, origin = _ray_geometry(cam_px, proj_px[valid], K_C, M_P)
     points, ok = _midpoints(d_cam, d_prj, origin)
     points = points[ok]
     stats["points"] = int(len(points))

@@ -381,6 +381,12 @@ def _check_in_frame(points: np.ndarray, w: int, h: int, what: str) -> None:
         raise SphereOutOfView(f"{what} silhouette leaves the frame")
 
 
+def _faces_projector(points: np.ndarray, pose: SpherePose, proj_center: np.ndarray) -> np.ndarray:
+    """True where the sphere's surface at ``points`` faces the projector centre."""
+    normals = (points - pose.center) / pose.radius
+    return np.einsum("ni,ni->n", normals, proj_center[None, :] - points) > 0
+
+
 def render_scene(truth: SceneTruth) -> SceneBundle:
     """Render fringe stacks, contour point sets and hidden correspondences.
 
@@ -430,38 +436,27 @@ def render_scene(truth: SceneTruth) -> SceneBundle:
             pts = pts + normals * rng.normal(0.0, truth.noise.contour_sigma, (len(pts), 1))
         contours.append(pts)
 
-    # hidden exact correspondences on interior pixels facing the projector
+    pixels = signal_pixels(contours, truth.cam_w, truth.cam_h)
     oracle = []
-    lit_pixels = []  # per sphere: (pixels, coded x_p, coded y_p) for rendering
-    for i, (pose, conic) in enumerate(zip(truth.spheres, conics)):
+    lit_pixels = []  # per sphere: (index into pixels, coded projector (x, y))
+    for pose, conic in zip(truth.spheres, conics):
+        # hidden exact correspondences on interior pixels facing the projector
         pix = sample_interior_pixels(conic)
         points = lift_pixel_to_sphere(pix, cam, pose)
-        normals = (points - pose.center) / pose.radius
-        lit = np.einsum("ni,ni->n", normals, proj_center[None, :] - points) > 0
+        lit = _faces_projector(points, pose, proj_center)
         pix, points = pix[lit], points[lit]
         proj_px = project_points(proj_m, points)
         oracle.append(Correspondences(cam_px=pix, proj_px=proj_px, points=points))
 
-        # full-disc lit pixels drive the fringe intensities
-        bx_lo = np.floor(boundaries[i].min(axis=0)).astype(int)
-        bx_hi = np.ceil(boundaries[i].max(axis=0)).astype(int)
-        xs = np.arange(bx_lo[0], bx_hi[0] + 1)
-        ys = np.arange(bx_lo[1], bx_hi[1] + 1)
-        grid = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2).astype(float)
-        inside = conic.normalized().evaluate(grid) < 0
-        grid = grid[inside]
-        pts3 = lift_pixel_to_sphere(grid, cam, pose)
-        normals = (pts3 - pose.center) / pose.radius
-        lit = np.einsum("ni,ni->n", normals, proj_center[None, :] - pts3) > 0
-        grid, pts3 = grid[lit], pts3[lit]
-        coded = project_points(proj_m, pts3)
-        lit_pixels.append((grid.astype(int), coded))
+        # every lit signal pixel of the disc, with the exact projector
+        # coordinate of the surface point it sees
+        at = np.flatnonzero(conic.normalized().evaluate(pixels) < 0)
+        points = lift_pixel_to_sphere(pixels[at], cam, pose)
+        lit = _faces_projector(points, pose, proj_center)
+        lit_pixels.append((at[lit], project_points(proj_m, points[lit])))
 
-    # fringe stacks: camera-frame images, intensities evaluated at the exact
-    # projector coordinate of each lit pixel, kept at the signal pixels
-    pixels = signal_pixels(contours, truth.cam_w, truth.cam_h)
-    flat = pixels[:, 1] * truth.cam_w + pixels[:, 0]
-    frame = np.zeros((truth.cam_h, truth.cam_w), dtype=np.float32)  # reused; lit pixels repainted
+    # fringe stacks at the signal pixels: the pattern at each lit pixel's
+    # coded coordinate, 0 at every other pixel, plus per-pixel noise
     stacks = {}
     image_index = 0
     for cfg in (truth.fringe_vertical, truth.fringe_horizontal):
@@ -469,17 +464,14 @@ def render_scene(truth: SceneTruth) -> SceneBundle:
         for freq in cfg.freqs:
             stack = []
             for k in range(cfg.n_steps):
-                for grid, coded in lit_pixels:
-                    frame[grid[:, 1], grid[:, 0]] = pattern_value(
-                        freq, k, cfg.n_steps, coded[:, axis], cfg.coded_span
-                    )
-                img = frame.ravel()[flat]
+                img = np.zeros(len(pixels), dtype=np.float32)
+                for at, coded in lit_pixels:
+                    img[at] = pattern_value(freq, k, cfg.n_steps, coded[:, axis], cfg.coded_span)
                 if truth.noise.intensity_sigma > 0:
-                    # a full-frame draw keeps the noise stream independent of the boxes
                     rng = np.random.default_rng(np.random.SeedSequence([seed, 1, image_index]))
-                    noise = rng.standard_normal(frame.shape, dtype=np.float32)
+                    noise = rng.standard_normal(len(pixels), dtype=np.float32)
                     noise *= truth.noise.intensity_sigma
-                    img += noise.ravel()[flat]
+                    img += noise
                 stack.append(img)
                 image_index += 1
             stacks[(cfg.orientation, freq)] = stack

@@ -210,6 +210,11 @@ class TestCalibrate:
         assert n_corr(coarse) < n_corr(build_problem(bundle_small, stride=4))
         assert result.iterations <= 1
 
+    @pytest.mark.parametrize("max_iters", [0, -3])
+    def test_max_iters_below_one_rejected(self, truth_small, max_iters):
+        with pytest.raises(ValueError):
+            calibrate(exact_problem(truth_small), max_iters)
+
     def test_deterministic_repeat(self, truth_small):
         problem = exact_problem(truth_small)
         r1 = calibrate(problem)

@@ -33,6 +33,16 @@ def tree_bytes(root: Path) -> dict:
     }
 
 
+# (noise field, value) pairs that validate_config must reject
+BAD_NOISE = [
+    ("contour_sigma_px", -1.0),
+    ("contour_sigma_px", "wide"),
+    ("intensity_sigma", -0.5),
+    ("seed", -1),
+    ("seed", 1.5),
+]
+
+
 @pytest.fixture(scope="module")
 def micro_bundle_dir(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("bundle")
@@ -56,6 +66,12 @@ class TestValidateConfig:
         cfg = copy.deepcopy(MICRO_CONFIG)
         cfg["spheres"] = cfg["spheres"][:1]
         assert any("spheres" in p for p in validate_config(cfg))
+
+    @pytest.mark.parametrize("field, value", BAD_NOISE)
+    def test_bad_noise_diagnostic(self, field, value):
+        cfg = copy.deepcopy(MICRO_CONFIG)
+        cfg["noise"][field] = value
+        assert any(f"noise.{field}" in p for p in validate_config(cfg))
 
 
 class TestSimulate:
@@ -90,6 +106,23 @@ class TestSimulate:
         cfg = write_config(tmp_path, {"camera.fx_px": "fast"})
         assert main(["--quiet", "simulate", "--config", str(cfg), "--out",
                      str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("field, value", BAD_NOISE)
+    def test_bad_noise_config_exits_2(self, tmp_path, field, value):
+        cfg = write_config(tmp_path, {f"noise.{field}": value})
+        assert main(["--quiet", "simulate", "--config", str(cfg), "--out",
+                     str(tmp_path / "x")]) == 2
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "flag", [["--noise-contour", "-1"], ["--noise-intensity", "-0.5"], ["--seed", "-1"]]
+    )
+    def test_bad_noise_flag_exits_2(self, tmp_path, flag):
+        # the parser rejects the value before any work starts
+        with pytest.raises(SystemExit) as exc:
+            main(["--quiet", "simulate", "--preset", "cppB", "--out", str(tmp_path / "x"), *flag])
+        assert exc.value.code == 2
+        assert not (tmp_path / "x").exists()
 
     def test_json_syntax_error_exits_2(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -171,7 +204,11 @@ class TestCalibrate:
         assert main(["--quiet", "reconstruct", str(broken), str(tmp_path / "c.json"), *out]) == 2
         assert not (tmp_path / "c.json").exists() and not (tmp_path / "c.ply").exists()
 
-    @pytest.mark.parametrize("flag", [["--stride", "0"], ["--stride", "-2"], ["--mu", "-1"]])
+    @pytest.mark.parametrize(
+        "flag",
+        [["--stride", "0"], ["--stride", "-2"], ["--mu", "-1"], ["--max-iters", "0"],
+         ["--max-iters", "-3"]],
+    )
     def test_bad_numeric_flag_exits_2(self, micro_bundle_dir, tmp_path, flag):
         # the parser rejects the value before any work starts
         with pytest.raises(SystemExit) as exc:

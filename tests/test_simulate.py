@@ -17,6 +17,7 @@ from twosphere import (
 )
 from twosphere.errors import BehindCamera, SphereOutOfView, SpheresOverlapInImage
 from twosphere.geometry import ellipse_parameters
+from twosphere.phase import pattern_value
 
 
 class TestProjectSphereToConic:
@@ -104,20 +105,39 @@ class TestRenderScene:
 
     def test_codec_reproduces_hidden_projector_pixels(self, bundle_small):
         from twosphere.pipeline import decode_bundle
-        from twosphere.phase import phase_to_proj_coord
 
-        map_v, map_h = decode_bundle(bundle_small)
-        xs = phase_to_proj_coord(map_v.phase, map_v.top_freq, map_v.span)
-        ys = phase_to_proj_coord(map_h.phase, map_h.top_freq, map_h.span)
+        proj_px, valid = decode_bundle(bundle_small)
         flat = bundle_small.flat_index
         w = bundle_small.truth.cam_w
         for corr in bundle_small.oracle:
             want = corr.cam_px[:, 1].astype(int) * w + corr.cam_px[:, 0].astype(int)
             at = np.searchsorted(flat, want)
             assert np.all(at < len(flat)) and np.array_equal(flat[at], want)
-            assert map_v.mask[at].all() and map_h.mask[at].all()
-            decoded = np.column_stack([xs[at], ys[at]])
-            assert np.max(np.abs(decoded - corr.proj_px)) < 1e-6
+            assert valid[at].all()
+            assert np.max(np.abs(proj_px[at] - corr.proj_px)) < 1e-6
+
+    def test_stacks_hold_the_pattern_at_the_lit_pixels(self, bundle_small):
+        # noiseless: an oracle pixel holds the float32 pattern value at its
+        # exact projector coordinate; a pixel inside neither disc holds 0
+        truth = bundle_small.truth
+        flat, w = bundle_small.flat_index, truth.cam_w
+        outside = np.ones(len(flat), dtype=bool)
+        for conic in bundle_small.analytic_conics:
+            outside &= conic.normalized().evaluate(bundle_small.pixels.astype(float)) >= 0
+        assert outside.any()
+        ats = [
+            np.searchsorted(flat, c.cam_px[:, 1].astype(int) * w + c.cam_px[:, 0].astype(int))
+            for c in bundle_small.oracle
+        ]
+        for cfg in (truth.fringe_vertical, truth.fringe_horizontal):
+            axis = 0 if cfg.orientation == "vertical" else 1
+            for freq, stack in zip(cfg.freqs, bundle_small.stack_list(cfg)):
+                for k, values in enumerate(stack):
+                    assert not values[outside].any()
+                    for at, corr in zip(ats, bundle_small.oracle):
+                        coord = corr.proj_px[:, axis]
+                        want = pattern_value(freq, k, cfg.n_steps, coord, cfg.coded_span)
+                        np.testing.assert_array_equal(values[at], want.astype(np.float32))
 
     def test_determinism_same_seed(self):
         t = make_micro_truth(NoiseSpec(contour_sigma=0.3, intensity_sigma=0.01, seed=42))
@@ -149,6 +169,22 @@ class TestRenderScene:
         d = np.concatenate(displacements)
         assert len(d) >= 10_000
         assert abs(np.sqrt(np.mean(d**2)) - sigma) < 0.05 * sigma
+
+    def test_intensity_noise_rms(self):
+        # contour sigma 0 keeps the signal pixels fixed; pooled over seeds,
+        # noisy minus noiseless stacks have RMS sigma and mean 0
+        sigma = 0.01
+        clean = render_scene(make_micro_truth()).stacks
+        diffs = []
+        for seed in range(4):
+            truth = make_micro_truth(NoiseSpec(intensity_sigma=sigma, seed=seed))
+            noisy = render_scene(truth).stacks
+            for key, stack in clean.items():
+                diffs += [n.astype(float) - c for c, n in zip(stack, noisy[key])]
+        d = np.concatenate(diffs)
+        assert len(d) >= 100_000
+        assert abs(np.sqrt(np.mean(d**2)) - sigma) < 0.05 * sigma
+        assert abs(np.mean(d)) < 5 * sigma / np.sqrt(len(d))
 
     def test_out_of_view_rejected(self):
         import dataclasses
