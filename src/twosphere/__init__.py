@@ -20,29 +20,22 @@ from .calibrate import (
 from .geometry import (
     Conic,
     Intrinsics,
-    adjugate,
     constraint_pair,
     fit_conic,
     pole_polar_residual,
 )
 from .phase import (
     FringeConfig,
-    PhaseMap,
     decode_wrapped,
     phase_to_proj_coord,
-    render_patterns,
     unwrap_ladder,
-    unwrap_temporal,
 )
 from .pipeline import assemble_observations, build_problem, run_calibration
 from .projector import (
-    Correspondences,
     ProjMatrix,
-    compose,
     decompose,
     dlt_estimate,
     project_points,
-    reprojection_residuals,
 )
 from .reconstruct import reconstruct_cloud, triangulate, write_ply
 from .simulate import (
@@ -65,22 +58,18 @@ __version__ = "0.1.0"
 __all__ = [
     "CalibResult",
     "Conic",
-    "Correspondences",
     "FringeConfig",
     "Intrinsics",
     "IscProblem",
     "NoiseSpec",
-    "PhaseMap",
     "ProjMatrix",
     "SceneBundle",
     "SceneTruth",
     "SphereObservation",
     "SpherePose",
-    "adjugate",
     "assemble_observations",
     "build_problem",
     "calibrate",
-    "compose",
     "constraint_pair",
     "decode_wrapped",
     "decompose",
@@ -96,14 +85,11 @@ __all__ = [
     "project_points",
     "project_sphere_to_conic",
     "reconstruct_cloud",
-    "render_patterns",
     "render_scene",
-    "reprojection_residuals",
     "run_calibration",
     "sample_interior_pixels",
     "sphere_center_from_conic",
     "triangulate",
     "unwrap_ladder",
-    "unwrap_temporal",
     "write_ply",
 ]

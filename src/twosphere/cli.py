@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -101,8 +102,8 @@ def validate_config(cfg: dict) -> list[str]:
     else:
         for fld in ("contour_sigma_px", "intensity_sigma"):
             sigma = noise.get(fld, 0.0)
-            if not isinstance(sigma, (int, float)) or not sigma >= 0:
-                problems.append(f"noise.{fld}: non-negative number required")
+            if not isinstance(sigma, (int, float)) or not 0 <= sigma < math.inf:
+                problems.append(f"noise.{fld}: finite non-negative number required")
         seed = noise.get("seed", 0)
         if not isinstance(seed, int) or seed < 0:
             problems.append("noise.seed: non-negative integer required")
@@ -249,11 +250,11 @@ def cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _at_least(kind, low):
-    """argparse type: ``kind(text)``, rejected (exit 2) unless at least ``low``."""
+    """argparse type: ``kind(text)``, rejected (exit 2) unless finite and at least ``low``."""
     def parse(text: str):
         value = kind(text)
-        if not value >= low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        if not low <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite and at least {low}, got {text}")
         return value
     parse.__name__ = kind.__name__  # argparse names the type in its messages
     return parse

@@ -90,3 +90,7 @@ class SphereOutOfView(TwosphereError):
 
 class SpheresOverlapInImage(TwosphereError):
     """The two sphere silhouettes overlap in the camera image."""
+
+
+class InvalidNoise(TwosphereError):
+    """A noise sigma is negative or not finite, or the seed is not a non-negative integer."""

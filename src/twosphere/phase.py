@@ -20,12 +20,12 @@ from .errors import DimensionMismatch, OutOfRange
 
 __all__ = [
     "FringeConfig",
-    "PhaseMap",
     "render_patterns",
     "pattern_value",
     "decode_wrapped",
     "unwrap_temporal",
     "unwrap_ladder",
+    "decode_phase",
     "phase_to_proj_coord",
 ]
 
@@ -126,7 +126,7 @@ def decode_wrapped(stack) -> tuple[np.ndarray, np.ndarray]:
 
     Exact for noiseless cosine stacks; invariant to gain and offset.
     """
-    images = [np.asarray(img, dtype=float) for img in stack]
+    images = [np.asarray(img) for img in stack]
     if len(images) < 3:
         raise DimensionMismatch(f"need at least 3 phase-shifted images, got {len(images)}")
     shape = images[0].shape
@@ -134,8 +134,12 @@ def decode_wrapped(stack) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionMismatch("stack images differ in shape")
     n = len(images)
     deltas = 2.0 * np.pi * np.arange(n) / n
-    sin_sum = sum(img * np.sin(d) for img, d in zip(images, deltas))
-    cos_sum = sum(img * np.cos(d) for img, d in zip(images, deltas))
+    # the sums start at +0.0 and grow in place; each product is taken in
+    # float64 into one reused buffer, so no float64 copy of an image is made
+    sin_sum, cos_sum, term = (np.zeros(shape) for _ in range(3))
+    for img, d in zip(images, deltas):
+        sin_sum += np.multiply(img, np.sin(d), out=term)
+        cos_sum += np.multiply(img, np.cos(d), out=term)
     phase = np.mod(np.arctan2(sin_sum, cos_sum), 2.0 * np.pi)
     modulation = (2.0 / n) * np.hypot(sin_sum, cos_sum)
     return phase, modulation
@@ -175,6 +179,20 @@ def unwrap_ladder(wrapped_maps, freqs) -> np.ndarray:
     return absolute
 
 
+def decode_phase(stacks_by_freq, cfg: FringeConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Absolute phase in [0, 2 pi f_top] and validity mask from per-frequency
+    stacks aligned with cfg.freqs, each a stack of cfg.n_steps images.
+
+    Valid pixels have modulation at or above ``DEFAULT_MIN_MODULATION`` at
+    every frequency.
+    """
+    if len(stacks_by_freq) != len(cfg.freqs):
+        raise DimensionMismatch("one stack per configured frequency required")
+    wrapped, modulation = zip(*(decode_wrapped(stack) for stack in stacks_by_freq))
+    mask = np.minimum.reduce(modulation) >= DEFAULT_MIN_MODULATION
+    return unwrap_ladder(wrapped, cfg.freqs), mask
+
+
 def phase_to_proj_coord(phase, top_freq: int, span: int):
     """Map absolute phase to a projector coordinate in pixels: W phi / (2 pi f).
 
@@ -188,34 +206,3 @@ def phase_to_proj_coord(phase, top_freq: int, span: int):
         raise OutOfRange(f"phase outside [0, {limit:.6g}]")
     coord = span * np.clip(phase, 0.0, limit) / limit
     return float(coord) if coord.ndim == 0 else coord
-
-
-@dataclass
-class PhaseMap:
-    """Absolute phase per pixel with a validity mask.
-
-    Valid pixels have modulation at or above ``DEFAULT_MIN_MODULATION`` at
-    every frequency; phase lies in [0, 2 pi f_top].
-    """
-
-    phase: np.ndarray
-    mask: np.ndarray
-    top_freq: int
-    span: int
-
-    @classmethod
-    def from_stacks(cls, stacks_by_freq, cfg: FringeConfig) -> "PhaseMap":
-        """Decode per-frequency stacks and unwrap along the ladder.
-
-        ``stacks_by_freq`` is a sequence aligned with cfg.freqs, each entry a
-        stack of cfg.n_steps images.
-        """
-        if len(stacks_by_freq) != len(cfg.freqs):
-            raise DimensionMismatch("one stack per configured frequency required")
-        wrapped, modulation = zip(*(decode_wrapped(stack) for stack in stacks_by_freq))
-        return cls(
-            phase=unwrap_ladder(wrapped, cfg.freqs),
-            mask=np.minimum.reduce(modulation) >= DEFAULT_MIN_MODULATION,
-            top_freq=cfg.top_freq,
-            span=cfg.coded_span,
-        )

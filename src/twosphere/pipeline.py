@@ -1,8 +1,9 @@
 """Glue from a captured (or simulated) bundle to a calibration problem.
 
-Stages: decode both fringe orientations to projector pixel coordinates, fit
-each sphere's contour conic, sample interior pixels away from the
-silhouettes, and keep those with valid phase in both orientations.
+Stages: fit each sphere's contour conic, sample interior pixels away from
+the silhouettes, decode both fringe orientations to projector pixel
+coordinates at those pixels only, and keep those with valid phase in both
+orientations.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 from .calibrate import CalibResult, IscProblem, SphereObservation, calibrate
 from .errors import TwosphereError
 from .geometry import fit_conic
-from .phase import PhaseMap, phase_to_proj_coord
+from .phase import decode_phase, phase_to_proj_coord
 from .simulate import SceneBundle
 from .sphere import sample_interior_pixels
 
@@ -23,16 +24,21 @@ __all__ = ["decode_bundle", "assemble_observations", "build_problem", "run_calib
 log = logging.getLogger(__name__)
 
 
-def decode_bundle(bundle: SceneBundle) -> tuple[np.ndarray, np.ndarray]:
-    """The (n, 2) decoded projector (x, y) of each row of ``bundle.pixels``, and
-    the (n,) mask of pixels whose phase is valid in both the vertical (codes x)
-    and the horizontal (codes y) pattern set."""
-    maps = [
-        PhaseMap.from_stacks(bundle.stack_list(cfg), cfg)
-        for cfg in (bundle.truth.fringe_vertical, bundle.truth.fringe_horizontal)
-    ]
-    proj_px = np.column_stack([phase_to_proj_coord(m.phase, m.top_freq, m.span) for m in maps])
-    return proj_px, maps[0].mask & maps[1].mask
+def decode_bundle(
+    bundle: SceneBundle, at: np.ndarray | slice = slice(None)
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, 2) decoded projector (x, y) of the rows ``at`` of
+    ``bundle.pixels`` (all rows by default), and the (n,) mask of those whose
+    phase is valid in both the vertical (codes x) and the horizontal (codes y)
+    pattern set. Only those rows are decoded; the decode is per pixel, so the
+    result equals the full decode indexed at ``at``."""
+    proj_px, valid = [], True
+    for cfg in (bundle.truth.fringe_vertical, bundle.truth.fringe_horizontal):
+        stacks = [[img[at] for img in stack] for stack in bundle.stack_list(cfg)]
+        phase, mask = decode_phase(stacks, cfg)
+        proj_px.append(phase_to_proj_coord(phase, cfg.top_freq, cfg.coded_span))
+        valid = valid & mask
+    return np.column_stack(proj_px), valid
 
 
 def assemble_observations(
@@ -41,18 +47,17 @@ def assemble_observations(
     """Fitted conic plus pixel correspondences for every sphere in the bundle.
 
     ``stride`` is the sampling grid step in pixels; None gives ~24 samples
-    across each silhouette.
+    across each silhouette. Both spheres' samples are decoded in one call.
     """
     if len(bundle.contours) != 2:
         raise TwosphereError(
             f"two sphere observations required, bundle has {len(bundle.contours)}"
         )
-    proj_px, valid = decode_bundle(bundle)
     flat = bundle.flat_index
     w, h = bundle.truth.cam_w, bundle.truth.cam_h
-    observations = []
-    for i, contour in enumerate(bundle.contours):
-        conic = fit_conic(contour)
+    conics = [fit_conic(contour) for contour in bundle.contours]
+    samples, rows = [], []
+    for conic in conics:
         pix = sample_interior_pixels(conic, stride=stride)
         # off-frame pixels would alias to other rows of the flat index
         pix = pix[
@@ -60,10 +65,17 @@ def assemble_observations(
         ]
         want = pix[:, 1].astype(int) * w + pix[:, 0].astype(int)
         at = np.minimum(np.searchsorted(flat, want), len(flat) - 1)
-        ok = (flat[at] == want) & valid[at]
-        pix, at = pix[ok], at[ok]
-        log.info("sphere %d: %d valid correspondence pixels", i, len(pix))
-        observations.append(SphereObservation(conic=conic, cam_px=pix, proj_px=proj_px[at]))
+        ok = flat[at] == want
+        samples.append(pix[ok])
+        rows.append(at[ok])
+    proj_px, valid = decode_bundle(bundle, np.concatenate(rows))
+    split = [len(rows[0])]
+    observations = []
+    for i, (conic, pix, px, ok) in enumerate(
+        zip(conics, samples, np.split(proj_px, split), np.split(valid, split))
+    ):
+        log.info("sphere %d: %d valid correspondence pixels", i, np.count_nonzero(ok))
+        observations.append(SphereObservation(conic=conic, cam_px=pix[ok], proj_px=px[ok]))
     return observations
 
 

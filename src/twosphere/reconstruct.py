@@ -76,10 +76,11 @@ def reconstruct_cloud(
 
     if stride < 1:
         raise ValueError(f"stride must be at least 1, got {stride}")
-    proj_px, valid = decode_bundle(bundle)
     xs, ys = bundle.pixels.T
-    valid &= (xs % stride == 0) & (ys % stride == 0)
-    cam_px = bundle.pixels[valid].astype(float)
+    # a slice decodes the stride-1 grid without gathering a copy of the stacks
+    at = slice(None) if stride == 1 else np.flatnonzero((xs % stride == 0) & (ys % stride == 0))
+    proj_px, valid = decode_bundle(bundle, at)
+    cam_px = bundle.pixels[at][valid].astype(float)
     stats: dict = {"valid_pixels": int(len(cam_px))}
     if len(cam_px) == 0:
         stats.update({"points": 0, "skipped_parallel": 0, "surface_rmse": None})

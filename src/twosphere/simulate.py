@@ -9,13 +9,15 @@ be checked against an independent analytic oracle.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import imageio
-from .errors import BehindCamera, DimensionMismatch, SphereOutOfView, SpheresOverlapInImage
+from .errors import (BehindCamera, DimensionMismatch, InvalidNoise, SphereOutOfView,
+                     SpheresOverlapInImage)
 from .geometry import Conic, Intrinsics, sample_conic_points
 from .phase import FringeConfig, pattern_value
 from .projector import Correspondences, ProjMatrix, compose, project_points
@@ -44,6 +46,13 @@ class NoiseSpec:
     intensity_sigma: float = 0.0  # on [0, 1] intensities
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        sigmas = (self.contour_sigma, self.intensity_sigma)
+        if not all(isinstance(s, numbers.Real) and 0 <= s < np.inf for s in sigmas):
+            raise InvalidNoise(f"noise sigmas must be finite and >= 0, got {sigmas}")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise InvalidNoise(f"seed must be an integer >= 0, got {self.seed!r}")
+
     def to_dict(self) -> dict:
         return {
             "contour_sigma_px": self.contour_sigma,
@@ -56,7 +65,7 @@ class NoiseSpec:
         return cls(
             contour_sigma=float(d.get("contour_sigma_px", 0.0)),
             intensity_sigma=float(d.get("intensity_sigma", 0.0)),
-            seed=int(d.get("seed", 0)),
+            seed=d.get("seed", 0),  # not int(): a non-integer seed is rejected, not truncated
         )
 
 

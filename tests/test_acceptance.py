@@ -18,7 +18,6 @@ from twosphere import (
     Intrinsics,
     NoiseSpec,
     SpherePose,
-    compose,
     decode_wrapped,
     decompose,
     dlt_estimate,
@@ -37,6 +36,7 @@ from twosphere.calibrate import evaluate_against_truth
 from twosphere.cli import main as cli_main
 from twosphere.geometry import constraint_pair
 from twosphere.phase import pattern_value
+from twosphere.projector import compose
 
 
 def announce(num: int, ok: bool, detail: str) -> None:

@@ -38,6 +38,7 @@ BAD_NOISE = [
     ("contour_sigma_px", -1.0),
     ("contour_sigma_px", "wide"),
     ("intensity_sigma", -0.5),
+    ("intensity_sigma", float("inf")),
     ("seed", -1),
     ("seed", 1.5),
 ]
@@ -115,7 +116,13 @@ class TestSimulate:
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
-        "flag", [["--noise-contour", "-1"], ["--noise-intensity", "-0.5"], ["--seed", "-1"]]
+        "flag",
+        [
+            ["--noise-contour", "-1"],
+            ["--noise-contour", "inf"],
+            ["--noise-intensity", "-0.5"],
+            ["--seed", "-1"],
+        ],
     )
     def test_bad_noise_flag_exits_2(self, tmp_path, flag):
         # the parser rejects the value before any work starts
@@ -187,6 +194,18 @@ class TestCalibrate:
 
     def test_missing_bundle_exits_2(self, tmp_path):
         assert main(["--quiet", "calibrate", str(tmp_path / "nowhere")]) == 2
+
+    def test_manifest_with_negative_noise_exits_2(self, micro_bundle_dir, tmp_path):
+        import shutil
+
+        broken = tmp_path / "negative_noise"
+        shutil.copytree(micro_bundle_dir, broken)
+        manifest = json.loads((broken / "manifest.json").read_text())
+        manifest["truth"]["noise"]["intensity_sigma"] = -0.5
+        (broken / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "c.json"
+        assert main(["--quiet", "calibrate", str(broken), "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_fringe_frame_of_wrong_size_exits_2(self, micro_bundle_dir, tmp_path):
         import shutil

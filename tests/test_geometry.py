@@ -7,7 +7,6 @@ from twosphere import (
     Conic,
     Intrinsics,
     SpherePose,
-    adjugate,
     constraint_pair,
     fit_conic,
     pole_polar_residual,
@@ -15,6 +14,7 @@ from twosphere import (
 )
 from twosphere.errors import CoincidentConics, DegenerateConic, TooFewPoints
 from twosphere.geometry import (
+    adjugate,
     ellipse_parameters,
     hom_allclose,
     homogenize,

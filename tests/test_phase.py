@@ -3,15 +3,12 @@ import pytest
 
 from twosphere import (
     FringeConfig,
-    PhaseMap,
     decode_wrapped,
     phase_to_proj_coord,
-    render_patterns,
     unwrap_ladder,
-    unwrap_temporal,
 )
 from twosphere.errors import DimensionMismatch, OutOfRange
-from twosphere.phase import pattern_value
+from twosphere.phase import decode_phase, pattern_value, render_patterns, unwrap_temporal
 
 
 def cfg_vertical(n_steps=4, freqs=(1, 8, 64), w=854, h=480):
@@ -212,13 +209,13 @@ class TestPhaseToProjCoord:
         for f in cfg.freqs:
             imgs = render_patterns(FringeConfig(4, (f,), 854, 1, "vertical"))
             stacks.append(imgs)
-        pm = PhaseMap.from_stacks(stacks, cfg)
-        row = pm.phase[0]
+        phase, _ = decode_phase(stacks, cfg)
+        row = phase[0]
         assert np.all(np.diff(row) > 0)
 
 
-class TestPhaseMap:
-    def test_from_stacks_masks_flat_pixels(self):
+class TestDecodePhase:
+    def test_masks_flat_pixels(self):
         cfg = cfg_vertical(n_steps=4, freqs=(1, 8), w=64, h=4)
         stacks = [
             [img.copy() for img in render_patterns(FringeConfig(4, (f,), 64, 4, "vertical"))]
@@ -227,7 +224,7 @@ class TestPhaseMap:
         for stack in stacks:
             for img in stack:
                 img[:, :8] = 0.3  # textureless region decodes to noise
-        pm = PhaseMap.from_stacks(stacks, cfg)
-        assert not pm.mask[:, :8].any()
-        assert pm.mask[:, 12:].all()
-        assert np.all(pm.phase[pm.mask] <= 2 * np.pi * 8 + 1e-9)
+        phase, mask = decode_phase(stacks, cfg)
+        assert not mask[:, :8].any()
+        assert mask[:, 12:].all()
+        assert np.all(phase[mask] <= 2 * np.pi * 8 + 1e-9)

@@ -4,11 +4,9 @@ import pytest
 from twosphere import (
     Intrinsics,
     ProjMatrix,
-    compose,
     decompose,
     dlt_estimate,
     project_points,
-    reprojection_residuals,
 )
 from twosphere.errors import (
     DegenerateConfiguration,
@@ -16,6 +14,7 @@ from twosphere.errors import (
     SingularBlock,
     TooFewPoints,
 )
+from twosphere.projector import compose, reprojection_residuals
 from twosphere.simulate import rotation_about_y
 
 K_PROJ = Intrinsics(fx=1202.7, fy=1199.0, skew=-8.2, u0=390.7, v0=222.8)

@@ -3,7 +3,6 @@ import pytest
 
 from twosphere import (
     Intrinsics,
-    compose,
     project_points,
     reconstruct_cloud,
     run_calibration,
@@ -11,6 +10,7 @@ from twosphere import (
     write_ply,
 )
 from twosphere.errors import NearParallelRays
+from twosphere.projector import compose
 from twosphere.reconstruct import PLY_CHUNK_ROWS
 from twosphere.simulate import rotation_about_y
 
@@ -63,6 +63,24 @@ class TestReconstructCloud:
         )
         mean_radius = np.mean([s.radius for s in bundle_small.truth.spheres])
         assert stats["surface_rmse"] < 1e-3 * mean_radius
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_equals_full_decode_then_grid_mask(self, bundle_small_noisy, stride):
+        from twosphere.pipeline import decode_bundle
+
+        truth = bundle_small_noisy.truth
+        proj_px, valid = decode_bundle(bundle_small_noisy)
+        xs, ys = bundle_small_noisy.pixels.T
+        valid &= (xs % stride == 0) & (ys % stride == 0)
+        expected = triangulate(
+            bundle_small_noisy.pixels[valid].astype(float), proj_px[valid],
+            truth.camera, truth.proj_matrix,
+        )
+        points, _, stats = reconstruct_cloud(
+            bundle_small_noisy, truth.camera, truth.proj_matrix, stride=stride
+        )
+        assert stats["valid_pixels"] == len(expected) == stats["points"]
+        assert points.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("stride", [0, -1])
     def test_stride_below_one_rejected(self, bundle_small, stride):

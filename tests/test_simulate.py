@@ -7,17 +7,18 @@ from twosphere import (
     Intrinsics,
     NoiseSpec,
     SceneBundle,
+    SceneTruth,
     SpherePose,
     fit_conic,
     preset,
     project_sphere_to_conic,
     render_scene,
-    reprojection_residuals,
     sphere_center_from_conic,
 )
-from twosphere.errors import BehindCamera, SphereOutOfView, SpheresOverlapInImage
+from twosphere.errors import BehindCamera, InvalidNoise, SphereOutOfView, SpheresOverlapInImage
 from twosphere.geometry import ellipse_parameters
 from twosphere.phase import pattern_value
+from twosphere.projector import reprojection_residuals
 
 
 class TestProjectSphereToConic:
@@ -87,6 +88,42 @@ class TestPresets:
         assert again.camera == t.camera
         np.testing.assert_allclose(again.rotation, t.rotation)
         np.testing.assert_allclose(again.translation, t.translation)
+
+
+class TestNoiseSpec:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"contour_sigma": -1.0},
+            {"contour_sigma": float("nan")},
+            {"contour_sigma": float("inf")},
+            {"intensity_sigma": -0.5},
+            {"intensity_sigma": float("nan")},
+            {"intensity_sigma": float("-inf")},
+            {"intensity_sigma": "0.1"},
+            {"seed": -1},
+            {"seed": 1.5},
+            {"seed": 2.0},
+        ],
+    )
+    def test_rejects_bad_values(self, kwargs):
+        with pytest.raises(InvalidNoise):
+            NoiseSpec(**kwargs)
+
+    def test_negative_noise_never_reaches_the_renderer(self):
+        # these once rendered a noiseless bundle that recorded the negative values
+        with pytest.raises(InvalidNoise):
+            render_scene(preset("cppB").with_noise(NoiseSpec(-1.0, -0.5, seed=-1)))
+
+    def test_config_seed_is_not_truncated(self):
+        cfg = make_micro_truth().to_config()
+        cfg["noise"]["seed"] = 1.5
+        with pytest.raises(InvalidNoise):
+            SceneTruth.from_config(cfg)
+
+    def test_accepts_zero_and_numpy_scalars(self):
+        spec = NoiseSpec(np.float64(0.5), 0, seed=np.int64(3))
+        assert NoiseSpec.from_dict(spec.to_dict()) == spec
 
 
 class TestRenderScene:
