@@ -15,13 +15,12 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .calibrate import CalibResult, evaluate_against_truth, format_error_report
 from .errors import CoincidentConics, DegenerateConic, NonRealSelection, TwosphereError
 from .pipeline import run_calibration
 from .reconstruct import reconstruct_cloud, write_ply
-from .simulate import PRESET_NAMES, NoiseSpec, SceneBundle, SceneTruth, preset, render_scene
+from .simulate import (PRESET_NAMES, NoiseSpec, SceneBundle, SceneTruth, preset,
+                       render_scene, validate_config)
 
 log = logging.getLogger("twosphere")
 
@@ -30,84 +29,6 @@ EXIT_INPUT = 2
 EXIT_SCENE = 3
 EXIT_CALIB = 4
 EXIT_DEGENERATE = 5
-
-
-# ---------------------------------------------------------------------------
-# config validation
-# ---------------------------------------------------------------------------
-
-_DEVICE_FIELDS = ("width_px", "height_px", "fx_px", "fy_px", "skew_px", "u0_px", "v0_px")
-
-
-def validate_config(cfg: dict) -> list[str]:
-    """Field-level diagnostics for a scene config; empty list when valid."""
-    problems: list[str] = []
-    if not isinstance(cfg, dict):
-        return ["config: top level must be a JSON object"]
-
-    for section in ("camera", "projector"):
-        dev = cfg.get(section)
-        if not isinstance(dev, dict):
-            problems.append(f"{section}: missing section")
-            continue
-        for fld in _DEVICE_FIELDS:
-            if not isinstance(dev.get(fld), (int, float)):
-                problems.append(f"{section}.{fld}: missing or non-numeric")
-        for fld in ("width_px", "height_px", "fx_px", "fy_px"):
-            if isinstance(dev.get(fld), (int, float)) and dev[fld] <= 0:
-                problems.append(f"{section}.{fld}: must be positive")
-
-    pose = cfg.get("projector_pose")
-    if not isinstance(pose, dict):
-        problems.append("projector_pose: missing section")
-    elif "rotation" in pose:
-        rot = np.asarray(pose.get("rotation", []), dtype=float)
-        if rot.shape != (3, 3):
-            problems.append("projector_pose.rotation: must be a 3x3 matrix")
-        if np.asarray(pose.get("translation_lu", []), dtype=float).shape != (3,):
-            problems.append("projector_pose.translation_lu: must be a 3-vector")
-    elif "yaw_deg" in pose:
-        if not isinstance(pose.get("baseline_lu"), (int, float)) or pose["baseline_lu"] <= 0:
-            problems.append("projector_pose.baseline_lu: must be positive")
-    else:
-        problems.append("projector_pose: needs rotation/translation_lu or yaw_deg/baseline_lu")
-
-    spheres = cfg.get("spheres")
-    if not isinstance(spheres, list) or len(spheres) != 2:
-        problems.append("spheres: exactly two spheres required")
-    else:
-        for i, s in enumerate(spheres):
-            if not isinstance(s, dict):
-                problems.append(f"spheres[{i}]: must be an object")
-                continue
-            center = np.asarray(s.get("center_lu", []), dtype=float)
-            if center.shape != (3,):
-                problems.append(f"spheres[{i}].center_lu: must be a 3-vector")
-            if not isinstance(s.get("radius_lu"), (int, float)) or s["radius_lu"] <= 0:
-                problems.append(f"spheres[{i}].radius_lu: must be positive")
-
-    fringe = cfg.get("fringe", {})
-    if fringe:
-        if not isinstance(fringe.get("n_steps", 4), int) or fringe.get("n_steps", 4) < 3:
-            problems.append("fringe.n_steps: integer >= 3 required")
-        freqs = fringe.get("frequencies_cpf", [1, 8, 64])
-        if not isinstance(freqs, list) or any(not isinstance(f, int) or f <= 0 for f in freqs):
-            problems.append("fringe.frequencies_cpf: positive integers required")
-        elif any(b <= a or b / a > 8 for a, b in zip(freqs, freqs[1:])):
-            problems.append("fringe.frequencies_cpf: strictly increasing, ratio <= 8")
-
-    noise = cfg.get("noise", {})
-    if not isinstance(noise, dict):
-        problems.append("noise: must be an object")
-    else:
-        for fld in ("contour_sigma_px", "intensity_sigma"):
-            sigma = noise.get(fld, 0.0)
-            if not isinstance(sigma, (int, float)) or not 0 <= sigma < math.inf:
-                problems.append(f"noise.{fld}: finite non-negative number required")
-        seed = noise.get("seed", 0)
-        if not isinstance(seed, int) or seed < 0:
-            problems.append("noise.seed: non-negative integer required")
-    return problems
 
 
 def _load_truth(args) -> SceneTruth:
@@ -156,7 +77,7 @@ def cmd_simulate(args) -> int:
     except TwosphereError as exc:
         log.error("scene infeasible: %s", exc)
         return EXIT_SCENE
-    bundle.save(args.out, image_format=args.image_format)
+    bundle.save(args.out)
     log.info("bundle written to %s (seed %d)", args.out, truth.noise.seed)
     print(json.dumps({"bundle": str(args.out), "seed": truth.noise.seed}))
     return EXIT_OK
@@ -276,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--noise-contour", type=_at_least(float, 0.0), metavar="SIGMA_PX")
     p_sim.add_argument("--noise-intensity", type=_at_least(float, 0.0), metavar="SIGMA")
     p_sim.add_argument("--out", required=True, help="output bundle directory")
-    p_sim.add_argument("--image-format", choices=("f32", "pgm16"), default="f32")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_cal = sub.add_parser("calibrate", help="calibrate from a bundle directory")

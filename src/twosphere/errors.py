@@ -45,7 +45,8 @@ class RayMissesSphere(TwosphereError):
 # --- phase codec ---
 
 class DimensionMismatch(TwosphereError):
-    """Images in a stack do not share one shape, or not the camera frame's."""
+    """Images in a stack do not share one shape, or not the camera frame's, or
+    a raster file holds a different number of values than its sidecar states."""
 
 
 class OutOfRange(TwosphereError):
@@ -90,6 +91,11 @@ class SphereOutOfView(TwosphereError):
 
 class SpheresOverlapInImage(TwosphereError):
     """The two sphere silhouettes overlap in the camera image."""
+
+
+class InvalidBundle(TwosphereError):
+    """A bundle manifest names a fringe format other than float32, or its scene
+    truth fails ``validate_config``."""
 
 
 class InvalidNoise(TwosphereError):

@@ -198,14 +198,6 @@ class Conic:
         det2 = m[0, 0] * m[1, 1] - m[0, 1] ** 2
         return bool(det2 > 0 and np.linalg.det(m) < 0)
 
-    def to_json_entries(self) -> list:
-        """Serialization form: unit Frobenius norm, sign fixed so c11 >= 0."""
-        return [float(v) for v in self.normalized()._u]
-
-    @classmethod
-    def from_json_entries(cls, entries) -> "Conic":
-        return cls(np.asarray(entries, dtype=float))
-
     def allclose(self, other: "Conic", tol: float = 1e-9) -> bool:
         """Equality up to scale and sign (unit-Frobenius comparison)."""
         return hom_allclose(self.normalized()._u, other.normalized()._u, tol)

@@ -1,72 +1,35 @@
-"""Minimal image persistence: binary PGM (8/16-bit) and raw float32 with a JSON sidecar."""
+"""Raw little-endian float32 rasters with a JSON sidecar holding the shape."""
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import numpy as np
 
-
-def write_pgm(path, image: np.ndarray, bits: int = 8) -> None:
-    """Write a P5 (binary) PGM. 16-bit samples are big-endian per the format."""
-    if bits not in (8, 16):
-        raise ValueError("PGM depth must be 8 or 16 bits")
-    img = np.asarray(image)
-    if img.ndim != 2:
-        raise ValueError("PGM images are single-channel 2D arrays")
-    maxval = 255 if bits == 8 else 65535
-    if np.issubdtype(img.dtype, np.floating):
-        # floats are assumed normalized to [0, 1]
-        img = np.rint(np.clip(img, 0.0, 1.0) * maxval)
-    img = img.astype(">u2" if bits == 16 else np.uint8)
-    h, w = img.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n{maxval}\n".encode("ascii"))
-        f.write(img.tobytes())
-
-
-def read_pgm(path) -> np.ndarray:
-    """Read a binary PGM into uint8 (maxval <= 255) or uint16."""
-    data = Path(path).read_bytes()
-    if not data.startswith(b"P5"):
-        raise ValueError(f"{path}: not a binary PGM (P5) file")
-    # header: magic, width, height, maxval; '#' comments allowed
-    tokens: list[bytes] = []
-    pos = 2
-    while len(tokens) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if data[pos : pos + 1] == b"#":
-            pos = data.index(b"\n", pos) + 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        tokens.append(data[start:pos])
-    pos += 1  # single whitespace after maxval
-    w, h, maxval = (int(t) for t in tokens)
-    dtype = np.dtype(">u2") if maxval > 255 else np.dtype(np.uint8)
-    img = np.frombuffer(data, dtype=dtype, count=w * h, offset=pos).reshape(h, w)
-    return img.astype(np.uint16) if maxval > 255 else img.copy()
+from .errors import DimensionMismatch
 
 
 def write_float32(path, image: np.ndarray) -> None:
     """Raw little-endian float32 dump plus a ``{path}.json`` sidecar with the shape."""
-    img = np.ascontiguousarray(np.asarray(image, dtype="<f4"))
+    img = np.asarray(image, dtype="<f4")
     if img.ndim != 2:
         raise ValueError("float32 raster must be a 2D array")
     h, w = img.shape
-    with open(path, "wb") as f:
-        f.write(img.tobytes())
-    with open(str(path) + ".json", "w") as f:
+    img.tofile(path)
+    with open(f"{path}.json", "w") as f:
         json.dump({"width": w, "height": h, "dtype": "float32"}, f, sort_keys=True)
         f.write("\n")
 
 
 def read_float32(path) -> np.ndarray:
-    with open(str(path) + ".json") as f:
+    """The (height, width) float32 raster that ``write_float32`` wrote to ``path``.
+
+    Raises DimensionMismatch unless the file holds exactly width x height values.
+    """
+    with open(f"{path}.json") as f:
         meta = json.load(f)
     w, h = int(meta["width"]), int(meta["height"])
-    buf = Path(path).read_bytes()
-    return np.frombuffer(buf, dtype="<f4", count=w * h).reshape(h, w).astype(np.float32)
+    img = np.fromfile(path, dtype="<f4")
+    if img.size != w * h:
+        raise DimensionMismatch(f"{path}: {img.size} float32 values, sidecar says {w} x {h}")
+    return img.reshape(h, w)

@@ -29,7 +29,6 @@ __all__ = [
     "phase_to_proj_coord",
 ]
 
-DEFAULT_FREQS = (1, 8, 64)
 DEFAULT_MIN_MODULATION = 0.05
 MAX_UNWRAP_RATIO = 8.0
 
@@ -71,25 +70,6 @@ class FringeConfig:
     @property
     def top_freq(self) -> int:
         return self.freqs[-1]
-
-    def to_dict(self) -> dict:
-        return {
-            "n_steps": self.n_steps,
-            "freqs": list(self.freqs),
-            "proj_w": self.proj_w,
-            "proj_h": self.proj_h,
-            "orientation": self.orientation,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FringeConfig":
-        return cls(
-            n_steps=int(d["n_steps"]),
-            freqs=tuple(int(f) for f in d["freqs"]),
-            proj_w=int(d["proj_w"]),
-            proj_h=int(d["proj_h"]),
-            orientation=str(d["orientation"]),
-        )
 
 
 def pattern_value(freq: int, step: int, n_steps: int, coord, span: int):

@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import imageio
-from .errors import (BehindCamera, DimensionMismatch, InvalidNoise, SphereOutOfView,
-                     SpheresOverlapInImage)
+from .errors import (BehindCamera, DimensionMismatch, InvalidBundle, InvalidNoise,
+                     SphereOutOfView, SpheresOverlapInImage)
 from .geometry import Conic, Intrinsics, sample_conic_points
 from .phase import FringeConfig, pattern_value
 from .projector import Correspondences, ProjMatrix, compose, project_points
@@ -33,11 +33,15 @@ __all__ = [
     "render_scene",
     "rotation_about_y",
     "signal_pixels",
+    "validate_config",
 ]
 
 CONTOUR_SAMPLES = 256
 BOX_PAD_PX = 8  # margin around each contour's bounding box in the signal pixel list
 MANIFEST_NAME = "manifest.json"
+IMAGE_FORMAT = "f32"  # the one fringe format: raw float32 frames (``imageio``)
+FRINGE_STEPS = 4  # default phase steps per pattern set
+FRINGE_FREQS = (1, 8, 64)  # default fringe counts per frame, coarse to fine
 
 
 @dataclass(frozen=True)
@@ -89,8 +93,8 @@ class SceneTruth:
     rotation: np.ndarray  # projector orientation relative to the camera
     translation: np.ndarray
     spheres: tuple[SpherePose, ...]
-    n_steps: int = 4
-    freqs: tuple[int, ...] = (1, 8, 64)
+    n_steps: int = FRINGE_STEPS
+    freqs: tuple[int, ...] = FRINGE_FREQS
     noise: NoiseSpec = field(default_factory=NoiseSpec)
 
     def __post_init__(self) -> None:
@@ -180,10 +184,85 @@ class SceneTruth:
                 SpherePose(center=np.asarray(s["center_lu"], dtype=float), radius=float(s["radius_lu"]))
                 for s in cfg["spheres"]
             ),
-            n_steps=int(fringe.get("n_steps", 4)),
-            freqs=tuple(int(f) for f in fringe.get("frequencies_cpf", (1, 8, 64))),
+            n_steps=int(fringe.get("n_steps", FRINGE_STEPS)),
+            freqs=tuple(int(f) for f in fringe.get("frequencies_cpf", FRINGE_FREQS)),
             noise=NoiseSpec.from_dict(cfg.get("noise", {})),
         )
+
+
+_DEVICE_FIELDS = ("width_px", "height_px", "fx_px", "fy_px", "skew_px", "u0_px", "v0_px")
+
+
+def validate_config(cfg: dict) -> list[str]:
+    """Field-level diagnostics for a scene config; empty list when valid."""
+    problems: list[str] = []
+    if not isinstance(cfg, dict):
+        return ["config: top level must be a JSON object"]
+
+    for section in ("camera", "projector"):
+        dev = cfg.get(section)
+        if not isinstance(dev, dict):
+            problems.append(f"{section}: missing section")
+            continue
+        for fld in _DEVICE_FIELDS:
+            if not isinstance(dev.get(fld), (int, float)):
+                problems.append(f"{section}.{fld}: missing or non-numeric")
+        for fld in ("width_px", "height_px", "fx_px", "fy_px"):
+            if isinstance(dev.get(fld), (int, float)) and dev[fld] <= 0:
+                problems.append(f"{section}.{fld}: must be positive")
+
+    pose = cfg.get("projector_pose")
+    if not isinstance(pose, dict):
+        problems.append("projector_pose: missing section")
+    elif "rotation" in pose:
+        rot = np.asarray(pose.get("rotation", []), dtype=float)
+        if rot.shape != (3, 3):
+            problems.append("projector_pose.rotation: must be a 3x3 matrix")
+        if np.asarray(pose.get("translation_lu", []), dtype=float).shape != (3,):
+            problems.append("projector_pose.translation_lu: must be a 3-vector")
+    elif "yaw_deg" in pose:
+        if not isinstance(pose.get("baseline_lu"), (int, float)) or pose["baseline_lu"] <= 0:
+            problems.append("projector_pose.baseline_lu: must be positive")
+    else:
+        problems.append("projector_pose: needs rotation/translation_lu or yaw_deg/baseline_lu")
+
+    spheres = cfg.get("spheres")
+    if not isinstance(spheres, list) or len(spheres) != 2:
+        problems.append("spheres: exactly two spheres required")
+    else:
+        for i, s in enumerate(spheres):
+            if not isinstance(s, dict):
+                problems.append(f"spheres[{i}]: must be an object")
+                continue
+            center = np.asarray(s.get("center_lu", []), dtype=float)
+            if center.shape != (3,):
+                problems.append(f"spheres[{i}].center_lu: must be a 3-vector")
+            if not isinstance(s.get("radius_lu"), (int, float)) or s["radius_lu"] <= 0:
+                problems.append(f"spheres[{i}].radius_lu: must be positive")
+
+    fringe = cfg.get("fringe", {})
+    if fringe:
+        n_steps = fringe.get("n_steps", FRINGE_STEPS)
+        if not isinstance(n_steps, int) or n_steps < 3:
+            problems.append("fringe.n_steps: integer >= 3 required")
+        freqs = fringe.get("frequencies_cpf", list(FRINGE_FREQS))
+        if not isinstance(freqs, list) or any(not isinstance(f, int) or f <= 0 for f in freqs):
+            problems.append("fringe.frequencies_cpf: positive integers required")
+        elif any(b <= a or b / a > 8 for a, b in zip(freqs, freqs[1:])):
+            problems.append("fringe.frequencies_cpf: strictly increasing, ratio <= 8")
+
+    noise = cfg.get("noise", {})
+    if not isinstance(noise, dict):
+        problems.append("noise: must be an object")
+    else:
+        for fld in ("contour_sigma_px", "intensity_sigma"):
+            sigma = noise.get(fld, 0.0)
+            if not isinstance(sigma, (int, float)) or not 0 <= sigma < np.inf:
+                problems.append(f"noise.{fld}: finite non-negative number required")
+        seed = noise.get("seed", 0)
+        if not isinstance(seed, int) or seed < 0:
+            problems.append("noise.seed: non-negative integer required")
+    return problems
 
 
 # ---------------------------------------------------------------------------
@@ -293,17 +372,15 @@ class SceneBundle:
 
     # -- persistence ---------------------------------------------------
 
-    def save(self, out_dir, image_format: str = "f32") -> None:
+    def save(self, out_dir) -> None:
         """Write the bundle directory (manifest, contours, fringes, oracle).
-        Fringe files are full frames, 0 outside ``pixels``."""
-        if image_format not in ("f32", "pgm16"):
-            raise ValueError("image_format must be 'f32' or 'pgm16'")
+        Fringe files are full float32 frames, 0 outside ``pixels``."""
         out = Path(out_dir)
         (out / "contours").mkdir(parents=True, exist_ok=True)
         (out / "fringes").mkdir(exist_ok=True)
         manifest = {
             "format_version": 1,
-            "image_format": image_format,
+            "image_format": IMAGE_FORMAT,
             "truth": self.truth.to_config(),
         }
         with open(out / MANIFEST_NAME, "w") as f:
@@ -317,11 +394,7 @@ class SceneBundle:
         for (orientation, freq), stack in sorted(self.stacks.items()):
             for k, values in enumerate(stack):
                 frame[flat] = values
-                name = f"{orientation[0]}_f{freq:03d}_s{k}"
-                if image_format == "f32":
-                    imageio.write_float32(out / "fringes" / f"{name}.f32", image)
-                else:
-                    imageio.write_pgm(out / "fringes" / f"{name}.pgm", image, bits=16)
+                imageio.write_float32(_fringe_path(out, orientation, freq, k), image)
         if self.oracle is not None:
             (out / "oracle").mkdir(exist_ok=True)
             for i, corr in enumerate(self.oracle):
@@ -341,8 +414,13 @@ class SceneBundle:
         if not manifest_path.exists():
             raise FileNotFoundError(f"no {MANIFEST_NAME} in {root}")
         manifest = json.loads(manifest_path.read_text())
+        image_format = manifest.get("image_format", IMAGE_FORMAT)
+        if image_format != IMAGE_FORMAT:
+            raise InvalidBundle(f"image_format {image_format!r}: only {IMAGE_FORMAT!r} is read")
+        problems = validate_config(manifest.get("truth"))
+        if problems:
+            raise InvalidBundle("manifest truth " + "; ".join(problems))
         truth = SceneTruth.from_config(manifest["truth"])
-        image_format = manifest.get("image_format", "f32")
 
         contours = []
         for path in sorted((root / "contours").glob("sphere*.csv")):
@@ -355,11 +433,8 @@ class SceneBundle:
             for freq in truth.freqs:
                 stack = []
                 for k in range(truth.n_steps):
-                    path = root / "fringes" / f"{orientation[0]}_f{freq:03d}_s{k}"
-                    if image_format == "f32":
-                        img = imageio.read_float32(f"{path}.f32")
-                    else:
-                        img = imageio.read_pgm(f"{path}.pgm").astype(np.float32) / 65535.0
+                    path = _fringe_path(root, orientation, freq, k)
+                    img = imageio.read_float32(path)
                     if img.shape != (truth.cam_h, truth.cam_w):
                         raise DimensionMismatch(f"{path.name}: wrong frame size {img.shape}")
                     stack.append(img.ravel()[flat])
@@ -378,6 +453,11 @@ class SceneBundle:
         analytic = [project_sphere_to_conic(s, truth.camera) for s in truth.spheres]
         return cls(truth=truth, contours=contours, analytic_conics=analytic,
                    pixels=pixels, stacks=stacks, oracle=oracle)
+
+
+def _fringe_path(root: Path, orientation: str, freq: int, step: int) -> Path:
+    """A bundle's fringe file for one pattern image, e.g. ``fringes/v_f064_s2.f32``."""
+    return root / "fringes" / f"{orientation[0]}_f{freq:03d}_s{step}.f32"
 
 
 def _check_in_frame(points: np.ndarray, w: int, h: int, what: str) -> None:

@@ -44,13 +44,6 @@ class SpherePose:
                 f"sphere depth {self.center[2]} does not clear the camera (radius {self.radius})"
             )
 
-    def to_dict(self) -> dict:
-        return {"center": [float(v) for v in self.center], "radius": float(self.radius)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SpherePose":
-        return cls(center=np.asarray(d["center"], dtype=float), radius=float(d["radius"]))
-
 
 def sphere_center_from_conic(
     conic: Conic,
@@ -74,7 +67,7 @@ def sphere_center_from_conic(
         Eigenvalues do not show the two-same-sign / one-opposite pattern,
         or the double pair splits beyond ``pair_gap_tol``.
     BehindCamera
-        Recovered center depth does not exceed the radius.
+        Recovered center depth does not exceed the radius (``SpherePose``).
     """
     if not radius > 0:
         raise ValueError("radius must be positive")
@@ -85,15 +78,12 @@ def sphere_center_from_conic(
 
     if np.min(np.abs(evals)) < 1e-12:
         raise NotASphereImage("back-projected cone is degenerate")
-    signs = np.sign(evals)
-    lone = None
-    for i in range(3):
-        others = [j for j in range(3) if j != i]
-        if signs[others[0]] == signs[others[1]] and signs[i] != signs[others[0]]:
-            lone = i
-            pair = others
-            break
-    if lone is None:
+    # eigh sorts ascending, so the lone opposite-signed eigenvalue is the first or the last
+    if evals[0] < 0 < evals[1]:
+        lone, pair = 0, (1, 2)
+    elif evals[1] < 0 < evals[2]:
+        lone, pair = 2, (0, 1)
+    else:
         raise NotASphereImage("cone eigenvalues all share one sign")
 
     lam_a, lam_b = abs(evals[pair[0]]), abs(evals[pair[1]])
@@ -111,10 +101,7 @@ def sphere_center_from_conic(
     axis = evecs[:, lone]
     if axis[2] < 0:
         axis = -axis
-    center = axis * distance
-    if center[2] <= radius:
-        raise BehindCamera(f"recovered depth {center[2]:.4g} <= radius {radius:.4g}")
-    return SpherePose(center=center, radius=radius)
+    return SpherePose(center=axis * distance, radius=radius)
 
 
 def lift_pixel_to_sphere(pixel: np.ndarray, K: Intrinsics, pose: SpherePose) -> np.ndarray:

@@ -53,6 +53,38 @@ def micro_bundle_dir(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def micro_calib(micro_bundle_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("calib") / "calib.json"
+    assert main(["--quiet", "calibrate", str(micro_bundle_dir), "--out", str(out)]) == 0
+    return out
+
+
+def cut_fringe(root):
+    path = root / "fringes" / "v_f064_s2.f32"
+    path.write_bytes(path.read_bytes()[:1000])
+
+
+def edit_manifest(edit):
+    def apply(root):
+        manifest = json.loads((root / "manifest.json").read_text())
+        edit(manifest)
+        (root / "manifest.json").write_text(json.dumps(manifest))
+    return apply
+
+
+# broken bundles that must exit 2: (break the bundle copy, text the logged error names)
+BROKEN_BUNDLES = [
+    pytest.param(cut_fringe, "sidecar says", id="fringe_cut_to_1000_bytes"),
+    pytest.param(edit_manifest(lambda m: m["truth"]["camera"].pop("fx_px")),
+                 "camera.fx_px: missing", id="manifest_without_fx"),
+    pytest.param(edit_manifest(lambda m: m["truth"]["camera"].update(fx_px=-5)),
+                 "camera.fx_px: must be positive", id="manifest_with_negative_fx"),
+    pytest.param(edit_manifest(lambda m: m.update(image_format="pgm16")),
+                 "image_format 'pgm16'", id="manifest_names_pgm16"),
+]
+
+
 class TestValidateConfig:
     def test_valid(self):
         assert validate_config(MICRO_CONFIG) == []
@@ -222,6 +254,28 @@ class TestCalibrate:
         # the bundle is loaded first, so its error decides the exit code
         assert main(["--quiet", "reconstruct", str(broken), str(tmp_path / "c.json"), *out]) == 2
         assert not (tmp_path / "c.json").exists() and not (tmp_path / "c.ply").exists()
+
+    @pytest.mark.parametrize("command", ["calibrate", "reconstruct"])
+    @pytest.mark.parametrize("breaker, reason", BROKEN_BUNDLES)
+    def test_broken_bundle_exits_2(self, micro_bundle_dir, micro_calib, tmp_path, caplog,
+                                   command, breaker, reason):
+        import shutil
+
+        broken = tmp_path / "bundle"
+        shutil.copytree(micro_bundle_dir, broken)
+        (broken / "calib.json").unlink(missing_ok=True)
+        breaker(broken)
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = {
+            "calibrate": [str(broken), "--out", str(out / "c.json")],
+            "reconstruct": [str(broken), str(micro_calib), "--out-ply", str(out / "c.ply"),
+                            "--out-stats", str(out / "s.json")],
+        }[command]
+        assert main(["--quiet", command, *argv]) == 2
+        assert not any(out.iterdir()) and not (broken / "calib.json").exists()
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and reason in errors[0]
 
     @pytest.mark.parametrize(
         "flag",

@@ -87,12 +87,12 @@ class TestConicType:
         assert not Conic.from_matrix(np.diag([1.0, 1.0, 1.0])).is_real_ellipse  # imaginary
         assert not Conic.from_matrix(np.diag([1.0, -1.0, -1.0])).is_real_ellipse  # hyperbola
 
-    def test_json_round_trip_normalization(self):
+    def test_normalized_sign_and_unit_norm(self):
         c = Conic.from_matrix(-3.0 * np.diag([1.0, 2.0, -1.0]))
-        entries = c.to_json_entries()
-        assert entries[0] >= 0
-        assert abs(np.linalg.norm(entries) - 1.0) < 1e-12
-        assert Conic.from_json_entries(entries).allclose(c)
+        n = c.normalized()
+        assert n.entries[0] >= 0
+        assert abs(np.linalg.norm(n.matrix) - 1.0) < 1e-12
+        assert n.allclose(c)
 
 
 class TestFitConic:

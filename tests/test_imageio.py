@@ -2,35 +2,7 @@ import numpy as np
 import pytest
 
 from twosphere import imageio
-
-
-class TestPgm:
-    def test_uint8_round_trip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        img = rng.integers(0, 256, (12, 17), dtype=np.uint8)
-        imageio.write_pgm(tmp_path / "a.pgm", img, bits=8)
-        np.testing.assert_array_equal(imageio.read_pgm(tmp_path / "a.pgm"), img)
-
-    def test_uint16_round_trip(self, tmp_path):
-        rng = np.random.default_rng(1)
-        img = rng.integers(0, 65536, (5, 9), dtype=np.uint16)
-        imageio.write_pgm(tmp_path / "b.pgm", img, bits=16)
-        np.testing.assert_array_equal(imageio.read_pgm(tmp_path / "b.pgm"), img)
-
-    def test_float_input_quantized(self, tmp_path):
-        img = np.linspace(0, 1, 32).reshape(4, 8)
-        imageio.write_pgm(tmp_path / "c.pgm", img, bits=16)
-        back = imageio.read_pgm(tmp_path / "c.pgm").astype(float) / 65535.0
-        assert np.max(np.abs(back - img)) < 1.0 / 65535.0
-
-    def test_rejects_bad_depth(self, tmp_path):
-        with pytest.raises(ValueError):
-            imageio.write_pgm(tmp_path / "d.pgm", np.zeros((2, 2)), bits=12)
-
-    def test_rejects_non_pgm(self, tmp_path):
-        (tmp_path / "e.pgm").write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")
-        with pytest.raises(ValueError):
-            imageio.read_pgm(tmp_path / "e.pgm")
+from twosphere.errors import DimensionMismatch
 
 
 class TestFloat32:
@@ -40,3 +12,12 @@ class TestFloat32:
         imageio.write_float32(tmp_path / "f.f32", img)
         assert (tmp_path / "f.f32.json").exists()
         np.testing.assert_array_equal(imageio.read_float32(tmp_path / "f.f32"), img)
+
+    # the sidecar says 7 x 3 values, 84 bytes: shorter files, then longer ones
+    @pytest.mark.parametrize("size", [0, 80, 88, 1000])
+    def test_size_differing_from_sidecar_raises(self, tmp_path, size):
+        path = tmp_path / "h.f32"
+        imageio.write_float32(path, np.ones((7, 3), dtype=np.float32))
+        path.write_bytes(bytes(size))
+        with pytest.raises(DimensionMismatch):
+            imageio.read_float32(path)

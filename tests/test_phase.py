@@ -34,10 +34,6 @@ class TestFringeConfig:
         with pytest.raises(ValueError):
             cfg_vertical(freqs=(8, 8))
 
-    def test_round_trip_dict(self):
-        cfg = cfg_vertical()
-        assert FringeConfig.from_dict(cfg.to_dict()) == cfg
-
 
 class TestRenderPatterns:
     def test_four_step_values_at_origin(self):

@@ -33,12 +33,6 @@ def tangent_ray_oracle(conic: Conic, K: Intrinsics, pose: SpherePose, n=500) -> 
 
 
 class TestSpherePose:
-    def test_serialization_round_trip(self):
-        pose = SpherePose(center=[0.5, -0.2, 4.0], radius=0.3)
-        again = SpherePose.from_dict(pose.to_dict())
-        np.testing.assert_allclose(again.center, pose.center)
-        assert again.radius == pose.radius
-
     def test_rejects_sphere_touching_camera(self):
         with pytest.raises(BehindCamera):
             SpherePose(center=[0.0, 0.0, 0.5], radius=1.0)
@@ -108,6 +102,24 @@ class TestCenterFromConic:
         imaginary = Conic.from_matrix(np.diag([1.0, 1.0, 1.0]))
         with pytest.raises(NotASphereImage):
             sphere_center_from_conic(imaginary, K_IDENTITY, radius=1.0)
+        with pytest.raises(NotASphereImage):
+            sphere_center_from_conic(Conic.from_matrix(-imaginary.matrix), K_IDENTITY, radius=1.0)
+
+    def test_either_conic_sign_gives_one_center(self):
+        # the cone's lone eigenvalue sorts last for one sign and first for the other
+        true = SpherePose(center=[-0.55, -0.25, 4.0], radius=0.4)
+        conic = project_sphere_to_conic(true, TABLE_CAMERA)
+        for c in (conic, Conic.from_matrix(-conic.matrix)):
+            pose = sphere_center_from_conic(c, TABLE_CAMERA, radius=0.4)
+            np.testing.assert_allclose(pose.center, true.center, rtol=1e-8)
+
+    def test_center_behind_camera_raises(self):
+        # the tangent cone of a sphere whose center lies within one radius of
+        # the image plane, under K = I
+        s = np.array([10.0, 0.0, 0.5])
+        cone = Conic.from_matrix(np.outer(s, s) - (s @ s - 1.0) * np.eye(3))
+        with pytest.raises(BehindCamera):
+            sphere_center_from_conic(cone, K_IDENTITY, radius=1.0)
 
 
 class TestLiftPixel:
