@@ -14,21 +14,34 @@ conic (``l ~ K^-T K^-1 v``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    BehindCamera,
-    DegenerateConfiguration,
-    InfeasibleCandidate,
-    NoFeasibleStart,
-    NotASphereImage,
-    PointAtInfinity,
-    RayMissesSphere,
+from .errors import InfeasibleCandidate, NoFeasibleStart
+from .geometry import (
+    Conic,
+    Intrinsics,
+    constraint_pair,
+    homogenize,
+    intrinsics_matrices,
+    pole_polar_cross,
+    pole_polar_crosses,
 )
-from .geometry import Conic, Intrinsics, constraint_pair, pole_polar_cross
-from .projector import ProjMatrix, decompose, dlt_estimate, project_points
-from .sphere import lift_pixel_to_sphere, sphere_center_from_conic
+from .projector import (
+    ProjMatrix,
+    decompose,
+    dlt_stack,
+    gauge,
+    normalize_points,
+    project_stack,
+)
+from .sphere import lift_pixels, sphere_centers
+
+# The single-candidate forms of the kernel's stages stay importable here:
+# perfbench's tracer binds them under this module's names.
+from .projector import dlt_estimate, project_points  # noqa: F401
+from .sphere import lift_pixel_to_sphere, sphere_center_from_conic  # noqa: F401
 
 __all__ = [
     "SphereObservation",
@@ -46,6 +59,7 @@ F_SCAN_SAMPLES = 40
 REL_OBJ_TOL = 1e-10
 REL_STEP_TOL = 1e-8
 FD_REL_STEP = 1e-5  # central-difference step relative to max(|p_j|, 1)
+KERNEL_BATCH = 10  # candidates per residual-kernel call: one Jacobian's probes
 
 
 @dataclass(frozen=True)
@@ -130,6 +144,17 @@ class IscProblem:
             mu=float(mu),
         )
 
+    @cached_property
+    def _kernel_inputs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The residual kernel's inputs that do not depend on K: both spheres'
+        homogeneous camera pixels and the DLT-normalized projector pixels,
+        coordinate-major, the inverse of that normalization, and the stacked
+        projector pixels."""
+        proj_px = np.vstack([self.obs1.proj_px, self.obs2.proj_px])
+        proj_norm, T2 = normalize_points(proj_px.T)
+        return (homogenize(self.obs1.cam_px).T, homogenize(self.obs2.cam_px).T, proj_norm,
+                np.linalg.inv(T2), proj_px)
+
 
 @dataclass
 class CalibResult:
@@ -182,33 +207,68 @@ class CalibResult:
 # objective
 # ---------------------------------------------------------------------------
 
-def _residual_vector(params: np.ndarray, problem: IscProblem) -> tuple[np.ndarray, ProjMatrix]:
-    """Stacked least-squares residuals for candidate intrinsics parameters.
+def _residuals(P: np.ndarray, problem: IscProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked least-squares residuals of up to ``KERNEL_BATCH`` candidates.
 
-    Layout: 2 components per correspondence (both spheres, obs1 first), then
-    sqrt(mu) times the 3-component pole-polar cross product.
+    ``P`` holds one (fx, fy, skew, u0, v0) row per candidate. Returns the
+    residuals (B, m), a feasibility mask (B,) and the fitted projector
+    matrices (B, 3, 4) in the ``ProjMatrix`` gauge. A residual row holds 2
+    components per correspondence (both spheres, obs1 first), then sqrt(mu)
+    times the 3-component pole-polar cross product.
 
-    Raises InfeasibleCandidate whenever the candidate makes the geometry
-    impossible (sphere behind camera, rays missing, degenerate projector fit).
+    A candidate is infeasible when its focal lengths are not positive and
+    finite, a back-projected cone lacks a sphere's eigenvalue signature, a
+    sphere lands behind the camera, a ray misses its sphere, the DLT null
+    space is ambiguous, the projector's left block is singular, or a point
+    projects to infinity. Its rows are NaN. Each candidate is computed on its
+    own, so its row does not depend on the others in the call.
     """
-    fx, fy, skew, u0, v0 = (float(v) for v in params)
-    if not (fx > 0 and fy > 0) or not np.all(np.isfinite(params)):
-        raise InfeasibleCandidate("non-positive or non-finite focal candidate")
-    K = Intrinsics(fx=fx, fy=fy, skew=skew, u0=u0, v0=v0)
-    try:
-        pose1 = sphere_center_from_conic(problem.obs1.conic, K, problem.radii[0], pair_gap_tol=None)
-        pose2 = sphere_center_from_conic(problem.obs2.conic, K, problem.radii[1], pair_gap_tol=None)
-        x1 = lift_pixel_to_sphere(problem.obs1.cam_px, K, pose1)
-        x2 = lift_pixel_to_sphere(problem.obs2.cam_px, K, pose2)
-        points = np.vstack([x1, x2])
-        proj_px = np.vstack([problem.obs1.proj_px, problem.obs2.proj_px])
-        M = dlt_estimate(proj_px, points)
-        planar = proj_px - project_points(M, points)
-    except (NotASphereImage, BehindCamera, RayMissesSphere, DegenerateConfiguration,
-            PointAtInfinity) as exc:
-        raise InfeasibleCandidate(str(exc)) from exc
-    cross = pole_polar_cross(*problem.constraint, K)
-    return np.concatenate([planar.ravel(), np.sqrt(problem.mu) * cross]), M
+    P = np.asarray(P, dtype=float).reshape(-1, 5)
+    if len(P) > KERNEL_BATCH:
+        raise ValueError(f"{len(P)} candidates exceed the kernel batch of {KERNEL_BATCH}")
+    hom1, hom2, proj_norm, T2_inv, proj_px = problem._kernel_inputs
+    r1, r2 = problem.radii
+    vec = np.full((len(P), 2 * len(proj_px) + 3), np.nan)
+    matrices = np.full((len(P), 3, 4), np.nan)
+
+    live = np.flatnonzero(np.all(np.isfinite(P), axis=1) & (P[:, 0] > 0) & (P[:, 1] > 0))
+    K, K_inv = intrinsics_matrices(P[live])
+    c1, fault1 = sphere_centers(problem.obs1.conic, K, r1)
+    c2, fault2 = sphere_centers(problem.obs2.conic, K, r2)
+    keep = (fault1 == 0) & (fault2 == 0)
+    live, K_inv = live[keep], K_inv[keep]
+    x1, misses1 = lift_pixels(hom1, K_inv, c1[keep], r1)
+    x2, misses2 = lift_pixels(hom2, K_inv, c2[keep], r2)
+    keep = (misses1 == 0) & (misses2 == 0)
+    live, K_inv = live[keep], K_inv[keep]
+    points = np.concatenate([x1[keep], x2[keep]], axis=2)
+    M, fitted = dlt_stack(proj_norm, T2_inv, points)
+    M, gauged = gauge(M)
+    keep = fitted & gauged
+    live, K_inv, M, points = live[keep], K_inv[keep], M[keep], points[keep]
+    projected, keep = project_stack(M, points)
+    live, K_inv, M = live[keep], K_inv[keep], M[keep]
+
+    planar = (proj_px - projected[keep].transpose(0, 2, 1)).reshape(len(live), 2 * len(proj_px))
+    cross = pole_polar_crosses(*problem.constraint, K_inv)
+    vec[live] = np.concatenate([planar, np.sqrt(problem.mu) * cross], axis=1)
+    matrices[live] = M
+    ok = np.zeros(len(P), dtype=bool)
+    ok[live] = True
+    return vec, ok, matrices
+
+
+def _residual_vector(params: np.ndarray, problem: IscProblem) -> tuple[np.ndarray, ProjMatrix]:
+    """The kernel at one candidate: its residual row and projector matrix.
+
+    Raises InfeasibleCandidate where the kernel masks the candidate.
+    """
+    vec, ok, M = _residuals(params, problem)
+    if not ok[0]:
+        raise InfeasibleCandidate(
+            "candidate intrinsics make the sphere or projector geometry impossible"
+        )
+    return vec[0], ProjMatrix(M[0])
 
 
 def isc_objective(K: Intrinsics, problem: IscProblem) -> tuple[float, ProjMatrix]:
@@ -237,33 +297,19 @@ def _objective_parts(vec: np.ndarray, problem: IscProblem) -> tuple[np.ndarray, 
 # Levenberg-Marquardt with numeric derivatives
 # ---------------------------------------------------------------------------
 
-def _try_residuals(params, problem):
-    try:
-        return _residual_vector(params, problem)[0]
-    except InfeasibleCandidate:
-        return None
-
-
 def _jacobian(params, r0, problem):
-    """Central-difference Jacobian; falls back to one-sided at feasibility edges."""
-    cols = []
-    for j in range(len(params)):
-        h = FD_REL_STEP * max(abs(params[j]), 1.0)
-        plus = params.copy()
-        plus[j] += h
-        minus = params.copy()
-        minus[j] -= h
-        rp = _try_residuals(plus, problem)
-        rm = _try_residuals(minus, problem)
-        if rp is not None and rm is not None:
-            cols.append((rp - rm) / (2.0 * h))
-        elif rp is not None:
-            cols.append((rp - r0) / h)
-        elif rm is not None:
-            cols.append((r0 - rm) / h)
-        else:
-            cols.append(np.zeros_like(r0))
-    return np.column_stack(cols)
+    """Central-difference Jacobian from one kernel call over the 2 x 5 probes;
+    one-sided where a probe is infeasible, zero where both are."""
+    n = len(params)
+    h = FD_REL_STEP * np.maximum(np.abs(params), 1.0)
+    vec, ok, _ = _residuals(np.vstack([params + np.diag(h), params - np.diag(h)]), problem)
+    rp, rm, h = vec[:n], vec[n:], h[:, None]
+    cols = np.where(
+        (ok[:n] & ok[n:])[:, None],
+        (rp - rm) / (2.0 * h),
+        np.where(ok[:n, None], (rp - r0) / h, np.where(ok[n:, None], (r0 - rm) / h, 0.0)),
+    )
+    return cols.T
 
 
 def _levenberg_marquardt(p0, problem, max_iters):
@@ -292,8 +338,9 @@ def _levenberg_marquardt(p0, problem, max_iters):
                 lam *= 10.0
                 continue
             trial = p + step
-            r_trial = _try_residuals(trial, problem)
-            if r_trial is not None:
+            vec, ok, _ = _residuals(trial, problem)
+            if ok[0]:
+                r_trial = vec[0]
                 F_trial = float(r_trial @ r_trial)
                 if F_trial < F:
                     rel_dec = (F - F_trial) / max(F, 1e-300)
@@ -323,21 +370,22 @@ def _scan_start(problem: IscProblem) -> np.ndarray:
     """Lowest feasible sample of the focal scan, the start of the descent.
 
     The focal length runs logarithmically over ``[F_SCAN_LO, F_SCAN_HI] *
-    cam_w`` with the principal point at the image center and zero skew.
-    Raises NoFeasibleStart when every sample is infeasible.
+    cam_w`` with the principal point at the image center and zero skew; the
+    kernel takes the samples ``KERNEL_BATCH`` at a time. Raises
+    NoFeasibleStart when every sample is infeasible.
     """
-    width = float(problem.cam_w)
-    center = (problem.cam_w / 2.0, problem.cam_h / 2.0)
-    best_F, start = np.inf, None
-    for f in np.geomspace(F_SCAN_LO * width, F_SCAN_HI * width, F_SCAN_SAMPLES):
-        params = np.array([f, f, 0.0, center[0], center[1]])
-        r = _try_residuals(params, problem)
-        F = np.inf if r is None else float(r @ r)
-        if F < best_F:
-            best_F, start = F, params
-    if start is None:
+    f = np.geomspace(F_SCAN_LO * problem.cam_w, F_SCAN_HI * problem.cam_w, F_SCAN_SAMPLES)
+    samples = np.column_stack(
+        [f, f, np.zeros_like(f), np.full_like(f, problem.cam_w / 2.0),
+         np.full_like(f, problem.cam_h / 2.0)]
+    )
+    F = np.full(len(samples), np.inf)
+    for i in range(0, len(samples), KERNEL_BATCH):
+        vec, ok, _ = _residuals(samples[i : i + KERNEL_BATCH], problem)
+        F[i : i + KERNEL_BATCH][ok] = np.einsum("ij,ij->i", vec[ok], vec[ok])
+    if not np.any(np.isfinite(F)):
         raise NoFeasibleStart("no feasible focal length in the scan range")
-    return start
+    return samples[np.argmin(F)]
 
 
 def calibrate(problem: IscProblem, max_iters: int = 200) -> CalibResult:

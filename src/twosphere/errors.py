@@ -94,8 +94,10 @@ class SpheresOverlapInImage(TwosphereError):
 
 
 class InvalidBundle(TwosphereError):
-    """A bundle manifest names a fringe format other than float32, or its scene
-    truth fails ``validate_config``."""
+    """A bundle file is malformed: the manifest is not a JSON object, names a
+    fringe format other than float32 or holds a scene truth that fails
+    ``validate_config``; a fringe sidecar lacks its width and height; or a
+    contour or oracle CSV is not rows of numbers of its width."""
 
 
 class InvalidNoise(TwosphereError):

@@ -31,6 +31,9 @@ __all__ = [
     "adjugate",
     "constraint_pair",
     "pole_polar_cross",
+    "pole_polar_crosses",
+    "intrinsics_matrices",
+    "iac_matrices",
     "pole_polar_residual",
     "ellipse_parameters",
     "sample_conic_points",
@@ -66,26 +69,18 @@ class Intrinsics:
                 raise ValueError(f"{name} is not finite")
 
     def as_matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.fx, self.skew, self.u0], [0.0, self.fy, self.v0], [0.0, 0.0, 1.0]]
-        )
+        return intrinsics_matrices(self._row())[0][0]
 
     def inverse(self) -> np.ndarray:
         """Closed-form K^-1 (exact for the upper-triangular structure)."""
-        fx, fy, s, u0, v0 = self.fx, self.fy, self.skew, self.u0, self.v0
-        return np.array(
-            [
-                [1.0 / fx, -s / (fx * fy), (s * v0 - fy * u0) / (fx * fy)],
-                [0.0, 1.0 / fy, -v0 / fy],
-                [0.0, 0.0, 1.0],
-            ]
-        )
+        return intrinsics_matrices(self._row())[1][0]
 
     def iac(self) -> np.ndarray:
         """Image of the absolute conic, K^-T K^-1 (symmetric positive-definite)."""
-        Kinv = self.inverse()
-        w = Kinv.T @ Kinv
-        return 0.5 * (w + w.T)
+        return iac_matrices(self.inverse()[None])[0]
+
+    def _row(self) -> np.ndarray:
+        return np.array([[self.fx, self.fy, self.skew, self.u0, self.v0]])
 
     @classmethod
     def from_matrix(cls, K: np.ndarray) -> "Intrinsics":
@@ -103,6 +98,24 @@ class Intrinsics:
     @classmethod
     def from_dict(cls, d: dict) -> "Intrinsics":
         return cls(fx=d["fx"], fy=d["fy"], skew=d["skew"], u0=d["u0"], v0=d["v0"])
+
+
+def intrinsics_matrices(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Calibration matrices K and their closed-form inverses, each (B, 3, 3),
+    for (B, 5) rows of (fx, fy, skew, u0, v0)."""
+    fx, fy, s, u0, v0 = np.asarray(params, dtype=float).T
+    K, K_inv = np.zeros((2, len(fx), 3, 3))
+    K[:, 0, 0], K[:, 0, 1], K[:, 0, 2], K[:, 1, 1], K[:, 1, 2], K[:, 2, 2] = fx, s, u0, fy, v0, 1.0
+    K_inv[:, 0, 0], K_inv[:, 0, 1] = 1.0 / fx, -s / (fx * fy)
+    K_inv[:, 0, 2] = (s * v0 - fy * u0) / (fx * fy)
+    K_inv[:, 1, 1], K_inv[:, 1, 2], K_inv[:, 2, 2] = 1.0 / fy, -v0 / fy, 1.0
+    return K, K_inv
+
+
+def iac_matrices(K_inv: np.ndarray) -> np.ndarray:
+    """Images of the absolute conic ``K^-T K^-1``, symmetrized, from (B, 3, 3) inverses."""
+    w = K_inv.transpose(0, 2, 1) @ K_inv
+    return 0.5 * (w + w.transpose(0, 2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +406,13 @@ def pole_polar_cross(line: np.ndarray, point: np.ndarray, K: Intrinsics) -> np.n
     (``constraint_pair`` returns them so); only ``omega v`` is normalized
     here, with ``omega = K^-T K^-1``. Zero when ``l ~ omega v``.
     """
-    return np.cross(line, unit_vector(K.iac() @ point))
+    return pole_polar_crosses(line, point, K.inverse()[None])[0]
+
+
+def pole_polar_crosses(line: np.ndarray, point: np.ndarray, K_inv: np.ndarray) -> np.ndarray:
+    """``pole_polar_cross`` for a stack of (B, 3, 3) inverse intrinsics: (B, 3)."""
+    wv = iac_matrices(K_inv) @ point
+    return np.cross(line, wv / np.linalg.norm(wv, axis=1, keepdims=True))
 
 
 def pole_polar_residual(line: np.ndarray, point: np.ndarray, K: Intrinsics) -> float:

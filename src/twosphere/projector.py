@@ -25,10 +25,14 @@ __all__ = [
     "ProjMatrix",
     "Correspondences",
     "dlt_estimate",
+    "dlt_stack",
+    "normalize_points",
+    "gauge",
     "reprojection_residuals",
     "decompose",
     "compose",
     "project_points",
+    "project_stack",
 ]
 
 
@@ -43,16 +47,10 @@ class ProjMatrix:
         m = np.asarray(self.m, dtype=float)
         if m.shape != (3, 4):
             raise ValueError("projection matrix must be 3x4")
-        row_scale = np.linalg.norm(m[2, :3])
-        if row_scale < 1e-14:
-            raise SingularBlock("third row of the left block is numerically zero")
-        m = m / row_scale
-        det = np.linalg.det(m[:, :3])
-        if abs(det) < 1e-14:
-            raise SingularBlock("left 3x3 block is singular")
-        if det < 0:
-            m = -m
-        object.__setattr__(self, "m", m)
+        gauged, ok = gauge(m[None])
+        if not ok[0]:
+            raise SingularBlock("left 3x3 block is singular or its third row is numerically zero")
+        object.__setattr__(self, "m", gauged[0])
 
     @property
     def left(self) -> np.ndarray:
@@ -100,6 +98,19 @@ class Correspondences:
         return len(self.points)
 
 
+def gauge(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``ProjMatrix`` gauge of a stack of (B, 3, 4) matrices: scaled so the
+    rotation part of the third row is a unit vector, negated where the left
+    block's determinant is negative. Returns the gauged stack and a (B,)
+    mask, false where that row is numerically zero or the block singular."""
+    row_scale = np.linalg.norm(m[:, 2, :3], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = m / row_scale[:, None, None]
+        det = np.linalg.det(m[:, :, :3])
+    ok = (row_scale >= 1e-14) & (np.abs(det) >= 1e-14)
+    return np.where(det[:, None, None] < 0, -m, m), ok
+
+
 def project_points(M: ProjMatrix, points: np.ndarray) -> np.ndarray:
     """Dehomogenized projections of (n, 3) points through M.
 
@@ -107,18 +118,46 @@ def project_points(M: ProjMatrix, points: np.ndarray) -> np.ndarray:
     projected vector's magnitude.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    hom = (M.m @ np.column_stack([pts, np.ones(len(pts))]).T).T
-    scale = np.linalg.norm(hom, axis=1)
-    if np.any(np.abs(hom[:, 2]) <= 1e-12 * scale):
+    projected, ok = project_stack(M.m[None], pts.T[None])
+    if not ok[0]:
         raise PointAtInfinity("a point projects to infinity under this matrix")
-    return hom[:, :2] / hom[:, 2:3]
+    return projected[0].T
+
+
+def project_stack(M: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``project_points`` for (B, 3, 4) matrices and coordinate-major (B, 3, n)
+    points: the (B, 2, n) projections and a (B,) mask, false where a point
+    projects to infinity (that member's projections are meaningless)."""
+    hom = M @ np.concatenate([points, np.ones_like(points[:, :1])], axis=1)
+    scale = np.linalg.norm(hom, axis=1)
+    ok = ~np.any(np.abs(hom[:, 2]) <= 1e-12 * scale, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return hom[:, :2] / hom[:, 2:], ok
+
+
+def normalize_points(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Similarity normalization of coordinate-major (..., d, n) points:
+    centroid to the origin, mean distance from it sqrt(d). Returns the
+    normalized homogeneous points (..., d + 1, n) and the (..., d + 1, d + 1)
+    transforms applied."""
+    d = points.shape[-2]
+    centroid = points.mean(axis=-1, keepdims=True)
+    shifted = points - centroid
+    spread = np.linalg.norm(shifted, axis=-2).mean(axis=-1)
+    scale = np.sqrt(d) / np.maximum(spread, 1e-300)
+    T = np.zeros(points.shape[:-2] + (d + 1, d + 1))
+    T[..., :d, :d] = scale[..., None, None] * np.eye(d)
+    T[..., :d, d] = -scale[..., None] * centroid[..., 0]
+    T[..., d, d] = 1.0
+    shifted *= scale[..., None, None]
+    return np.concatenate([shifted, np.ones_like(shifted[..., :1, :])], axis=-2), T
 
 
 def dlt_estimate(proj_px: np.ndarray, points: np.ndarray) -> ProjMatrix:
     """Direct linear transform from n >= 6 pixel / 3D-point pairs.
 
-    Both sides are similarity-normalized (centroids to the origin, RMS
-    radius sqrt(2) in 2D and sqrt(3) in 3D) before assembling the 2n x 12
+    Both sides are similarity-normalized (centroids to the origin, mean
+    distance sqrt(2) in 2D and sqrt(3) in 3D) before assembling the 2n x 12
     design matrix; the null singular vector gives M.
 
     Raises
@@ -134,34 +173,40 @@ def dlt_estimate(proj_px: np.ndarray, points: np.ndarray) -> ProjMatrix:
     X = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(xp) != len(X):
         raise ValueError("pixel and point counts differ")
-    n = len(X)
-    if n < 6:
-        raise TooFewPoints(f"DLT needs at least 6 correspondences, got {n}")
-
-    c2 = xp.mean(axis=0)
-    s2 = np.sqrt(2.0) / max(np.mean(np.linalg.norm(xp - c2, axis=1)), 1e-300)
-    T2 = np.array([[s2, 0, -s2 * c2[0]], [0, s2, -s2 * c2[1]], [0, 0, 1.0]])
-    c3 = X.mean(axis=0)
-    s3 = np.sqrt(3.0) / max(np.mean(np.linalg.norm(X - c3, axis=1)), 1e-300)
-    T3 = np.diag([s3, s3, s3, 1.0])
-    T3[:3, 3] = -s3 * c3
-
-    xpn = (T2 @ np.column_stack([xp, np.ones(n)]).T).T
-    Xn = (T3 @ np.column_stack([X, np.ones(n)]).T).T
-
-    A = np.zeros((2 * n, 12))
-    A[0::2, 4:8] = -xpn[:, 2:3] * Xn
-    A[0::2, 8:12] = xpn[:, 1:2] * Xn
-    A[1::2, 0:4] = xpn[:, 2:3] * Xn
-    A[1::2, 8:12] = -xpn[:, 0:1] * Xn
-
-    _, sv, vt = np.linalg.svd(A, full_matrices=False)
-    if sv[-2] <= 1e-10 * sv[0] or sv[-1] / sv[-2] > 0.99:
+    if len(X) < 6:
+        raise TooFewPoints(f"DLT needs at least 6 correspondences, got {len(X)}")
+    xpn, T2 = normalize_points(xp.T)
+    M, ok = dlt_stack(xpn, np.linalg.inv(T2), X.T[None])
+    if not ok[0]:
         raise DegenerateConfiguration("DLT null space is ambiguous (degenerate points)")
+    return ProjMatrix(M[0])
 
-    Mn = vt[-1].reshape(3, 4)
-    M = np.linalg.inv(T2) @ Mn @ T3
-    return ProjMatrix(M)
+
+def dlt_stack(
+    proj_norm: np.ndarray, T2_inv: np.ndarray, points: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``dlt_estimate`` of coordinate-major (B, 3, n) point sets against one
+    set of projector pixels, given normalized (``normalize_points``) as the
+    (3, n) ``proj_norm`` with the inverse ``T2_inv`` of their transform.
+
+    Each 2n x 12 design matrix is QR-reduced to its 12 x 12 R factor, whose
+    singular values and right singular vectors are the design matrix's.
+    Returns the (B, 3, 4) matrices, not yet in the ``ProjMatrix`` gauge, and
+    a (B,) mask, false where the null space is ambiguous.
+    """
+    Xn, T3 = normalize_points(points)
+    n = Xn.shape[-1]
+    # the design matrix, built transposed: the n equations of y_p, then the
+    # n of x_p (a row order changes no singular value or vector)
+    A_t = np.zeros((len(Xn), 12, 2 * n))
+    A_t[:, 4:8, :n] = -Xn
+    A_t[:, 8:12, :n] = proj_norm[1] * Xn
+    A_t[:, 0:4, n:] = Xn
+    A_t[:, 8:12, n:] = -proj_norm[0] * Xn
+    _, sv, vt = np.linalg.svd(np.linalg.qr(A_t.transpose(0, 2, 1), mode="r"), full_matrices=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ok = (sv[:, -2] > 1e-10 * sv[:, 0]) & (sv[:, -1] / sv[:, -2] <= 0.99)
+    return T2_inv @ vt[:, -1].reshape(-1, 3, 4) @ T3, ok
 
 
 def reprojection_residuals(M: ProjMatrix, proj_px: np.ndarray, points: np.ndarray) -> np.ndarray:

@@ -414,6 +414,8 @@ class SceneBundle:
         if not manifest_path.exists():
             raise FileNotFoundError(f"no {MANIFEST_NAME} in {root}")
         manifest = json.loads(manifest_path.read_text())
+        if not isinstance(manifest, dict):
+            raise InvalidBundle(f"{MANIFEST_NAME} is not a JSON object")
         image_format = manifest.get("image_format", IMAGE_FORMAT)
         if image_format != IMAGE_FORMAT:
             raise InvalidBundle(f"image_format {image_format!r}: only {IMAGE_FORMAT!r} is read")
@@ -424,7 +426,7 @@ class SceneBundle:
 
         contours = []
         for path in sorted((root / "contours").glob("sphere*.csv")):
-            contours.append(np.loadtxt(path, delimiter=",").reshape(-1, 2))
+            contours.append(_read_rows(path, 2))
         pixels = signal_pixels(contours, truth.cam_w, truth.cam_h)
         flat = pixels[:, 1] * truth.cam_w + pixels[:, 0]
 
@@ -434,7 +436,12 @@ class SceneBundle:
                 stack = []
                 for k in range(truth.n_steps):
                     path = _fringe_path(root, orientation, freq, k)
-                    img = imageio.read_float32(path)
+                    try:
+                        img = imageio.read_float32(path)
+                    except (KeyError, TypeError, ValueError) as exc:
+                        raise InvalidBundle(
+                            f"{path.name}.json: no integer width and height ({exc!r})"
+                        ) from exc
                     if img.shape != (truth.cam_h, truth.cam_w):
                         raise DimensionMismatch(f"{path.name}: wrong frame size {img.shape}")
                     stack.append(img.ravel()[flat])
@@ -445,7 +452,7 @@ class SceneBundle:
         if oracle_dir.is_dir():
             oracle = []
             for path in sorted(oracle_dir.glob("sphere*.csv")):
-                table = np.loadtxt(path, delimiter=",").reshape(-1, 7)
+                table = _read_rows(path, 7)
                 oracle.append(
                     Correspondences(cam_px=table[:, :2], proj_px=table[:, 2:4], points=table[:, 4:7])
                 )
@@ -453,6 +460,15 @@ class SceneBundle:
         analytic = [project_sphere_to_conic(s, truth.camera) for s in truth.spheres]
         return cls(truth=truth, contours=contours, analytic_conics=analytic,
                    pixels=pixels, stacks=stacks, oracle=oracle)
+
+
+def _read_rows(path: Path, columns: int) -> np.ndarray:
+    """A bundle CSV as rows of ``columns`` numbers; InvalidBundle if it holds anything else."""
+    try:
+        return np.loadtxt(path, delimiter=",").reshape(-1, columns)
+    except ValueError as exc:
+        raise InvalidBundle(f"{path.parent.name}/{path.name}: not rows of {columns} numbers "
+                            f"({exc})") from exc
 
 
 def _fringe_path(root: Path, orientation: str, freq: int, step: int) -> Path:

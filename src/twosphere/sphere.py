@@ -20,12 +20,22 @@ from .geometry import Conic, Intrinsics, ellipse_parameters, homogenize, sample_
 __all__ = [
     "SpherePose",
     "sphere_center_from_conic",
+    "sphere_centers",
     "lift_pixel_to_sphere",
+    "lift_pixels",
     "sample_interior_pixels",
 ]
 
 RIM_MARGIN_PX = 2.0  # least distance of an interior sample from the silhouette
 RIM_MARGIN_FRAC = 0.05  # or this fraction of the semi-minor axis, if larger
+
+# fault codes of sphere_centers (0: a valid pose)
+CONE_DEGENERATE, CONE_SIGNS, CONE_SPLIT, CENTER_BEHIND = 1, 2, 3, 4
+CONE_FAULTS = {
+    CONE_DEGENERATE: "back-projected cone is degenerate",
+    CONE_SIGNS: "cone eigenvalues all share one sign",
+    CONE_SPLIT: "double eigenvalue splits beyond pair_gap_tol",
+}
 
 
 @dataclass(frozen=True)
@@ -71,37 +81,45 @@ def sphere_center_from_conic(
     """
     if not radius > 0:
         raise ValueError("radius must be positive")
-    Km = K.as_matrix()
-    q = Km.T @ conic.matrix @ Km
-    q = q / np.linalg.norm(q)
+    centers, fault = sphere_centers(conic, K.as_matrix()[None], radius, pair_gap_tol)
+    if fault[0] in CONE_FAULTS:
+        raise NotASphereImage(CONE_FAULTS[fault[0]])
+    return SpherePose(center=centers[0], radius=radius)
+
+
+def sphere_centers(
+    conic: Conic, K: np.ndarray, radius: float, pair_gap_tol: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``sphere_center_from_conic`` for a stack of (B, 3, 3) intrinsics matrices.
+
+    Returns the (B, 3) centers and a (B,) fault code per member: 0 for a
+    valid pose, a key of ``CONE_FAULTS``, or ``CENTER_BEHIND`` when the depth
+    does not exceed the radius. A faulty member's center is meaningless.
+    """
+    q = K.transpose(0, 2, 1) @ conic.matrix @ K
+    q = q / np.linalg.norm(q, axis=(1, 2), keepdims=True)
     evals, evecs = np.linalg.eigh(q)
-
-    if np.min(np.abs(evals)) < 1e-12:
-        raise NotASphereImage("back-projected cone is degenerate")
-    # eigh sorts ascending, so the lone opposite-signed eigenvalue is the first or the last
-    if evals[0] < 0 < evals[1]:
-        lone, pair = 0, (1, 2)
-    elif evals[1] < 0 < evals[2]:
-        lone, pair = 2, (0, 1)
-    else:
-        raise NotASphereImage("cone eigenvalues all share one sign")
-
-    lam_a, lam_b = abs(evals[pair[0]]), abs(evals[pair[1]])
+    # eigh sorts ascending: the lone opposite-signed eigenvalue is the first
+    # of (-, +, +) and the last of (-, -, +); negating and reversing the
+    # latter puts it first
+    flip = (evals[:, 1] < 0)[:, None]
+    evals = np.where(flip, -evals[:, ::-1], evals)
+    evecs = np.where(flip[:, None], evecs[:, :, ::-1], evecs)
+    lam_lone, lam_a, lam_b = -evals[:, 0], evals[:, 1], evals[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # tan^2(alpha) = lam_lone / lam_pair, distance = r / sin(alpha)
+        distance = radius * np.sqrt((0.5 * (lam_a + lam_b) + lam_lone) / lam_lone)
+        split = np.abs(lam_a - lam_b) / np.maximum(lam_a, lam_b)
+    axis = np.where(evecs[:, 2:, 0] < 0, -evecs[:, :, 0], evecs[:, :, 0])
+    centers = axis * distance[:, None]
+    # later assignments take precedence: a degenerate cone over a sign
+    # pattern over a split pair over the depth
+    fault = np.where(centers[:, 2] > radius, 0, CENTER_BEHIND)
     if pair_gap_tol is not None:
-        gap = abs(lam_a - lam_b) / max(lam_a, lam_b)
-        if gap > pair_gap_tol:
-            raise NotASphereImage(
-                f"double eigenvalue splits by {gap:.3e} (tolerance {pair_gap_tol:.1e})"
-            )
-    lam_pair = 0.5 * (lam_a + lam_b)
-    lam_lone = abs(evals[lone])
-
-    # tan^2(alpha) = lam_lone / lam_pair, distance = r / sin(alpha)
-    distance = radius * np.sqrt((lam_pair + lam_lone) / lam_lone)
-    axis = evecs[:, lone]
-    if axis[2] < 0:
-        axis = -axis
-    return SpherePose(center=axis * distance, radius=radius)
+        fault[split > pair_gap_tol] = CONE_SPLIT
+    fault[~((evals[:, 0] < 0) & (0 < evals[:, 1]))] = CONE_SIGNS
+    fault[np.min(np.abs(evals), axis=1) < 1e-12] = CONE_DEGENERATE
+    return centers, fault
 
 
 def lift_pixel_to_sphere(pixel: np.ndarray, K: Intrinsics, pose: SpherePose) -> np.ndarray:
@@ -116,16 +134,33 @@ def lift_pixel_to_sphere(pixel: np.ndarray, K: Intrinsics, pose: SpherePose) -> 
     """
     single = np.asarray(pixel).ndim == 1
     pix = np.atleast_2d(np.asarray(pixel, dtype=float))
-    dirs = (K.inverse() @ homogenize(pix).T).T
-    dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-    c = pose.center
-    b = dirs @ c
-    disc = b * b - (c @ c - pose.radius**2)
-    miss = disc < -1e-12 * (c @ c)
-    if np.any(miss):
-        raise RayMissesSphere(f"{int(np.count_nonzero(miss))} of {len(miss)} rays miss the sphere")
-    points = (b - np.sqrt(np.maximum(disc, 0.0)))[:, None] * dirs
-    return points[0] if single else points
+    points, misses = lift_pixels(
+        homogenize(pix).T, K.inverse()[None], pose.center[None], pose.radius
+    )
+    if misses[0]:
+        raise RayMissesSphere(f"{misses[0]} of {len(pix)} rays miss the sphere")
+    return points[0, :, 0] if single else points[0].T
+
+
+def lift_pixels(
+    hom_px: np.ndarray, K_inv: np.ndarray, centers: np.ndarray, radius: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``lift_pixel_to_sphere`` of the same homogeneous pixels, given as a
+    (3, n) array, for a stack of (B, 3, 3) inverse intrinsics and (B, 3)
+    sphere centers.
+
+    The points come coordinate-major, (B, 3, n), so that every per-point
+    sum runs along contiguous rows; with them comes the (B,) count of rays
+    that miss. A member with misses has meaningless points.
+    """
+    dirs = K_inv @ hom_px
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    b = (centers[:, None, :] @ dirs)[:, 0]
+    cc = np.einsum("ij,ij->i", centers, centers)[:, None]
+    disc = b * b - (cc - radius**2)
+    misses = np.count_nonzero(disc < -1e-12 * cc, axis=1)
+    dirs *= (b - np.sqrt(np.maximum(disc, 0.0)))[:, None, :]
+    return dirs, misses
 
 
 def sample_interior_pixels(conic: Conic, stride: int | None = None) -> np.ndarray:

@@ -3,11 +3,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import exact_observations, exact_problem
+import importlib
+
+from conftest import SPHERES, exact_observations, exact_problem, make_small_truth
 
 from twosphere import (
+    Conic,
     Intrinsics,
     IscProblem,
+    NoiseSpec,
     SceneTruth,
     SpherePose,
     SphereObservation,
@@ -17,18 +21,38 @@ from twosphere import (
     evaluate_against_truth,
     format_error_report,
     isc_objective,
+    lift_pixel_to_sphere,
     pole_polar_residual,
+    preset,
+    render_scene,
     run_calibration,
 )
 from twosphere.calibrate import (
     F_SCAN_HI,
     F_SCAN_LO,
     F_SCAN_SAMPLES,
+    FD_REL_STEP,
+    KERNEL_BATCH,
     _levenberg_marquardt,
     _residual_vector,
+    _residuals,
+    _scan_start,
 )
-from twosphere.errors import CoincidentConics, InfeasibleCandidate, NoFeasibleStart
+from twosphere.errors import (
+    BehindCamera,
+    CoincidentConics,
+    DegenerateConfiguration,
+    InfeasibleCandidate,
+    NoFeasibleStart,
+    NotASphereImage,
+    PointAtInfinity,
+    RayMissesSphere,
+    SingularBlock,
+)
+from twosphere.geometry import homogenize
 from twosphere.simulate import rotation_about_y
+
+calibrate_module = importlib.import_module("twosphere.calibrate")
 
 
 def params_of(K: Intrinsics) -> np.ndarray:
@@ -128,6 +152,229 @@ class TestIscObjective:
         tiny = Intrinsics(fx=2.0, fy=2.0, skew=0.0, u0=405.0, v0=295.0)
         with pytest.raises(InfeasibleCandidate):
             isc_objective(tiny, problem)
+
+
+def reference_residuals(params, problem):
+    """One candidate's residual row and projector matrix, computed step by
+    step: a cone eigendecomposition per sphere, ray lifting, a DLT by full
+    SVD of the 2n x 12 design matrix, and the gauge. Raises the error of the
+    first step that fails."""
+    fx, fy, skew, u0, v0 = params
+    if not (fx > 0 and fy > 0 and np.all(np.isfinite(params))):
+        raise InfeasibleCandidate("focal")
+    K = np.array([[fx, skew, u0], [0.0, fy, v0], [0.0, 0.0, 1.0]])
+    K_inv = np.linalg.inv(K)
+    points = []
+    for obs, radius in zip((problem.obs1, problem.obs2), problem.radii):
+        q = K.T @ obs.conic.matrix @ K
+        evals, evecs = np.linalg.eigh(q / np.linalg.norm(q))
+        if np.min(np.abs(evals)) < 1e-12:
+            raise NotASphereImage("degenerate")
+        lone = [i for i in range(3) if np.sum(np.sign(evals) == np.sign(evals[i])) == 1]
+        if len(lone) != 1:
+            raise NotASphereImage("signs")
+        lam_lone = abs(evals[lone[0]])
+        lam_pair = np.mean(np.abs(np.delete(evals, lone[0])))
+        axis = evecs[:, lone[0]] if evecs[2, lone[0]] >= 0 else -evecs[:, lone[0]]
+        center = axis * radius * np.sqrt((lam_pair + lam_lone) / lam_lone)
+        if not center[2] > radius:
+            raise BehindCamera("behind")
+        dirs = homogenize(obs.cam_px) @ K_inv.T
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        b = dirs @ center
+        disc = b * b - (center @ center - radius**2)
+        if np.any(disc < -1e-12 * (center @ center)):
+            raise RayMissesSphere("miss")
+        points.append((b - np.sqrt(np.maximum(disc, 0.0)))[:, None] * dirs)
+    X = np.vstack(points)
+    xp = np.vstack([problem.obs1.proj_px, problem.obs2.proj_px])
+
+    def normalization(pts):
+        c = pts.mean(axis=0)
+        s = np.sqrt(pts.shape[1]) / max(np.mean(np.linalg.norm(pts - c, axis=1)), 1e-300)
+        T = np.diag([s] * pts.shape[1] + [1.0])
+        T[:-1, -1] = -s * c
+        return T
+
+    T2, T3 = normalization(xp), normalization(X)
+    xn = homogenize(xp) @ T2.T
+    Xn = homogenize(X) @ T3.T
+    A = np.zeros((2 * len(X), 12))
+    A[0::2, 4:8] = -xn[:, 2:3] * Xn
+    A[0::2, 8:12] = xn[:, 1:2] * Xn
+    A[1::2, 0:4] = xn[:, 2:3] * Xn
+    A[1::2, 8:12] = -xn[:, 0:1] * Xn
+    _, sv, vt = np.linalg.svd(A, full_matrices=False)
+    if sv[-2] <= 1e-10 * sv[0] or sv[-1] / sv[-2] > 0.99:
+        raise DegenerateConfiguration("ambiguous")
+    M = np.linalg.inv(T2) @ vt[-1].reshape(3, 4) @ T3
+    if np.linalg.norm(M[2, :3]) < 1e-14:
+        raise SingularBlock("third row")
+    M = M / np.linalg.norm(M[2, :3])
+    if abs(np.linalg.det(M[:, :3])) < 1e-14:
+        raise SingularBlock("left block")
+    M = M if np.linalg.det(M[:, :3]) > 0 else -M
+    hom = homogenize(X) @ M.T
+    if np.any(np.abs(hom[:, 2]) <= 1e-12 * np.linalg.norm(hom, axis=1)):
+        raise PointAtInfinity("infinity")
+    planar = xp - hom[:, :2] / hom[:, 2:3]
+    w = K_inv.T @ K_inv
+    wv = w @ problem.constraint[1]
+    cross = np.cross(problem.constraint[0], wv / np.linalg.norm(wv))
+    return np.concatenate([planar.ravel(), np.sqrt(problem.mu) * cross]), M
+
+
+def scan_samples(problem):
+    f = np.geomspace(F_SCAN_LO * problem.cam_w, F_SCAN_HI * problem.cam_w, F_SCAN_SAMPLES)
+    return np.array([[v, v, 0.0, problem.cam_w / 2.0, problem.cam_h / 2.0] for v in f])
+
+
+def jacobian_probes(params):
+    """The 2 x 5 central-difference probes ``_jacobian`` evaluates."""
+    h = FD_REL_STEP * np.maximum(np.abs(params), 1.0)
+    return np.vstack([params + np.diag(h), params - np.diag(h)])
+
+
+def kernel_in_chunks(P, problem):
+    parts = [_residuals(P[i : i + KERNEL_BATCH], problem) for i in range(0, len(P), KERNEL_BATCH)]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+@pytest.fixture(scope="module")
+def cppB_noisy_problem():
+    truth = preset("cppB").with_noise(NoiseSpec(contour_sigma=0.5, intensity_sigma=0.01, seed=3))
+    return build_problem(render_scene(truth))
+
+
+class TestResidualKernel:
+    """The batched kernel against a step-by-step single-candidate reference."""
+
+    @pytest.mark.parametrize("scene", ["small_exact", "small_noisy", "cppB_noisy"])
+    def test_members_match_reference(self, scene, request, truth_small):
+        if scene == "small_exact":
+            problem = exact_problem(truth_small)
+        elif scene == "small_noisy":
+            problem = build_problem(request.getfixturevalue("bundle_small_noisy"))
+        else:
+            problem = request.getfixturevalue("cppB_noisy_problem")
+        # the scan samples, one Jacobian's probes, and two candidates whose
+        # rays miss (a short focal, a far principal point)
+        cx, cy = problem.cam_w / 2.0, problem.cam_h / 2.0
+        misses = [[0.1 * cx, 0.1 * cx, 0.0, cx, cy], [2.0 * cx, 2.0 * cx, 0.0, -8.0 * cx, cy]]
+        P = np.vstack([scan_samples(problem), jacobian_probes(_scan_start(problem)), misses])
+        vec, ok, M = kernel_in_chunks(P, problem)
+        assert vec.shape == (len(P), 2 * (len(problem.obs1) + len(problem.obs2)) + 3)
+        feasible = 0
+        for i, params in enumerate(P):
+            try:
+                ref_vec, ref_M = reference_residuals(params, problem)
+            except (InfeasibleCandidate, NotASphereImage, BehindCamera, RayMissesSphere,
+                    DegenerateConfiguration, SingularBlock, PointAtInfinity):
+                assert not ok[i], f"member {i} is infeasible in the reference"
+                assert np.all(np.isnan(vec[i])) and np.all(np.isnan(M[i]))
+                continue
+            feasible += 1
+            assert ok[i], f"member {i} is feasible in the reference"
+            assert np.max(np.abs(vec[i] - ref_vec)) <= 1e-9 * np.max(np.abs(ref_vec))
+            assert np.max(np.abs(M[i] - ref_M)) <= 1e-9 * np.max(np.abs(ref_M))
+        assert feasible >= 10 and not ok[-2:].any()
+
+    def test_member_independent_of_batch(self, bundle_small_noisy):
+        problem = build_problem(bundle_small_noisy)
+        good = jacobian_probes(_scan_start(problem))[:4]
+        bad = [[-700.0, 700.0, 0.0, 400.0, 300.0], [np.nan, 700.0, 0.0, 400.0, 300.0],
+               [100.0, 100.0, 0.0, 400.0, 300.0]]
+        batch = np.vstack([bad[0], good[0], bad[1], good[1], good[2], bad[2], good[3]])
+        vec, ok, M = _residuals(batch, problem)
+        assert ok.tolist() == [False, True, False, True, True, False, True]
+        for i in np.flatnonzero(ok):
+            alone_vec, alone_ok, alone_M = _residuals(batch[i], problem)
+            assert alone_ok[0]
+            assert alone_vec[0].tobytes() == vec[i].tobytes()
+            assert alone_M[0].tobytes() == M[i].tobytes()
+
+    def test_no_call_exceeds_the_batch(self, bundle_small_noisy, monkeypatch):
+        sizes = []
+        kernel = calibrate_module._residuals
+
+        def counting(P, problem):
+            sizes.append(len(np.asarray(P).reshape(-1, 5)))
+            return kernel(P, problem)
+
+        monkeypatch.setattr(calibrate_module, "_residuals", counting)
+        calibrate(build_problem(bundle_small_noisy))
+        assert KERNEL_BATCH == 10
+        assert max(sizes) <= KERNEL_BATCH
+        assert sizes[:4] == [10, 10, 10, 10]  # the 40-sample focal scan
+        assert 10 in sizes[4:]  # the Jacobians
+        problem = build_problem(bundle_small_noisy)
+        with pytest.raises(ValueError):
+            kernel(np.tile(_scan_start(problem), (KERNEL_BATCH + 1, 1)), problem)
+
+
+def _with_proj_px(problem, proj_of_points):
+    """The exact problem with projector pixels replaced by a function of the
+    truth's lifted points; the conics and camera pixels stay."""
+    obs = []
+    for o, pose in zip((problem.obs1, problem.obs2), SPHERES):
+        points = lift_pixel_to_sphere(o.cam_px, make_small_truth().camera, pose)
+        obs.append(
+            SphereObservation(conic=o.conic, cam_px=o.cam_px, proj_px=proj_of_points(points))
+        )
+    return replace(problem, obs1=obs[0], obs2=obs[1])
+
+
+def _behind_camera_problem(problem):
+    # obs1's conic becomes the tangent cone of a sphere whose center lies
+    # within one radius of the image plane under K = I
+    s = np.array([10.0, 0.0, 0.5])
+    cone = Conic.from_matrix(np.outer(s, s) - (s @ s - 1.0) * np.eye(3))
+    obs1 = SphereObservation(conic=cone, cam_px=problem.obs1.cam_px, proj_px=problem.obs1.proj_px)
+    return replace(problem, obs1=obs1, radii=(1.0, problem.radii[1]))
+
+
+TRUTH_PARAMS = params_of(make_small_truth().camera).tolist()
+
+# (name, problem from the exact small problem, candidate, the reference's error)
+INFEASIBLE = [
+    ("focal_negative", lambda p: p, [-700.0, 702.0, -2.0, 405.0, 295.0], InfeasibleCandidate),
+    ("focal_zero", lambda p: p, [700.0, 0.0, -2.0, 405.0, 295.0], InfeasibleCandidate),
+    ("focal_nan", lambda p: p, [np.nan, 702.0, -2.0, 405.0, 295.0], InfeasibleCandidate),
+    ("behind_camera", _behind_camera_problem, [1.0, 1.0, 0.0, 0.0, 0.0], BehindCamera),
+    ("ray_miss", lambda p: p, [100.0, 100.0, 0.0, 405.0, 295.0], RayMissesSphere),
+    # one projector pixel for every point: a 4-dimensional DLT null space
+    ("dlt_ambiguous", lambda p: _with_proj_px(p, lambda X: np.tile([400.0, 200.0], (len(X), 1))),
+     TRUTH_PARAMS, DegenerateConfiguration),
+    # an orthographic projector: the fitted third row has no rotation part
+    ("block_third_row_zero", lambda p: _with_proj_px(p, lambda X: X[:, :2]),
+     TRUTH_PARAMS, SingularBlock),
+    # x_p = X/Z, y_p = (X + 1)/Z: the left block has two parallel rows
+    ("block_rank_deficient",
+     lambda p: _with_proj_px(p, lambda X: np.column_stack([X[:, 0], X[:, 0] + 1.0]) / X[:, 2:3]),
+     TRUTH_PARAMS, SingularBlock),
+]
+
+
+class TestInfeasibleCandidates:
+    @pytest.mark.parametrize("make, candidate, reason", [c[1:] for c in INFEASIBLE],
+                             ids=[c[0] for c in INFEASIBLE])
+    def test_masked_in_batch_raised_alone(self, truth_small, make, candidate, reason):
+        base = exact_problem(truth_small)
+        problem = make(base)
+        with pytest.raises(reason):
+            reference_residuals(np.array(candidate), problem)
+        feasible = TRUTH_PARAMS if problem is base else None
+        batch = np.array([candidate] + ([feasible] if feasible else []))
+        vec, ok, M = _residuals(batch, problem)
+        assert not ok[0]
+        assert np.all(np.isnan(vec[0])) and np.all(np.isnan(M[0]))
+        if feasible:
+            assert ok[1]
+        with pytest.raises(InfeasibleCandidate):
+            _residual_vector(np.array(candidate), problem)
+        if np.all(np.isfinite(candidate)) and candidate[0] > 0 and candidate[1] > 0:
+            with pytest.raises(InfeasibleCandidate):
+                isc_objective(Intrinsics(*candidate), problem)
 
 
 class TestProblemBuild:

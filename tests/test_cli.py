@@ -65,11 +65,22 @@ def cut_fringe(root):
     path.write_bytes(path.read_bytes()[:1000])
 
 
-def edit_manifest(edit):
+def edit_json(name, edit):
     def apply(root):
-        manifest = json.loads((root / "manifest.json").read_text())
-        edit(manifest)
-        (root / "manifest.json").write_text(json.dumps(manifest))
+        data = json.loads((root / name).read_text())
+        edit(data)
+        (root / name).write_text(json.dumps(data))
+    return apply
+
+
+def edit_manifest(edit):
+    return edit_json("manifest.json", edit)
+
+
+def append_line(name, line):
+    def apply(root):
+        with open(root / name, "a") as f:
+            f.write(line + "\n")
     return apply
 
 
@@ -82,6 +93,16 @@ BROKEN_BUNDLES = [
                  "camera.fx_px: must be positive", id="manifest_with_negative_fx"),
     pytest.param(edit_manifest(lambda m: m.update(image_format="pgm16")),
                  "image_format 'pgm16'", id="manifest_names_pgm16"),
+    pytest.param(lambda root: (root / "manifest.json").write_text("[1, 2]"),
+                 "manifest.json is not a JSON object", id="manifest_is_a_list"),
+    pytest.param(edit_json("fringes/v_f064_s2.f32.json", lambda m: m.pop("width")),
+                 "v_f064_s2.f32.json: no integer width and height", id="sidecar_without_width"),
+    pytest.param(append_line("contours/sphere0.csv", "a,b"),
+                 "contours/sphere0.csv: not rows of 2 numbers", id="contour_text_line"),
+    pytest.param(append_line("contours/sphere1.csv", "1,2,3"),
+                 "contours/sphere1.csv: not rows of 2 numbers", id="contour_odd_count"),
+    pytest.param(append_line("oracle/sphere0.csv", "1,2"),
+                 "oracle/sphere0.csv: not rows of 7 numbers", id="oracle_short_line"),
 ]
 
 

@@ -8,7 +8,13 @@ from twosphere import (
     unwrap_ladder,
 )
 from twosphere.errors import DimensionMismatch, OutOfRange
-from twosphere.phase import decode_phase, pattern_value, render_patterns, unwrap_temporal
+from twosphere.phase import (
+    _wrap_in_place,
+    decode_phase,
+    pattern_value,
+    render_patterns,
+    unwrap_temporal,
+)
 
 
 def cfg_vertical(n_steps=4, freqs=(1, 8, 64), w=854, h=480):
@@ -103,6 +109,15 @@ class TestDecodeWrapped:
         scaled, _ = decode_wrapped([0.2 + 1.7 * img for img in stack])
         err = np.abs(np.mod(scaled - base + np.pi, 2 * np.pi) - np.pi)
         assert np.max(err) < 1e-12
+
+    def test_wrap_matches_np_mod_bytes(self):
+        # every arctan2 output range edge, signed zeros and subnormals included
+        rng = np.random.default_rng(4)
+        edges = [-0.0, 0.0, -1e-300, 1e-300, -5e-324, 5e-324, -1e-17, -4e-16,
+                 np.pi, -np.pi, np.nextafter(np.pi, 0.0), np.nextafter(-np.pi, 0.0)]
+        phases = np.concatenate([edges, rng.uniform(-np.pi, np.pi, 4096)])
+        expected = np.mod(phases, 2 * np.pi)
+        assert _wrap_in_place(phases.copy()).tobytes() == expected.tobytes()
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
