@@ -56,7 +56,6 @@ __all__ = [
 F_SCAN_LO = 0.3  # focal scan range as multiples of the image width
 F_SCAN_HI = 5.0
 F_SCAN_SAMPLES = 40
-REL_OBJ_TOL = 1e-10
 REL_STEP_TOL = 1e-8
 FD_REL_STEP = 1e-5  # central-difference step relative to max(|p_j|, 1)
 KERNEL_BATCH = 10  # candidates per residual-kernel call: one Jacobian's probes
@@ -315,7 +314,9 @@ def _jacobian(params, r0, problem):
 def _levenberg_marquardt(p0, problem, max_iters):
     """Damped least squares from the feasible point p0.
 
-    Returns (p, history, iterations, converged).
+    Converged means a step, accepted or not, shorter than ``REL_STEP_TOL *
+    max(|p|, 1)``: the descent ends there. Returns (p, history, iterations,
+    converged).
     """
     p = np.asarray(p0, dtype=float).copy()
     r = _residual_vector(p, problem)[0]
@@ -343,7 +344,6 @@ def _levenberg_marquardt(p0, problem, max_iters):
                 r_trial = vec[0]
                 F_trial = float(r_trial @ r_trial)
                 if F_trial < F:
-                    rel_dec = (F - F_trial) / max(F, 1e-300)
                     p, r, F = trial, r_trial, F_trial
                     history.append(F)
                     lam = max(lam / 3.0, 1e-14)
@@ -351,17 +351,13 @@ def _levenberg_marquardt(p0, problem, max_iters):
                     iterations += 1
                     break
             lam *= 10.0
-        if not accepted:
-            # no descent within a vanishing trust region: stationary
-            small = step is not None and np.linalg.norm(step) < REL_STEP_TOL * max(
-                np.linalg.norm(p), 1.0
-            )
-            converged = bool(small)
-            break
-        if rel_dec < REL_OBJ_TOL and np.linalg.norm(step) < REL_STEP_TOL * max(
+        small = step is not None and np.linalg.norm(step) < REL_STEP_TOL * max(
             np.linalg.norm(p), 1.0
-        ):
-            converged = True
+        )
+        if not accepted or small:
+            # no descent within a vanishing trust region, or a step that no
+            # longer moves p (what it gains in F is round-off): stationary
+            converged = bool(small)
             break
     return p, history, iterations, converged
 

@@ -157,8 +157,9 @@ def dlt_estimate(proj_px: np.ndarray, points: np.ndarray) -> ProjMatrix:
     """Direct linear transform from n >= 6 pixel / 3D-point pairs.
 
     Both sides are similarity-normalized (centroids to the origin, mean
-    distance sqrt(2) in 2D and sqrt(3) in 3D) before assembling the 2n x 12
-    design matrix; the null singular vector gives M.
+    distance sqrt(2) in 2D and sqrt(3) in 3D). The x_p and y_p equations
+    form two n x 8 blocks of the 2n x 12 design matrix, each QR-reduced on
+    its own (``dlt_stack``); the null singular vector gives M.
 
     Raises
     ------
@@ -189,24 +190,41 @@ def dlt_stack(
     set of projector pixels, given normalized (``normalize_points``) as the
     (3, n) ``proj_norm`` with the inverse ``T2_inv`` of their transform.
 
-    Each 2n x 12 design matrix is QR-reduced to its 12 x 12 R factor, whose
-    singular values and right singular vectors are the design matrix's.
-    Returns the (B, 3, 4) matrices, not yet in the ``ProjMatrix`` gauge, and
-    a (B,) mask, false where the null space is ambiguous.
+    The SVD runs on ``_dlt_reduce``'s stack, whose singular values and right
+    singular vectors are the 2n x 12 design matrix's. Returns the (B, 3, 4)
+    matrices, not yet in the ``ProjMatrix`` gauge, and a (B,) mask, false
+    where the null space is ambiguous.
     """
     Xn, T3 = normalize_points(points)
-    n = Xn.shape[-1]
-    # the design matrix, built transposed: the n equations of y_p, then the
-    # n of x_p (a row order changes no singular value or vector)
-    A_t = np.zeros((len(Xn), 12, 2 * n))
-    A_t[:, 4:8, :n] = -Xn
-    A_t[:, 8:12, :n] = proj_norm[1] * Xn
-    A_t[:, 0:4, n:] = Xn
-    A_t[:, 8:12, n:] = -proj_norm[0] * Xn
-    _, sv, vt = np.linalg.svd(np.linalg.qr(A_t.transpose(0, 2, 1), mode="r"), full_matrices=False)
+    _, sv, vt = np.linalg.svd(_dlt_reduce(proj_norm, Xn), full_matrices=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         ok = (sv[:, -2] > 1e-10 * sv[:, 0]) & (sv[:, -1] / sv[:, -2] <= 0.99)
     return T2_inv @ vt[:, -1].reshape(-1, 3, 4) @ T3, ok
+
+
+def _dlt_reduce(proj_norm: np.ndarray, points_hom: np.ndarray) -> np.ndarray:
+    """The DLT design matrices of normalized (3, n) projector pixels and
+    (B, 4, n) homogeneous points, QR-reduced to (B, 2k, 12), k = min(n, 8).
+
+    A design matrix is block-sparse: its n x_p equations ``[X, 0, -x_p X]``
+    use only the columns of m1 and m3, its n y_p equations ``[0, X, -y_p X]``
+    (a row sign changes nothing) only those of m2 and m3. Each n x 8 block
+    is QR-reduced on its own and its R factor scattered back into its 12
+    columns. The stack has the design matrix's Gram matrix, so the same
+    singular values and right singular vectors.
+    """
+    # both blocks, built transposed: (B, 2, 8, n) for the x_p and y_p rows
+    blocks = np.empty((len(points_hom), 2, 8, points_hom.shape[-1]))
+    blocks[:, :, :4] = points_hom[:, None]
+    np.multiply(-proj_norm[:2, None], points_hom[:, None], out=blocks[:, :, 4:])
+    r = np.linalg.qr(blocks.transpose(0, 1, 3, 2), mode="r")
+    k = r.shape[-2]
+    stack = np.zeros((len(points_hom), 2 * k, 12))
+    stack[:, :k, 0:4] = r[:, 0, :, :4]
+    stack[:, k:, 4:8] = r[:, 1, :, :4]
+    stack[:, :k, 8:12] = r[:, 0, :, 4:]
+    stack[:, k:, 8:12] = r[:, 1, :, 4:]
+    return stack
 
 
 def reprojection_residuals(M: ProjMatrix, proj_px: np.ndarray, points: np.ndarray) -> np.ndarray:

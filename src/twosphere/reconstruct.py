@@ -120,5 +120,5 @@ def write_ply(path, points: np.ndarray, errors: np.ndarray | None = None) -> Non
             f.write("property float error\n")
         f.write("end_header\n")
         for start in range(0, len(rows), PLY_CHUNK_ROWS):
-            chunk = rows[start : start + PLY_CHUNK_ROWS].tolist()
-            f.writelines(fmt % tuple(row) for row in chunk)
+            chunk = rows[start : start + PLY_CHUNK_ROWS]
+            f.write((fmt * len(chunk)) % tuple(chunk.ravel().tolist()))

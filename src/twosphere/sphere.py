@@ -193,8 +193,9 @@ def sample_interior_pixels(conic: Conic, stride: int | None = None) -> np.ndarra
     grid = grid[inside]
     if len(grid) == 0:
         return grid.reshape(0, 2)
-    # distance to the silhouette via a dense boundary polyline
+    # distance to the silhouette via a dense boundary polyline, per axis so
+    # no (grid, boundary, 2) tensor is built
     d2 = np.min(
-        np.sum((grid[:, None, :] - boundary[None, :, :]) ** 2, axis=-1), axis=1
+        (grid[:, :1] - boundary[:, 0]) ** 2 + (grid[:, 1:] - boundary[:, 1]) ** 2, axis=1
     )
     return grid[np.sqrt(d2) > margin]

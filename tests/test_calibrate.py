@@ -470,6 +470,26 @@ class TestCalibrate:
         assert r1.history == r2.history
         assert r1.iterations == r2.iterations
 
+    def test_noiseless_optimum_stops_at_round_off(self, bundle_small):
+        # at a noiseless optimum the first step below REL_STEP_TOL ends the
+        # descent; further round-off decreases of F do not buy more steps
+        result, _ = run_calibration(bundle_small)
+        assert result.converged
+        assert result.iterations <= 2
+
+    @pytest.mark.parametrize("scale", [1.5, 0.6], ids=["focal_high", "focal_low"])
+    def test_far_start_reaches_criterion_one(self, truth_small, scale):
+        # the step stop does not end a descent that is still far away: from
+        # focal lengths 50 % high or 40 % low and an offset principal point,
+        # the descent reaches criterion-1 accuracy (0.1 %)
+        problem = replace(exact_problem(truth_small), mu=0.0)
+        true = params_of(truth_small.camera)
+        p0 = true * np.array([scale, scale * 0.97, 0.0, 1.1, 0.9])
+        p, _, iterations, converged = _levenberg_marquardt(p0, problem, 200)
+        assert converged and iterations > 2
+        rel = np.abs(p - true) / np.abs(true)
+        assert np.all(rel[[0, 1, 3, 4]] < 1e-3)
+
     def test_monotone_accepted_objective(self, truth_small):
         problem = exact_problem(truth_small)
         result = calibrate(problem)

@@ -14,7 +14,13 @@ from twosphere.errors import (
     SingularBlock,
     TooFewPoints,
 )
-from twosphere.projector import compose, reprojection_residuals
+from twosphere.projector import (
+    _dlt_reduce,
+    compose,
+    dlt_stack,
+    normalize_points,
+    reprojection_residuals,
+)
 from twosphere.simulate import rotation_about_y
 
 K_PROJ = Intrinsics(fx=1202.7, fy=1199.0, skew=-8.2, u0=390.7, v0=222.8)
@@ -92,6 +98,57 @@ class TestDlt:
         xp2 = project_points(M_true, X2)
         M_b = dlt_estimate(xp2, X2)
         assert np.max(np.abs(M_a.m - M_b.m)) < 1e-10
+
+
+def design_matrix(proj_norm, points_hom):
+    """The explicit 2n x 12 DLT design matrix: the x_p equations, then the y_p."""
+    X = points_hom.T
+    n = len(X)
+    A = np.zeros((2 * n, 12))
+    A[:n, 0:4] = X
+    A[:n, 8:12] = -proj_norm[0][:, None] * X
+    A[n:, 4:8] = -X
+    A[n:, 8:12] = proj_norm[1][:, None] * X
+    return A
+
+
+def dlt_point_sets():
+    """Projector pixels and 3D points: random, minimal, one above minimal,
+    and coplanar (degenerate)."""
+    rng = np.random.default_rng(11)
+    M_true = compose(K_PROJ, rotation_about_y(12.0), np.array([0.3, -0.1, 0.2]))
+    sets = {}
+    for name, n in (("random", 40), ("six", 6), ("seven", 7)):
+        X = frustum_points(rng, n)
+        sets[name] = (project_points(M_true, X) + rng.normal(scale=0.5, size=(n, 2)), X)
+    X = frustum_points(rng, 30)
+    X[:, 2] = 5.0
+    sets["coplanar"] = (project_points(M_true, X), X)
+    return sets
+
+
+class TestBlockDlt:
+    """The two n x 8 blocks, QR-reduced apart, stand for the 2n x 12 design
+    matrix: same singular values, null vector and degeneracy gate."""
+
+    @pytest.mark.parametrize("name", ["random", "six", "seven", "coplanar"])
+    def test_matches_explicit_design_matrix(self, name):
+        xp, X = dlt_point_sets()[name]
+        proj_norm, T2 = normalize_points(xp.T)
+        points_hom, T3 = normalize_points(X.T[None])
+        _, sv_ref, vt_ref = np.linalg.svd(design_matrix(proj_norm, points_hom[0]))
+        _, sv, vt = np.linalg.svd(_dlt_reduce(proj_norm, points_hom)[0])
+        assert np.max(np.abs(sv - sv_ref)) <= 1e-12 * sv_ref[0]
+        ok_ref = (sv_ref[10] > 1e-10 * sv_ref[0]) & (sv_ref[11] / sv_ref[10] <= 0.99)
+        M, ok = dlt_stack(proj_norm, np.linalg.inv(T2), X.T[None])
+        assert ok[0] == ok_ref
+        assert ok_ref == (name != "coplanar")
+        if ok_ref:  # a unique null vector: equal up to sign
+            v, v_ref = vt[-1], vt_ref[-1]
+            sign = np.sign(v @ v_ref)
+            assert np.max(np.abs(sign * v - v_ref)) < 1e-9
+            M_ref = np.linalg.inv(T2) @ v_ref.reshape(3, 4) @ T3[0]
+            assert np.max(np.abs(sign * M[0] - M_ref)) <= 1e-9 * np.max(np.abs(M_ref))
 
 
 class TestResiduals:
