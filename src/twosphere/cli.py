@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .calibrate import CalibResult, evaluate_against_truth, format_error_report
-from .errors import CoincidentConics, DegenerateConic, NonRealSelection, TwosphereError
+from .errors import CoincidentConics, DegenerateConic, TwosphereError
 from .pipeline import run_calibration
 from .reconstruct import reconstruct_cloud, write_ply
 from .simulate import (PRESET_NAMES, NoiseSpec, SceneBundle, SceneTruth, preset,
@@ -29,6 +29,10 @@ EXIT_INPUT = 2
 EXIT_SCENE = 3
 EXIT_CALIB = 4
 EXIT_DEGENERATE = 5
+
+# what a malformed bundle, calib.json or truth file raises while it is loaded
+# (json.JSONDecodeError is a ValueError)
+LOAD_ERRORS = (OSError, KeyError, TypeError, ValueError, TwosphereError)
 
 
 def _load_truth(args) -> SceneTruth:
@@ -86,7 +90,7 @@ def cmd_simulate(args) -> int:
 def cmd_calibrate(args) -> int:
     try:
         bundle = SceneBundle.load(args.bundle)
-    except (OSError, json.JSONDecodeError, TwosphereError) as exc:
+    except LOAD_ERRORS as exc:
         log.error("cannot load bundle: %s", exc)
         return EXIT_INPUT
     if len(bundle.contours) != 2:
@@ -97,7 +101,7 @@ def cmd_calibrate(args) -> int:
         result, problem = run_calibration(
             bundle, stride=args.stride, mu=args.mu, max_iters=args.max_iters
         )
-    except (DegenerateConic, CoincidentConics, NonRealSelection) as exc:
+    except (DegenerateConic, CoincidentConics) as exc:
         log.error("degenerate geometry: %s", exc)
         return EXIT_DEGENERATE
     except TwosphereError as exc:
@@ -130,7 +134,7 @@ def cmd_reconstruct(args) -> int:
     try:
         bundle = SceneBundle.load(args.bundle)
         calib = CalibResult.from_json_dict(json.loads(Path(args.calib).read_text()))
-    except (OSError, json.JSONDecodeError, KeyError, TwosphereError) as exc:
+    except LOAD_ERRORS as exc:
         log.error("cannot load inputs: %s", exc)
         return EXIT_INPUT
     points, errors, stats = reconstruct_cloud(
@@ -156,11 +160,8 @@ def cmd_evaluate(args) -> int:
                 log.error("truth %s", p)
             return EXIT_INPUT
         truth = SceneTruth.from_config(truth_cfg)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except LOAD_ERRORS as exc:
         log.error("cannot load inputs: %s", exc)
-        return EXIT_INPUT
-    except TwosphereError as exc:
-        log.error("invalid truth geometry: %s", exc)
         return EXIT_INPUT
     print(format_error_report(evaluate_against_truth(calib, truth)))
     return EXIT_OK

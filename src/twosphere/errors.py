@@ -24,10 +24,6 @@ class CoincidentConics(TwosphereError):
     """The two conics coincide up to scale; their eigen-structure is undefined."""
 
 
-class NonRealSelection(TwosphereError):
-    """No admissible real eigenvector found for the vanishing-line selection."""
-
-
 # --- sphere pose ---
 
 class NotASphereImage(TwosphereError):

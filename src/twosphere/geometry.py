@@ -17,7 +17,6 @@ import numpy as np
 from .errors import (
     CoincidentConics,
     DegenerateConic,
-    NonRealSelection,
     TooFewPoints,
 )
 
@@ -337,12 +336,13 @@ def sample_conic_points(conic: Conic, n: int) -> np.ndarray:
 def constraint_pair(c1: Conic, c2: Conic, bootstrap: Intrinsics) -> tuple[np.ndarray, np.ndarray]:
     """Vanishing line / vanishing point pair from two sphere silhouettes.
 
-    The candidates are the real eigenvectors of ``C2 adj(C1)`` read as lines;
-    for each, the paired point is the cross product of the remaining two
-    eigenvectors (a complex-conjugate pair is replaced by the real and
-    imaginary parts spanning its invariant plane). Among the candidates the
-    pair minimizing the scale-free pole-polar residual under ``bootstrap``
-    intrinsics is returned; the correct pair is near-invariant to that guess.
+    The real eigenvectors of ``C2 adj(C1)``, read as lines, and their common
+    poles form the self-polar triangle of the pair: each line ``l`` has the
+    same pole ``v ~ adj(C1) l`` under both conics, so ``C1 v ~ l ~ C2 v``.
+    A real 3x3 matrix has at least one real eigenvalue, so there is always a
+    candidate. Among them the pair minimizing the scale-free pole-polar
+    residual under ``bootstrap`` intrinsics is returned (the first on a tie);
+    the correct pair is near-invariant to that guess.
 
     Parameters
     ----------
@@ -360,43 +360,18 @@ def constraint_pair(c1: Conic, c2: Conic, bootstrap: Intrinsics) -> tuple[np.nda
     if abs(np.linalg.det(m1)) < 1e-15:
         raise DegenerateConic("first conic is singular; adjugate direction undefined")
 
-    m = m2 @ _adjugate3(m1)
+    adj1 = _adjugate3(m1)
+    m = m2 @ adj1
     m_unit = m / np.linalg.norm(m)
     scalar = np.trace(m_unit) / 3.0
     if np.linalg.norm(m_unit - scalar * np.eye(3)) < 1e-10:
         raise CoincidentConics("conic pair is a scalar multiple pair; eigenvectors undefined")
 
     evals, evecs = np.linalg.eig(m)
-    eval_scale = np.max(np.abs(evals))
-    is_real = np.abs(evals.imag) <= 1e-9 * max(eval_scale, 1e-300)
-
-    candidates: list[tuple[float, np.ndarray, np.ndarray]] = []
-    for i in range(3):
-        if not is_real[i]:
-            continue
-        line = np.real(evecs[:, i])
-        if np.linalg.norm(line) == 0:
-            continue
-        others = [j for j in range(3) if j != i]
-        if not is_real[others[0]] or not is_real[others[1]]:
-            # complex-conjugate pair: two real vectors spanning its plane
-            e_a = np.real(evecs[:, others[0]])
-            e_b = np.imag(evecs[:, others[0]])
-        else:
-            e_a = np.real(evecs[:, others[0]])
-            e_b = np.real(evecs[:, others[1]])
-        point = np.cross(e_a, e_b)
-        if np.linalg.norm(point) < 1e-12:
-            continue
-        line_u = unit_vector(line)
-        point_u = unit_vector(point)
-        resid = np.linalg.norm(pole_polar_cross(line_u, point_u, bootstrap))
-        candidates.append((resid, line_u, point_u))
-
-    if not candidates:
-        raise NonRealSelection("no admissible real eigenvector for the vanishing line")
-    best = min(candidates, key=lambda c: c[0])
-    return best[1], best[2]
+    real = np.abs(evals.imag) <= 1e-9 * np.max(np.abs(evals))
+    pairs = [(unit_vector(e), unit_vector(adj1 @ e)) for e in evecs.T[real].real]
+    resid = [np.linalg.norm(pole_polar_cross(line, point, bootstrap)) for line, point in pairs]
+    return pairs[int(np.argmin(resid))]
 
 
 def pole_polar_cross(line: np.ndarray, point: np.ndarray, K: Intrinsics) -> np.ndarray:

@@ -31,13 +31,8 @@ def _midpoints(d_cam, d_prj, origin):
     c = np.einsum("ni,ni->n", d_prj, d_prj)
     d = d_cam @ -origin
     e = d_prj @ -origin
-    denom = a * c - b * b
-    sin_angle = np.linalg.norm(
-        np.cross(d_cam / np.linalg.norm(d_cam, axis=1, keepdims=True),
-                 d_prj / np.linalg.norm(d_prj, axis=1, keepdims=True)),
-        axis=1,
-    )
-    ok = sin_angle > PARALLEL_ANGLE_RAD
+    denom = a * c - b * b  # = a c sin^2 of the ray angle
+    ok = denom > PARALLEL_ANGLE_RAD**2 * a * c
     denom = np.where(ok, denom, 1.0)
     s = (b * e - c * d) / denom
     t = (a * e - b * d) / denom

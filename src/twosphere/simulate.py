@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -190,11 +191,25 @@ class SceneTruth:
         )
 
 
-_DEVICE_FIELDS = ("width_px", "height_px", "fx_px", "fy_px", "skew_px", "u0_px", "v0_px")
+def _is_number(x) -> bool:
+    """A finite JSON number: int or float, not bool, NaN, infinite or too large for a float."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
+def _is_integer(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_vector(x, n: int) -> bool:
+    return isinstance(x, list) and len(x) == n and all(_is_number(v) for v in x)
 
 
 def validate_config(cfg: dict) -> list[str]:
-    """Field-level diagnostics for a scene config; empty list when valid."""
+    """Field-level diagnostics for a scene config; empty list when valid.
+
+    Every number must be a finite int or float (a bool is not a number), and
+    frame sizes, fringe counts and the seed must be integers.
+    """
     problems: list[str] = []
     if not isinstance(cfg, dict):
         return ["config: top level must be a JSON object"]
@@ -204,24 +219,29 @@ def validate_config(cfg: dict) -> list[str]:
         if not isinstance(dev, dict):
             problems.append(f"{section}: missing section")
             continue
-        for fld in _DEVICE_FIELDS:
-            if not isinstance(dev.get(fld), (int, float)):
-                problems.append(f"{section}.{fld}: missing or non-numeric")
-        for fld in ("width_px", "height_px", "fx_px", "fy_px"):
-            if isinstance(dev.get(fld), (int, float)) and dev[fld] <= 0:
+        for fld in ("width_px", "height_px"):
+            if not _is_integer(dev.get(fld)) or dev[fld] <= 0:
+                problems.append(f"{section}.{fld}: missing or not a positive integer")
+        for fld in ("fx_px", "fy_px", "skew_px", "u0_px", "v0_px"):
+            if not _is_number(dev.get(fld)):
+                problems.append(f"{section}.{fld}: missing or not a finite number")
+            elif fld in ("fx_px", "fy_px") and dev[fld] <= 0:
                 problems.append(f"{section}.{fld}: must be positive")
 
     pose = cfg.get("projector_pose")
     if not isinstance(pose, dict):
         problems.append("projector_pose: missing section")
     elif "rotation" in pose:
-        rot = np.asarray(pose.get("rotation", []), dtype=float)
-        if rot.shape != (3, 3):
-            problems.append("projector_pose.rotation: must be a 3x3 matrix")
-        if np.asarray(pose.get("translation_lu", []), dtype=float).shape != (3,):
-            problems.append("projector_pose.translation_lu: must be a 3-vector")
+        rot = pose["rotation"]
+        if not (isinstance(rot, list) and len(rot) == 3
+                and all(_is_vector(row, 3) for row in rot)):
+            problems.append("projector_pose.rotation: must be a 3x3 matrix of finite numbers")
+        if not _is_vector(pose.get("translation_lu"), 3):
+            problems.append("projector_pose.translation_lu: must be a 3-vector of finite numbers")
     elif "yaw_deg" in pose:
-        if not isinstance(pose.get("baseline_lu"), (int, float)) or pose["baseline_lu"] <= 0:
+        if not _is_number(pose["yaw_deg"]):
+            problems.append("projector_pose.yaw_deg: must be a finite number")
+        if not _is_number(pose.get("baseline_lu")) or pose["baseline_lu"] <= 0:
             problems.append("projector_pose.baseline_lu: must be positive")
     else:
         problems.append("projector_pose: needs rotation/translation_lu or yaw_deg/baseline_lu")
@@ -234,19 +254,20 @@ def validate_config(cfg: dict) -> list[str]:
             if not isinstance(s, dict):
                 problems.append(f"spheres[{i}]: must be an object")
                 continue
-            center = np.asarray(s.get("center_lu", []), dtype=float)
-            if center.shape != (3,):
-                problems.append(f"spheres[{i}].center_lu: must be a 3-vector")
-            if not isinstance(s.get("radius_lu"), (int, float)) or s["radius_lu"] <= 0:
+            if not _is_vector(s.get("center_lu"), 3):
+                problems.append(f"spheres[{i}].center_lu: must be a 3-vector of finite numbers")
+            if not _is_number(s.get("radius_lu")) or s["radius_lu"] <= 0:
                 problems.append(f"spheres[{i}].radius_lu: must be positive")
 
     fringe = cfg.get("fringe", {})
-    if fringe:
+    if not isinstance(fringe, dict):
+        problems.append("fringe: must be an object")
+    elif fringe:
         n_steps = fringe.get("n_steps", FRINGE_STEPS)
-        if not isinstance(n_steps, int) or n_steps < 3:
+        if not _is_integer(n_steps) or n_steps < 3:
             problems.append("fringe.n_steps: integer >= 3 required")
         freqs = fringe.get("frequencies_cpf", list(FRINGE_FREQS))
-        if not isinstance(freqs, list) or any(not isinstance(f, int) or f <= 0 for f in freqs):
+        if not isinstance(freqs, list) or any(not _is_integer(f) or f <= 0 for f in freqs):
             problems.append("fringe.frequencies_cpf: positive integers required")
         elif any(b <= a or b / a > 8 for a, b in zip(freqs, freqs[1:])):
             problems.append("fringe.frequencies_cpf: strictly increasing, ratio <= 8")
@@ -257,10 +278,10 @@ def validate_config(cfg: dict) -> list[str]:
     else:
         for fld in ("contour_sigma_px", "intensity_sigma"):
             sigma = noise.get(fld, 0.0)
-            if not isinstance(sigma, (int, float)) or not 0 <= sigma < np.inf:
+            if not _is_number(sigma) or sigma < 0:
                 problems.append(f"noise.{fld}: finite non-negative number required")
         seed = noise.get("seed", 0)
-        if not isinstance(seed, int) or seed < 0:
+        if not _is_integer(seed) or seed < 0:
             problems.append("noise.seed: non-negative integer required")
     return problems
 

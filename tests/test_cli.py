@@ -43,6 +43,35 @@ BAD_NOISE = [
     ("seed", 1.5),
 ]
 
+NAN, INF = float("nan"), float("inf")
+YAW_POSE = {"yaw_deg": 15.0, "baseline_lu": 1.0}
+
+# (config override, field the problem names) that validate_config must reject:
+# every number finite and not a bool, frame sizes integers
+BAD_NUMBERS = [
+    pytest.param({"camera.skew_px": INF}, "camera.skew_px", id="skew_inf"),
+    pytest.param({"camera.u0_px": INF}, "camera.u0_px", id="u0_inf"),
+    pytest.param({"camera.fx_px": True}, "camera.fx_px", id="fx_true"),
+    pytest.param({"projector.width_px": 320.5}, "projector.width_px", id="width_fraction"),
+    pytest.param({"spheres.0.radius_lu": NAN}, "spheres[0].radius_lu", id="radius_nan"),
+    pytest.param({"spheres.0.radius_lu": 10**400}, "spheres[0].radius_lu", id="radius_overflows"),
+    pytest.param({"spheres.0.center_lu": [NAN, 0.0, 4.0]}, "spheres[0].center_lu",
+                 id="center_nan"),
+    pytest.param({"projector_pose.translation_lu": ["a", 0.0, 0.0]},
+                 "projector_pose.translation_lu", id="translation_text"),
+    pytest.param({"projector_pose.rotation.0.1": NAN}, "projector_pose.rotation",
+                 id="rotation_nan"),
+    pytest.param({"projector_pose": {**YAW_POSE, "yaw_deg": "x"}}, "projector_pose.yaw_deg",
+                 id="yaw_text"),
+    pytest.param({"projector_pose": {**YAW_POSE, "yaw_deg": NAN}}, "projector_pose.yaw_deg",
+                 id="yaw_nan"),
+    pytest.param({"noise.seed": True}, "noise.seed", id="seed_true"),
+]
+
+
+def error_lines(caplog):
+    return [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+
 
 @pytest.fixture(scope="module")
 def micro_bundle_dir(tmp_path_factory):
@@ -91,6 +120,15 @@ BROKEN_BUNDLES = [
                  "camera.fx_px: missing", id="manifest_without_fx"),
     pytest.param(edit_manifest(lambda m: m["truth"]["camera"].update(fx_px=-5)),
                  "camera.fx_px: must be positive", id="manifest_with_negative_fx"),
+    pytest.param(edit_manifest(lambda m: m["truth"]["camera"].update(skew_px=NAN)),
+                 "camera.skew_px: missing or not a finite number", id="manifest_with_nan_skew"),
+    pytest.param(edit_manifest(lambda m: m["truth"]["camera"].update(fx_px=True)),
+                 "camera.fx_px: missing or not a finite number", id="manifest_with_true_fx"),
+    pytest.param(edit_manifest(lambda m: m["truth"]["spheres"][0].update(center_lu=["a", 0, 4])),
+                 "spheres[0].center_lu: must be a 3-vector", id="manifest_with_text_center"),
+    pytest.param(edit_manifest(lambda m: m["truth"]["projector_pose"]["rotation"][0]
+                               .__setitem__(1, NAN)),
+                 "projector_pose.rotation: must be a 3x3 matrix", id="manifest_with_nan_rotation"),
     pytest.param(edit_manifest(lambda m: m.update(image_format="pgm16")),
                  "image_format 'pgm16'", id="manifest_names_pgm16"),
     pytest.param(lambda root: (root / "manifest.json").write_text("[1, 2]"),
@@ -126,6 +164,11 @@ class TestValidateConfig:
         cfg = copy.deepcopy(MICRO_CONFIG)
         cfg["noise"][field] = value
         assert any(f"noise.{field}" in p for p in validate_config(cfg))
+
+    @pytest.mark.parametrize("overrides, field", BAD_NUMBERS)
+    def test_bad_number_diagnostic(self, tmp_path, overrides, field):
+        problems = validate_config(json.loads(write_config(tmp_path, overrides).read_text()))
+        assert len(problems) == 1 and problems[0].startswith(field + ":")
 
 
 class TestSimulate:
@@ -167,6 +210,15 @@ class TestSimulate:
         assert main(["--quiet", "simulate", "--config", str(cfg), "--out",
                      str(tmp_path / "x")]) == 2
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("overrides, field", BAD_NUMBERS)
+    def test_bad_number_config_exits_2(self, tmp_path, caplog, overrides, field):
+        cfg = write_config(tmp_path, overrides)
+        assert main(["--quiet", "simulate", "--config", str(cfg), "--out",
+                     str(tmp_path / "x")]) == 2
+        assert not (tmp_path / "x").exists()
+        errors = error_lines(caplog)
+        assert len(errors) == 1 and errors[0].startswith(f"config {field}:")
 
     @pytest.mark.parametrize(
         "flag",
@@ -295,7 +347,7 @@ class TestCalibrate:
         }[command]
         assert main(["--quiet", command, *argv]) == 2
         assert not any(out.iterdir()) and not (broken / "calib.json").exists()
-        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        errors = error_lines(caplog)
         assert len(errors) == 1 and reason in errors[0]
 
     @pytest.mark.parametrize(
@@ -345,6 +397,31 @@ class TestReconstructAndEvaluate:
         out = capsys.readouterr().out
         assert len(out.strip().splitlines()) == 12
         assert "camera.fx" in out and "translation" in out
+
+    @pytest.mark.parametrize("command", ["reconstruct", "evaluate"])
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda c: c["camera"].update(fx=-1), id="negative_fx"),
+        pytest.param(lambda c: c["camera"].update(fx=NAN), id="nan_fx"),
+        pytest.param(lambda c: c["camera"].update(fx="a"), id="text_fx"),
+        pytest.param(lambda c: c.update(proj_matrix=c["proj_matrix"][:5]), id="five_entry_matrix"),
+    ])
+    def test_malformed_calib_exits_2(self, micro_bundle_dir, micro_calib, tmp_path, caplog,
+                                     command, edit):
+        calib = json.loads(micro_calib.read_text())
+        edit(calib)
+        bad = tmp_path / "calib.json"
+        bad.write_text(json.dumps(calib))
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = {
+            "reconstruct": [str(micro_bundle_dir), str(bad), "--out-ply", str(out / "c.ply"),
+                            "--out-stats", str(out / "s.json")],
+            "evaluate": [str(bad), str(micro_bundle_dir / "manifest.json")],
+        }[command]
+        assert main(["--quiet", command, *argv]) == 2
+        assert not any(out.iterdir())
+        errors = error_lines(caplog)
+        assert len(errors) == 1 and errors[0].startswith("cannot load inputs")
 
     def test_evaluate_schema_mismatch_exits_2(self, micro_bundle_dir, tmp_path):
         bad = tmp_path / "junk.json"

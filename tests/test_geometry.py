@@ -6,11 +6,14 @@ from hypothesis import strategies as st
 from twosphere import (
     Conic,
     Intrinsics,
+    NoiseSpec,
     SpherePose,
     constraint_pair,
     fit_conic,
     pole_polar_residual,
+    preset,
     project_sphere_to_conic,
+    render_scene,
 )
 from twosphere.errors import CoincidentConics, DegenerateConic, TooFewPoints
 from twosphere.geometry import (
@@ -278,3 +281,30 @@ class TestConstraintPair:
                            u0=s * truth_small.cam_w / 2, v0=s * truth_small.cam_h / 2)
         line, point = constraint_pair(scaled[0], scaled[1], rough)
         assert pole_polar_residual(line, point, K_scaled) < 1e-9
+
+    def test_complex_eigenpair_pencil(self):
+        # x^2/4 + y^2 = 1 and its 90-degree-rotated copy shifted to x = 1.5:
+        # C2 adj(C1) has one real eigenvalue and a complex-conjugate pair
+        c1 = Conic.from_matrix(np.diag([0.25, 1.0, -1.0]))
+        c2 = Conic.from_matrix(np.array([[1.0, 0.0, -1.5], [0.0, 0.25, 0.0], [-1.5, 0.0, 1.25]]))
+        evals = np.linalg.eigvals(c2.matrix @ adjugate(c1).matrix)
+        assert np.count_nonzero(np.abs(evals.imag) > 1e-6 * np.max(np.abs(evals))) == 2
+        line, point = constraint_pair(c1, c2, Intrinsics(fx=1.0, fy=1.0, skew=0.0, u0=0.0, v0=0.0))
+        assert hom_allclose(c1.matrix @ point, line, tol=1e-12)
+        assert hom_allclose(c2.matrix @ point, line, tol=1e-12)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_point_is_meet_of_other_eigenlines(self, seed):
+        # the eigen-lines of C2 adj(C1) and their poles form a self-polar
+        # triangle, so the pole of the selected line is the meet of the
+        # other two eigen-lines
+        truth = preset("cppB").with_noise(NoiseSpec(contour_sigma=0.5, seed=seed))
+        c1, c2 = (fit_conic(c) for c in render_scene(truth).contours)
+        line, point = constraint_pair(c1, c2, self.bootstrap(truth))
+        evals, evecs = np.linalg.eig(c2.matrix @ adjugate(c1).matrix)
+        assert np.all(evals.imag == 0)
+        lines = evecs.T.real
+        i = int(np.argmax(np.abs(lines @ line)))
+        assert hom_allclose(lines[i], line, tol=1e-12)
+        meet = np.cross(*np.delete(lines, i, axis=0))
+        assert hom_allclose(meet, point, tol=1e-12)

@@ -46,6 +46,23 @@ class TestTriangulate:
         with pytest.raises(NearParallelRays):
             triangulate(x_c, x_p, K_cam, M)
 
+    @pytest.mark.parametrize("angle, parallel", [(0.9e-6, True), (1.1e-6, False)])
+    def test_parallel_threshold_is_1e_6_rad(self, angle, parallel):
+        # pixels whose camera and projector rays are `angle` rad apart
+        K_cam = Intrinsics(fx=1000.0, fy=1000.0, skew=0.0, u0=500.0, v0=400.0)
+        R = rotation_about_y(15.0)
+        M = compose(K_PROJ, R, -R @ np.array([1.0, 0.0, 0.0]))
+        d_cam = np.array([0.1, -0.05, 1.0]) / np.linalg.norm([0.1, -0.05, 1.0])
+        normal = np.cross(d_cam, [0.0, 1.0, 0.0])
+        d_prj = np.cos(angle) * d_cam + np.sin(angle) * normal / np.linalg.norm(normal)
+        x_c, x_p = K_cam.as_matrix() @ d_cam, M.left @ d_prj
+        x_c, x_p = x_c[:2] / x_c[2], x_p[:2] / x_p[2]
+        if parallel:
+            with pytest.raises(NearParallelRays):
+                triangulate(x_c, x_p, K_cam, M)
+        else:
+            assert np.all(np.isfinite(triangulate(x_c, x_p, K_cam, M)))
+
 
 class TestReconstructCloud:
     def test_truth_calibration_is_fixed_point(self, bundle_small):
