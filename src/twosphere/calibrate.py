@@ -36,6 +36,7 @@ from .projector import (
     normalize_points,
     project_stack,
 )
+from .simulate import _is_integer, _is_matrix, _is_number, _is_vector
 from .sphere import lift_pixels, sphere_centers
 
 # The single-candidate forms of the kernel's stages stay importable here:
@@ -188,6 +189,25 @@ class CalibResult:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CalibResult":
+        """Inverse of ``to_json_dict``. Every number must be a finite int or
+        float, not a bool; a ValueError names the first field that is not."""
+        checks = [(f"{section}.{name}", d[section][name], _is_number, "a finite number")
+                  for section in ("camera", "projector")
+                  for name in ("fx", "fy", "skew", "u0", "v0")]
+        checks += [
+            ("proj_matrix", d["proj_matrix"], lambda v: _is_vector(v, 12), "12 finite numbers"),
+            ("rotation", d["rotation"], lambda v: _is_matrix(v, 3, 3),
+             "a 3x3 matrix of finite numbers"),
+            ("translation", d["translation"], lambda v: _is_vector(v, 3), "3 finite numbers"),
+            ("objective", d["objective"], _is_number, "a finite number"),
+            ("constraint_residual", d["constraint_residual"], _is_number, "a finite number"),
+            ("per_sphere_rms", d["per_sphere_rms"], lambda v: _is_vector(v, 2), "2 finite numbers"),
+            ("iterations", d["iterations"], _is_integer, "an integer"),
+            ("converged", d["converged"], lambda v: isinstance(v, bool), "true or false"),
+        ]
+        for name, value, valid, expected in checks:
+            if not valid(value):
+                raise ValueError(f"{name}: must be {expected}")
         return cls(
             camera=Intrinsics.from_dict(d["camera"]),
             proj_matrix=ProjMatrix.from_json(d["proj_matrix"]),

@@ -81,7 +81,11 @@ def cmd_simulate(args) -> int:
     except TwosphereError as exc:
         log.error("scene infeasible: %s", exc)
         return EXIT_SCENE
-    bundle.save(args.out)
+    try:
+        bundle.save(args.out)
+    except OSError as exc:
+        log.error("cannot write bundle: %s", exc)
+        return EXIT_INPUT
     log.info("bundle written to %s (seed %d)", args.out, truth.noise.seed)
     print(json.dumps({"bundle": str(args.out), "seed": truth.noise.seed}))
     return EXIT_OK
@@ -114,9 +118,13 @@ def cmd_calibrate(args) -> int:
         payload["error_report"] = evaluate_against_truth(result, bundle.truth)
 
     out_path = Path(args.out) if args.out else Path(args.bundle) / "calib.json"
-    with open(out_path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    try:
+        with open(out_path, "w") as f:
+            json.dump(payload, f, indent=2, sort_keys=True)
+            f.write("\n")
+    except OSError as exc:
+        log.error("cannot write calibration: %s", exc)
+        return EXIT_INPUT
     log.info("calibration written to %s", out_path)
 
     if "error_report" in payload:
@@ -140,10 +148,14 @@ def cmd_reconstruct(args) -> int:
     points, errors, stats = reconstruct_cloud(
         bundle, calib.camera, calib.proj_matrix, stride=args.stride
     )
-    write_ply(args.out_ply, points, errors)
-    with open(args.out_stats, "w") as f:
-        json.dump(stats, f, indent=2, sort_keys=True)
-        f.write("\n")
+    try:
+        write_ply(args.out_ply, points, errors)
+        with open(args.out_stats, "w") as f:
+            json.dump(stats, f, indent=2, sort_keys=True)
+            f.write("\n")
+    except OSError as exc:
+        log.error("cannot write outputs: %s", exc)
+        return EXIT_INPUT
     log.info("%d points written to %s", stats["points"], args.out_ply)
     print(json.dumps(stats, sort_keys=True))
     return EXIT_OK

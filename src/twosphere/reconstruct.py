@@ -12,7 +12,6 @@ from .simulate import SceneBundle
 __all__ = ["triangulate", "reconstruct_cloud", "write_ply"]
 
 PARALLEL_ANGLE_RAD = 1e-6
-PLY_CHUNK_ROWS = 4096  # rows converted to Python floats at a time; bounds write_ply's memory
 
 
 def _ray_geometry(cam_px, proj_px, K_C: Intrinsics, M_P: ProjMatrix):
@@ -103,17 +102,16 @@ def reconstruct_cloud(
 
 
 def write_ply(path, points: np.ndarray, errors: np.ndarray | None = None) -> None:
-    """ASCII PLY with x y z and an optional per-point scalar error property."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    rows = pts if errors is None else np.column_stack([pts, np.asarray(errors, dtype=float)])
-    fmt = " ".join(["%.8g"] * rows.shape[1]) + "\n"
-    with open(path, "w") as f:
-        f.write("ply\nformat ascii 1.0\n")
-        f.write(f"element vertex {len(pts)}\n")
-        f.write("property float x\nproperty float y\nproperty float z\n")
-        if errors is not None:
-            f.write("property float error\n")
-        f.write("end_header\n")
-        for start in range(0, len(rows), PLY_CHUNK_ROWS):
-            chunk = rows[start : start + PLY_CHUNK_ROWS]
-            f.write((fmt * len(chunk)) % tuple(chunk.ravel().tolist()))
+    """Binary little-endian PLY of float32 x y z and an optional per-point error property."""
+    pts = np.asarray(points).reshape(-1, 3)
+    rows = np.empty((len(pts), 3 if errors is None else 4), dtype="<f4")
+    rows[:, :3] = pts
+    names = ["x", "y", "z"]
+    if errors is not None:
+        rows[:, 3] = errors
+        names.append("error")
+    header = ["ply", "format binary_little_endian 1.0", f"element vertex {len(pts)}"]
+    header += [f"property float {name}" for name in names] + ["end_header\n"]
+    with open(path, "wb") as f:
+        f.write("\n".join(header).encode("ascii"))
+        rows.tofile(f)

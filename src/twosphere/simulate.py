@@ -204,6 +204,10 @@ def _is_vector(x, n: int) -> bool:
     return isinstance(x, list) and len(x) == n and all(_is_number(v) for v in x)
 
 
+def _is_matrix(x, rows: int, cols: int) -> bool:
+    return isinstance(x, list) and len(x) == rows and all(_is_vector(row, cols) for row in x)
+
+
 def validate_config(cfg: dict) -> list[str]:
     """Field-level diagnostics for a scene config; empty list when valid.
 
@@ -232,9 +236,7 @@ def validate_config(cfg: dict) -> list[str]:
     if not isinstance(pose, dict):
         problems.append("projector_pose: missing section")
     elif "rotation" in pose:
-        rot = pose["rotation"]
-        if not (isinstance(rot, list) and len(rot) == 3
-                and all(_is_vector(row, 3) for row in rot)):
+        if not _is_matrix(pose["rotation"], 3, 3):
             problems.append("projector_pose.rotation: must be a 3x3 matrix of finite numbers")
         if not _is_vector(pose.get("translation_lu"), 3):
             problems.append("projector_pose.translation_lu: must be a 3-vector of finite numbers")

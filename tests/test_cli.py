@@ -375,7 +375,28 @@ class TestReconstructAndEvaluate:
         assert stats["points"] > 500
         mean_r = 0.475
         assert stats["surface_rmse"] < 0.02 * mean_r
-        assert ply.read_text().startswith("ply")
+        assert ply.read_bytes().startswith(b"ply\nformat binary_little_endian 1.0\n")
+
+    def test_reconstruct_ply_round_trip(self, micro_bundle_dir, micro_calib, tmp_path):
+        import numpy as np
+
+        from twosphere import CalibResult, SceneBundle, reconstruct_cloud
+
+        ply, stats_path = tmp_path / "cloud.ply", tmp_path / "stats.json"
+        assert main(["--quiet", "reconstruct", str(micro_bundle_dir), str(micro_calib),
+                     "--out-ply", str(ply), "--out-stats", str(stats_path),
+                     "--stride", "1"]) == 0
+        header, body = ply.read_bytes().split(b"end_header\n")
+        stats = json.loads(stats_path.read_text())
+        assert header.decode("ascii").splitlines()[2] == f"element vertex {stats['points']}"
+        calib = CalibResult.from_json_dict(json.loads(micro_calib.read_text()))
+        points, errors, _ = reconstruct_cloud(
+            SceneBundle.load(micro_bundle_dir), calib.camera, calib.proj_matrix, stride=1
+        )
+        rows = np.frombuffer(body, "<f4").reshape(-1, 4)
+        assert len(rows) == stats["points"] == len(points) > 500
+        assert rows[:, :3].tobytes() == points.astype(np.float32).tobytes()
+        assert rows[:, 3].tobytes() == errors.astype(np.float32).tobytes()
 
     def test_reconstruct_missing_calib_exits_2(self, micro_bundle_dir, tmp_path):
         assert main(["--quiet", "reconstruct", str(micro_bundle_dir),
@@ -399,14 +420,26 @@ class TestReconstructAndEvaluate:
         assert "camera.fx" in out and "translation" in out
 
     @pytest.mark.parametrize("command", ["reconstruct", "evaluate"])
-    @pytest.mark.parametrize("edit", [
-        pytest.param(lambda c: c["camera"].update(fx=-1), id="negative_fx"),
-        pytest.param(lambda c: c["camera"].update(fx=NAN), id="nan_fx"),
-        pytest.param(lambda c: c["camera"].update(fx="a"), id="text_fx"),
-        pytest.param(lambda c: c.update(proj_matrix=c["proj_matrix"][:5]), id="five_entry_matrix"),
+    @pytest.mark.parametrize("edit, reason", [
+        pytest.param(lambda c: c["camera"].update(fx=-1), "focal lengths must be positive",
+                     id="negative_fx"),
+        pytest.param(lambda c: c["camera"].update(fx=NAN), "camera.fx: must be a finite number",
+                     id="nan_fx"),
+        pytest.param(lambda c: c["camera"].update(fx="a"), "camera.fx: must be a finite number",
+                     id="text_fx"),
+        pytest.param(lambda c: c.update(proj_matrix=c["proj_matrix"][:5]),
+                     "proj_matrix: must be 12 finite numbers", id="five_entry_matrix"),
+        pytest.param(lambda c: c["camera"].update(fx=True), "camera.fx: must be a finite number",
+                     id="true_fx"),
+        pytest.param(lambda c: c["projector"].update(skew=True),
+                     "projector.skew: must be a finite number", id="true_projector_skew"),
+        pytest.param(lambda c: c["proj_matrix"].__setitem__(4, False),
+                     "proj_matrix: must be 12 finite numbers", id="false_matrix_entry"),
+        pytest.param(lambda c: c["rotation"][1].__setitem__(2, NAN),
+                     "rotation: must be a 3x3 matrix of finite numbers", id="nan_rotation_entry"),
     ])
     def test_malformed_calib_exits_2(self, micro_bundle_dir, micro_calib, tmp_path, caplog,
-                                     command, edit):
+                                     command, edit, reason):
         calib = json.loads(micro_calib.read_text())
         edit(calib)
         bad = tmp_path / "calib.json"
@@ -421,10 +454,32 @@ class TestReconstructAndEvaluate:
         assert main(["--quiet", command, *argv]) == 2
         assert not any(out.iterdir())
         errors = error_lines(caplog)
-        assert len(errors) == 1 and errors[0].startswith("cannot load inputs")
+        assert len(errors) == 1 and errors[0].startswith("cannot load inputs: ")
+        assert reason in errors[0]
 
     def test_evaluate_schema_mismatch_exits_2(self, micro_bundle_dir, tmp_path):
         bad = tmp_path / "junk.json"
         bad.write_text(json.dumps({"truth": {"camera": {}}}))
         assert main(["--quiet", "evaluate", str(micro_bundle_dir / "calib.json"),
                      str(bad)]) == 2
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", ["simulate", "calibrate", "reconstruct"])
+    def test_unwritable_output_exits_2(self, micro_bundle_dir, micro_calib, tmp_path, caplog,
+                                       command):
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        missing = tmp_path / "missing_dir"
+        argv = {
+            # the bundle directory would have to be made inside a regular file
+            "simulate": ["--config", str(write_config(tmp_path)), "--out", str(blocker / "b")],
+            "calibrate": [str(micro_bundle_dir), "--out", str(missing / "c.json")],
+            "reconstruct": [str(micro_bundle_dir), str(micro_calib),
+                            "--out-ply", str(missing / "c.ply"),
+                            "--out-stats", str(tmp_path / "s.json")],
+        }[command]
+        assert main(["--quiet", command, *argv]) == 2
+        errors = error_lines(caplog)
+        assert len(errors) == 1 and errors[0].startswith("cannot write")
+        assert not missing.exists()

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from twosphere import (
 )
 from twosphere.errors import NearParallelRays
 from twosphere.projector import compose
-from twosphere.reconstruct import PLY_CHUNK_ROWS
 from twosphere.simulate import rotation_about_y
 
 K_PROJ = Intrinsics(fx=1202.7, fy=1199.0, skew=-8.2, u0=390.7, v0=222.8)
@@ -121,57 +122,71 @@ class TestReconstructCloud:
 
 
 class TestPly:
-    # values reaching %.8g's exponent, sign and rounding forms
+    # float32 rounding forms: underflow to 0, a signed zero, values off the float32 grid
     PTS = np.array([[1e-300, 1e20, -2.5e-7], [-0.0, 1.0 / 3.0, 123456789.0]])
     ERRS = np.array([0.1, -1e-5])
     HEADER = (
-        "ply\nformat ascii 1.0\nelement vertex 2\n"
-        "property float x\nproperty float y\nproperty float z\n"
+        b"ply\nformat binary_little_endian 1.0\nelement vertex 2\n"
+        b"property float x\nproperty float y\nproperty float z\n"
     )
 
     def test_exact_bytes_without_errors(self, tmp_path):
         path = tmp_path / "cloud.ply"
         write_ply(path, self.PTS)
-        assert path.read_bytes() == (
-            self.HEADER + "end_header\n"
-            "1e-300 1e+20 -2.5e-07\n"
-            "-0 0.33333333 1.2345679e+08\n"
-        ).encode()
+        assert path.read_bytes() == self.HEADER + b"end_header\n" + struct.pack(
+            "<6f", 0.0, 1e20, -2.5e-7, -0.0, 1.0 / 3.0, 123456789.0
+        )
 
     def test_exact_bytes_with_errors(self, tmp_path):
         path = tmp_path / "cloud.ply"
         write_ply(path, self.PTS, self.ERRS)
         assert path.read_bytes() == (
-            self.HEADER + "property float error\nend_header\n"
-            "1e-300 1e+20 -2.5e-07 0.1\n"
-            "-0 0.33333333 1.2345679e+08 -1e-05\n"
-        ).encode()
+            self.HEADER + b"property float error\nend_header\n"
+            + struct.pack("<8f", 0.0, 1e20, -2.5e-7, 0.1, -0.0, 1.0 / 3.0, 123456789.0, -1e-5)
+        )
 
-    def test_rows_across_chunks(self, tmp_path):
+    def test_float32_rounding(self, tmp_path):
+        path = tmp_path / "cloud.ply"
+        write_ply(path, self.PTS)
+        x, _, _, neg_zero, third, big = np.frombuffer(
+            path.read_bytes().split(b"end_header\n")[1], "<f4"
+        )
+        assert x == 0.0 and not np.signbit(x)  # 1e-300 underflows
+        assert neg_zero == 0.0 and np.signbit(neg_zero)
+        assert third == np.float32(1.0 / 3.0) and float(third) != 1.0 / 3.0
+        assert big == np.float32(123456789.0) and float(big) == 123456792.0
+
+    def test_random_rows_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
-        pts = rng.normal(scale=10.0, size=(2 * PLY_CHUNK_ROWS + 3, 3))
+        pts = rng.normal(scale=10.0, size=(10_003, 3))
         errs = rng.exponential(size=len(pts))
         path = tmp_path / "cloud.ply"
         write_ply(path, pts, errs)
-        body = path.read_text().split("end_header\n")[1]
-        assert body == "".join(
-            f"{x:.8g} {y:.8g} {z:.8g} {e:.8g}\n" for (x, y, z), e in zip(pts, errs)
-        )
+        body = path.read_bytes().split(b"end_header\n")[1]
+        expected = np.column_stack([pts, errs]).astype(np.float32)
+        assert np.frombuffer(body, "<f4").reshape(-1, 4).tobytes() == expected.tobytes()
 
     def test_header_and_rows(self, tmp_path):
         pts = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         errs = np.array([0.1, 0.2])
         path = tmp_path / "cloud.ply"
         write_ply(path, pts, errs)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "ply"
-        assert "element vertex 2" in lines
-        assert "property float error" in lines
-        assert lines[-1].split() == ["4", "5", "6", "0.2"]
+        header, body = path.read_bytes().split(b"end_header\n")
+        lines = header.decode("ascii").splitlines()
+        assert lines[:3] == ["ply", "format binary_little_endian 1.0", "element vertex 2"]
+        assert lines[-1] == "property float error"
+        assert body[-16:] == struct.pack("<4f", 4.0, 5.0, 6.0, 0.2)
 
     def test_empty_cloud(self, tmp_path):
         path = tmp_path / "empty.ply"
+        write_ply(path, np.zeros((0, 3)), np.zeros(0))
+        assert path.read_bytes() == (
+            b"ply\nformat binary_little_endian 1.0\nelement vertex 0\n"
+            b"property float x\nproperty float y\nproperty float z\n"
+            b"property float error\nend_header\n"
+        )
+
+    def test_empty_cloud_without_errors(self, tmp_path):
+        path = tmp_path / "empty.ply"
         write_ply(path, np.zeros((0, 3)))
-        text = path.read_text()
-        assert "element vertex 0" in text
-        assert text.strip().endswith("end_header")
+        assert path.read_bytes() == self.HEADER.replace(b"vertex 2", b"vertex 0") + b"end_header\n"
