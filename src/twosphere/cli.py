@@ -100,6 +100,10 @@ def cmd_calibrate(args) -> int:
     if len(bundle.contours) != 2:
         log.error("two sphere observations required, found %d", len(bundle.contours))
         return EXIT_DEGENERATE
+    out_path = Path(args.out) if args.out else Path(args.bundle) / "calib.json"
+    if not out_path.parent.is_dir():  # found before the search, not after it
+        log.error("cannot write calibration: no directory %s", out_path.parent)
+        return EXIT_INPUT
 
     try:
         result, problem = run_calibration(
@@ -117,7 +121,6 @@ def cmd_calibrate(args) -> int:
     if bundle.oracle is not None:
         payload["error_report"] = evaluate_against_truth(result, bundle.truth)
 
-    out_path = Path(args.out) if args.out else Path(args.bundle) / "calib.json"
     try:
         with open(out_path, "w") as f:
             json.dump(payload, f, indent=2, sort_keys=True)
@@ -150,9 +153,13 @@ def cmd_reconstruct(args) -> int:
     )
     try:
         write_ply(args.out_ply, points, errors)
-        with open(args.out_stats, "w") as f:
-            json.dump(stats, f, indent=2, sort_keys=True)
-            f.write("\n")
+        try:
+            with open(args.out_stats, "w") as f:
+                json.dump(stats, f, indent=2, sort_keys=True)
+                f.write("\n")
+        except OSError:
+            Path(args.out_ply).unlink()  # no point cloud is left without its stats
+            raise
     except OSError as exc:
         log.error("cannot write outputs: %s", exc)
         return EXIT_INPUT

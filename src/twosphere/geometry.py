@@ -195,12 +195,14 @@ class Conic:
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """x^T C x for pixel points of shape (2,), (3,), (n, 2) or (n, 3)."""
-        p = np.asarray(points, dtype=float)
+        p = np.asarray(points)  # integer pixels are promoted, exactly, by the arithmetic
         single = p.ndim == 1
         p = np.atleast_2d(p)
-        if p.shape[1] == 2:
-            p = homogenize(p)
-        vals = np.einsum("ni,ij,nj->n", p, self.matrix, p)
+        x, y = p[:, 0], p[:, 1]
+        w = p[:, 2] if p.shape[1] == 3 else 1.0
+        c11, c12, c13, c22, c23, c33 = self._u
+        # the expanded quadratic form: no (n, 3) copy and no BLAS call
+        vals = x * (c11 * x + 2 * (c12 * y + c13 * w)) + y * (c22 * y + 2 * c23 * w) + c33 * w * w
         return vals[0] if single else vals
 
     @property

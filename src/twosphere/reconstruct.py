@@ -14,13 +14,16 @@ __all__ = ["triangulate", "reconstruct_cloud", "write_ply"]
 PARALLEL_ANGLE_RAD = 1e-6
 
 
+# The (n, 3) products below use einsum, not BLAS: at a camera frame's worth of
+# rays a BLAS call starts a second thread, which keeps spinning after it returns.
+
 def _ray_geometry(cam_px, proj_px, K_C: Intrinsics, M_P: ProjMatrix):
-    cam = np.atleast_2d(np.asarray(cam_px, dtype=float))
-    proj = np.atleast_2d(np.asarray(proj_px, dtype=float))
-    d_cam = (K_C.inverse() @ homogenize(cam).T).T
-    d_prj = np.linalg.solve(M_P.left, homogenize(proj).T).T
-    origin = M_P.center()
-    return d_cam, d_prj, origin
+    """Camera and projector ray directions of each pixel pair, and the projector centre."""
+    cam = homogenize(np.atleast_2d(np.asarray(cam_px, dtype=float)))
+    proj = homogenize(np.atleast_2d(np.asarray(proj_px, dtype=float)))
+    d_cam = np.einsum("ij,nj->ni", K_C.inverse(), cam)
+    d_prj = np.einsum("ij,nj->ni", np.linalg.inv(M_P.left), proj)
+    return d_cam, d_prj, M_P.center()
 
 
 def _midpoints(d_cam, d_prj, origin):
@@ -28,8 +31,8 @@ def _midpoints(d_cam, d_prj, origin):
     a = np.einsum("ni,ni->n", d_cam, d_cam)
     b = np.einsum("ni,ni->n", d_cam, d_prj)
     c = np.einsum("ni,ni->n", d_prj, d_prj)
-    d = d_cam @ -origin
-    e = d_prj @ -origin
+    d = np.einsum("ni,i->n", d_cam, -origin)
+    e = np.einsum("ni,i->n", d_prj, -origin)
     denom = a * c - b * b  # = a c sin^2 of the ray angle
     ok = denom > PARALLEL_ANGLE_RAD**2 * a * c
     denom = np.where(ok, denom, 1.0)

@@ -397,7 +397,11 @@ class SceneBundle:
 
     def save(self, out_dir) -> None:
         """Write the bundle directory (manifest, contours, fringes, oracle).
-        Fringe files are full float32 frames, 0 outside ``pixels``."""
+
+        Fringe files are full float32 frames, 0 outside ``pixels``. Only the
+        band of rows from the first to the last row of ``pixels`` is written;
+        the rows outside it are file holes, which read as the same zeros.
+        """
         out = Path(out_dir)
         (out / "contours").mkdir(parents=True, exist_ok=True)
         (out / "fringes").mkdir(exist_ok=True)
@@ -411,13 +415,15 @@ class SceneBundle:
             f.write("\n")
         for i, pts in enumerate(self.contours):
             np.savetxt(out / "contours" / f"sphere{i}.csv", pts, fmt="%.17g", delimiter=",")
-        flat = self.flat_index
-        image = np.zeros((self.truth.cam_h, self.truth.cam_w), dtype=np.float32)
-        frame = image.reshape(-1)  # one buffer; only ``flat`` is rewritten
+        w, h = self.truth.cam_w, self.truth.cam_h
+        ys = self.pixels[:, 1]  # row-major, so the band is rows ys[0] .. ys[-1]
+        top, end = (int(ys[0]), int(ys[-1]) + 1) if len(ys) else (0, 0)
+        band = np.zeros((end - top, w), dtype=np.float32)
+        at = self.flat_index - top * w
         for (orientation, freq), stack in sorted(self.stacks.items()):
             for k, values in enumerate(stack):
-                frame[flat] = values
-                imageio.write_float32(_fringe_path(out, orientation, freq, k), image)
+                band.reshape(-1)[at] = values  # one buffer; only ``at`` is rewritten
+                imageio.write_float32(_fringe_path(out, orientation, freq, k), band, top, h)
         if self.oracle is not None:
             (out / "oracle").mkdir(exist_ok=True)
             for i, corr in enumerate(self.oracle):
@@ -432,6 +438,12 @@ class SceneBundle:
 
     @classmethod
     def load(cls, bundle_dir) -> "SceneBundle":
+        """Read a bundle directory that ``save`` wrote.
+
+        Each fringe file is mapped, not read, and only its values at the
+        signal pixels are gathered, so ``stacks`` hold plain arrays and no
+        file stays open.
+        """
         root = Path(bundle_dir)
         manifest_path = root / MANIFEST_NAME
         if not manifest_path.exists():

@@ -365,11 +365,10 @@ class TestCalibrate:
 
 
 class TestReconstructAndEvaluate:
-    def test_reconstruct_writes_ply_and_stats(self, micro_bundle_dir, tmp_path):
+    def test_reconstruct_writes_ply_and_stats(self, micro_bundle_dir, micro_calib, tmp_path):
         ply = tmp_path / "cloud.ply"
         stats_path = tmp_path / "stats.json"
-        assert main(["--quiet", "reconstruct", str(micro_bundle_dir),
-                     str(micro_bundle_dir / "calib.json"),
+        assert main(["--quiet", "reconstruct", str(micro_bundle_dir), str(micro_calib),
                      "--out-ply", str(ply), "--out-stats", str(stats_path)]) == 0
         stats = json.loads(stats_path.read_text())
         assert stats["points"] > 500
@@ -403,17 +402,18 @@ class TestReconstructAndEvaluate:
                      str(tmp_path / "none.json")]) == 2
 
     @pytest.mark.parametrize("stride", ["0", "-1"])
-    def test_reconstruct_bad_stride_exits_2(self, micro_bundle_dir, tmp_path, stride):
+    def test_reconstruct_bad_stride_exits_2(self, micro_bundle_dir, micro_calib, tmp_path,
+                                            stride):
         ply = tmp_path / "cloud.ply"
         with pytest.raises(SystemExit) as exc:
-            main(["--quiet", "reconstruct", str(micro_bundle_dir),
-                  str(micro_bundle_dir / "calib.json"), "--out-ply", str(ply),
+            main(["--quiet", "reconstruct", str(micro_bundle_dir), str(micro_calib),
+                  "--out-ply", str(ply),
                   "--out-stats", str(tmp_path / "stats.json"), "--stride", stride])
         assert exc.value.code == 2
         assert not ply.exists()
 
-    def test_evaluate_prints_table(self, micro_bundle_dir, capsys):
-        assert main(["--quiet", "evaluate", str(micro_bundle_dir / "calib.json"),
+    def test_evaluate_prints_table(self, micro_bundle_dir, micro_calib, capsys):
+        assert main(["--quiet", "evaluate", str(micro_calib),
                      str(micro_bundle_dir / "manifest.json")]) == 0
         out = capsys.readouterr().out
         assert len(out.strip().splitlines()) == 12
@@ -457,20 +457,24 @@ class TestReconstructAndEvaluate:
         assert len(errors) == 1 and errors[0].startswith("cannot load inputs: ")
         assert reason in errors[0]
 
-    def test_evaluate_schema_mismatch_exits_2(self, micro_bundle_dir, tmp_path):
+    def test_evaluate_schema_mismatch_exits_2(self, micro_calib, tmp_path):
         bad = tmp_path / "junk.json"
         bad.write_text(json.dumps({"truth": {"camera": {}}}))
-        assert main(["--quiet", "evaluate", str(micro_bundle_dir / "calib.json"),
-                     str(bad)]) == 2
+        assert main(["--quiet", "evaluate", str(micro_calib), str(bad)]) == 2
 
 
 class TestUnwritableOutput:
-    @pytest.mark.parametrize("command", ["simulate", "calibrate", "reconstruct"])
+    @pytest.mark.parametrize("case", ["simulate", "calibrate", "reconstruct", "reconstruct_stats"])
     def test_unwritable_output_exits_2(self, micro_bundle_dir, micro_calib, tmp_path, caplog,
-                                       command):
+                                       monkeypatch, case):
+        def no_search(*args, **kwargs):
+            raise AssertionError("calibrate searched before it checked its output directory")
+
+        monkeypatch.setattr("twosphere.cli.run_calibration", no_search)
         blocker = tmp_path / "a_file"
         blocker.write_text("")
         missing = tmp_path / "missing_dir"
+        command = case.split("_")[0]
         argv = {
             # the bundle directory would have to be made inside a regular file
             "simulate": ["--config", str(write_config(tmp_path)), "--out", str(blocker / "b")],
@@ -478,8 +482,13 @@ class TestUnwritableOutput:
             "reconstruct": [str(micro_bundle_dir), str(micro_calib),
                             "--out-ply", str(missing / "c.ply"),
                             "--out-stats", str(tmp_path / "s.json")],
-        }[command]
+            # the PLY is written, then the stats fail: the PLY must not be left behind
+            "reconstruct_stats": [str(micro_bundle_dir), str(micro_calib),
+                                  "--out-ply", str(tmp_path / "c.ply"),
+                                  "--out-stats", str(missing / "s.json")],
+        }[case]
         assert main(["--quiet", command, *argv]) == 2
         errors = error_lines(caplog)
         assert len(errors) == 1 and errors[0].startswith("cannot write")
         assert not missing.exists()
+        assert not (tmp_path / "c.ply").exists() and not (tmp_path / "s.json").exists()

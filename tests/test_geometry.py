@@ -84,6 +84,21 @@ class TestConicType:
         assert abs(c.evaluate(np.array([1.0, 0.0]))) < 1e-15
         assert abs(c.evaluate(np.array([3.0, 0.0, 3.0]))) < 1e-12  # homogeneous rep
 
+    def test_evaluate_matches_matrix_form(self):
+        # the expanded quadratic must give the matrix form's inside mask on every
+        # pixel, or bundles would change; cppB's silhouettes and a frame-wide grid
+        truth = preset("cppB")
+        ys, xs = np.mgrid[0:truth.cam_h:2, 0:truth.cam_w:2]
+        pixels = np.column_stack([xs.ravel(), ys.ravel()])
+        hom = np.column_stack([pixels, np.ones(len(pixels))])
+        for pose in truth.spheres:
+            c = project_sphere_to_conic(pose, truth.camera)
+            ref = np.einsum("ni,ij,nj->n", hom, c.matrix, hom)
+            vals = c.evaluate(pixels)
+            np.testing.assert_allclose(vals, ref, rtol=1e-12, atol=1e-15)
+            np.testing.assert_array_equal(vals < 0, ref < 0)
+            np.testing.assert_allclose(c.evaluate(3.0 * hom), 9.0 * ref, rtol=1e-9, atol=1e-12)
+
     def test_real_ellipse_flag(self):
         assert Conic.from_matrix(np.diag([1.0, 1.0, -1.0])).is_real_ellipse
         assert Conic.from_matrix(np.diag([-2.0, -2.0, 2.0])).is_real_ellipse  # sign-flipped

@@ -340,6 +340,31 @@ class TestBundleIO:
                 np.testing.assert_array_equal(frame.ravel()[flat], values)
                 assert not frame.ravel()[outside].any()
 
+    def test_save_without_signal_pixels(self, tmp_path):
+        bundle = render_scene(make_micro_truth())
+        bundle.pixels = bundle.pixels[:0]
+        bundle.stacks = {key: [v[:0] for v in stack] for key, stack in bundle.stacks.items()}
+        bundle.save(tmp_path / "bundle")
+        t = bundle.truth
+        for path in (tmp_path / "bundle" / "fringes").glob("*.f32"):
+            assert path.read_bytes() == bytes(4 * t.cam_w * t.cam_h)
+
+    def test_loaded_stacks_outlive_the_bundle_files(self, tmp_path):
+        import shutil
+
+        from twosphere.pipeline import decode_bundle
+
+        bundle = render_scene(make_micro_truth(NoiseSpec(intensity_sigma=0.01, seed=2)))
+        bundle.save(tmp_path / "bundle")
+        again = SceneBundle.load(tmp_path / "bundle")
+        shutil.rmtree(tmp_path / "bundle")
+        for stack in again.stacks.values():
+            assert all(type(img) is np.ndarray for img in stack)
+        proj_px, valid = decode_bundle(again)
+        expected_px, expected_valid = decode_bundle(bundle)
+        np.testing.assert_array_equal(valid, expected_valid)
+        np.testing.assert_array_equal(proj_px, expected_px)
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             SceneBundle.load(tmp_path)
