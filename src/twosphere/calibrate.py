@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InfeasibleCandidate, NoFeasibleStart
+from .errors import InfeasibleCandidate, NoFeasibleStart, TooFewPoints
 from .geometry import (
     Conic,
     Intrinsics,
@@ -102,8 +102,11 @@ class IscProblem:
     mu: float
 
     def __post_init__(self) -> None:
-        if len(self.obs1) < 10 or len(self.obs2) < 10:
-            raise ValueError("each sphere needs at least 10 valid correspondences")
+        for i, obs in enumerate((self.obs1, self.obs2)):
+            if len(obs) < 10:
+                raise TooFewPoints(
+                    f"sphere {i} has {len(obs)} valid correspondences, at least 10 are needed"
+                )
         if self.obs1.conic.allclose(self.obs2.conic, tol=1e-12):
             raise ValueError("the two sphere observations share one conic")
         if not (self.radii[0] > 0 and self.radii[1] > 0):

@@ -13,7 +13,7 @@ import logging
 import numpy as np
 
 from .calibrate import CalibResult, IscProblem, SphereObservation, calibrate
-from .errors import TwosphereError
+from .errors import DegenerateConic, TwosphereError
 from .geometry import fit_conic
 from .phase import decode_phase, phase_to_proj_coord
 from .simulate import SceneBundle
@@ -57,7 +57,9 @@ def assemble_observations(
     w, h = bundle.truth.cam_w, bundle.truth.cam_h
     conics = [fit_conic(contour) for contour in bundle.contours]
     samples, rows = [], []
-    for conic in conics:
+    for i, conic in enumerate(conics):
+        if not conic.is_real_ellipse:
+            raise DegenerateConic(f"sphere {i}'s contour does not fit a real ellipse")
         pix = sample_interior_pixels(conic, stride=stride)
         # off-frame pixels would alias to other rows of the flat index
         pix = pix[

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateConfiguration,
@@ -237,12 +236,16 @@ def reprojection_residuals(M: ProjMatrix, proj_px: np.ndarray, points: np.ndarra
 def decompose(M: ProjMatrix) -> tuple[Intrinsics, np.ndarray, np.ndarray]:
     """Split M into intrinsics, rotation (det +1) and translation.
 
-    RQ-decomposes the left block; reflections are folded into R so the
-    intrinsics diagonal is positive (skew may take either sign), and the
-    gauge of ProjMatrix guarantees det(R) = +1. ``K [R | T]`` reproduces M
-    up to scale.
+    RQ-decomposes the left block A through numpy's QR of its row-reversed
+    transpose (Hartley & Zisserman, *Multiple View Geometry*, A4.1.1): with
+    J the row reversal, ``(J A)^T = Q U`` gives ``A = (J U^T J)(J Q^T)``,
+    where ``J U^T J`` is upper triangular and ``J Q^T`` orthogonal.
+    Reflections are folded into R so the intrinsics diagonal is positive
+    (skew may take either sign), and the gauge of ProjMatrix guarantees
+    det(R) = +1. ``K [R | T]`` reproduces M up to scale.
     """
-    K, R = scipy.linalg.rq(M.left)
+    q, r = np.linalg.qr(M.left[::-1].T)
+    K, R = r.T[::-1, ::-1], q.T[::-1]
     flips = np.diag(np.sign(np.diag(K)))
     K = K @ flips
     R = flips @ R

@@ -48,6 +48,7 @@ from twosphere.errors import (
     PointAtInfinity,
     RayMissesSphere,
     SingularBlock,
+    TooFewPoints,
 )
 from twosphere.geometry import homogenize
 from twosphere.simulate import rotation_about_y
@@ -391,7 +392,7 @@ class TestProblemBuild:
         short = SphereObservation(
             conic=obs[0].conic, cam_px=obs[0].cam_px[:9], proj_px=obs[0].proj_px[:9]
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(TooFewPoints, match="sphere 0 has 9 valid correspondences"):
             IscProblem.build(short, obs[1], (0.4, 0.55), truth_small.cam_w, truth_small.cam_h)
 
     def test_default_mu_scales_with_count(self, truth_small):

@@ -297,6 +297,32 @@ class TestCalibrate:
         (broken / "calib.json").unlink(missing_ok=True)
         assert main(["--quiet", "calibrate", str(broken)]) == 5
 
+    def test_stride_wider_than_the_discs_exits_4(self, micro_bundle_dir, tmp_path, caplog):
+        out = tmp_path / "c.json"
+        assert main(["--quiet", "calibrate", str(micro_bundle_dir), "--stride", "300",
+                     "--out", str(out)]) == 4
+        errors = error_lines(caplog)
+        assert len(errors) == 1 and "valid correspondences, at least 10" in errors[0]
+        assert not out.exists()
+
+    def test_contour_off_an_ellipse_exits_5(self, micro_bundle_dir, tmp_path, caplog):
+        import shutil
+
+        import numpy as np
+
+        broken = tmp_path / "hyperbola"
+        shutil.copytree(micro_bundle_dir, broken)
+        (broken / "calib.json").unlink(missing_ok=True)
+        # one branch of a hyperbola in place of sphere 0's silhouette
+        t = np.linspace(-1.5, 1.5, 256)
+        branch = np.column_stack([100.0 + 30.0 * np.cosh(t), 120.0 + 20.0 * np.sinh(t)])
+        np.savetxt(broken / "contours" / "sphere0.csv", branch, delimiter=",")
+        out = tmp_path / "c.json"
+        assert main(["--quiet", "calibrate", str(broken), "--out", str(out)]) == 5
+        errors = error_lines(caplog)
+        assert len(errors) == 1 and "sphere 0's contour does not fit a real ellipse" in errors[0]
+        assert not out.exists()
+
     def test_missing_bundle_exits_2(self, tmp_path):
         assert main(["--quiet", "calibrate", str(tmp_path / "nowhere")]) == 2
 
