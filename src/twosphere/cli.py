@@ -70,6 +70,14 @@ def _load_truth(args) -> SceneTruth:
     )
 
 
+def _has_two_spheres(bundle: SceneBundle) -> bool:
+    """True when the bundle holds two sphere contours; else log the error."""
+    if len(bundle.contours) == 2:
+        return True
+    log.error("two sphere observations required, found %d", len(bundle.contours))
+    return False
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -97,8 +105,7 @@ def cmd_calibrate(args) -> int:
     except LOAD_ERRORS as exc:
         log.error("cannot load bundle: %s", exc)
         return EXIT_INPUT
-    if len(bundle.contours) != 2:
-        log.error("two sphere observations required, found %d", len(bundle.contours))
+    if not _has_two_spheres(bundle):
         return EXIT_DEGENERATE
     out_path = Path(args.out) if args.out else Path(args.bundle) / "calib.json"
     if not out_path.parent.is_dir():  # found before the search, not after it
@@ -148,6 +155,8 @@ def cmd_reconstruct(args) -> int:
     except LOAD_ERRORS as exc:
         log.error("cannot load inputs: %s", exc)
         return EXIT_INPUT
+    if not _has_two_spheres(bundle):
+        return EXIT_DEGENERATE
     points, errors, stats = reconstruct_cloud(
         bundle, calib.camera, calib.proj_matrix, stride=args.stride
     )

@@ -116,17 +116,25 @@ def project_points(M: ProjMatrix, points: np.ndarray) -> np.ndarray:
     Raises PointAtInfinity when a projective depth vanishes relative to the
     projected vector's magnitude.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    projected, ok = project_stack(M.m[None], pts.T[None])
-    if not ok[0]:
+    pts = np.ascontiguousarray(np.atleast_2d(points).T, dtype=float)
+    # coordinate-major (3, n) and einsum, not BLAS (see project_stack)
+    hom = np.einsum("ij,jn->in", M.left, pts) + M.m[:, 3:]
+    scale = np.sqrt(np.einsum("in,in->n", hom, hom))
+    if np.any(np.abs(hom[2]) <= 1e-12 * scale):
         raise PointAtInfinity("a point projects to infinity under this matrix")
-    return projected[0].T
+    return (hom[:2] / hom[2]).T
 
 
 def project_stack(M: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``project_points`` for (B, 3, 4) matrices and coordinate-major (B, 3, n)
     points: the (B, 2, n) projections and a (B,) mask, false where a point
-    projects to infinity (that member's projections are meaningless)."""
+    projects to infinity (that member's projections are meaningless).
+
+    This core serves calibrate's candidate stacks, where BLAS is fastest.
+    ``project_points`` computes the same projections for one matrix without
+    BLAS: at frame sizes this stacked product starts a BLAS thread that
+    keeps spinning after it returns.
+    """
     hom = M @ np.concatenate([points, np.ones_like(points[:, :1])], axis=1)
     scale = np.linalg.norm(hom, axis=1)
     ok = ~np.any(np.abs(hom[:, 2]) <= 1e-12 * scale, axis=1)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import numbers
 import sys
+import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -461,7 +462,10 @@ class SceneBundle:
 
         contours = []
         for path in sorted((root / "contours").glob("sphere*.csv")):
-            contours.append(_read_rows(path, 2))
+            rows = _read_rows(path, 2)
+            if not len(rows):
+                raise InvalidBundle(f"contours/{path.name}: no points")
+            contours.append(rows)
         pixels = signal_pixels(contours, truth.cam_w, truth.cam_h)
         flat = pixels[:, 1] * truth.cam_w + pixels[:, 0]
 
@@ -500,7 +504,9 @@ class SceneBundle:
 def _read_rows(path: Path, columns: int) -> np.ndarray:
     """A bundle CSV as rows of ``columns`` numbers; InvalidBundle if it holds anything else."""
     try:
-        return np.loadtxt(path, delimiter=",").reshape(-1, columns)
+        with warnings.catch_warnings():  # a file without rows reads as (0, columns)
+            warnings.simplefilter("ignore", UserWarning)
+            return np.loadtxt(path, delimiter=",").reshape(-1, columns)
     except ValueError as exc:
         raise InvalidBundle(f"{path.parent.name}/{path.name}: not rows of {columns} numbers "
                             f"({exc})") from exc

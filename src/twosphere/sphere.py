@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BehindCamera, NotASphereImage, RayMissesSphere
-from .geometry import Conic, Intrinsics, ellipse_parameters, homogenize, sample_conic_points
+from .geometry import Conic, Intrinsics, ellipse_parameters, sample_conic_points
 
 __all__ = [
     "SpherePose",
@@ -133,13 +133,20 @@ def lift_pixel_to_sphere(pixel: np.ndarray, K: Intrinsics, pose: SpherePose) -> 
     Raises RayMissesSphere if any ray misses.
     """
     single = np.asarray(pixel).ndim == 1
-    pix = np.atleast_2d(np.asarray(pixel, dtype=float))
-    points, misses = lift_pixels(
-        homogenize(pix).T, K.inverse()[None], pose.center[None], pose.radius
-    )
-    if misses[0]:
-        raise RayMissesSphere(f"{misses[0]} of {len(pix)} rays miss the sphere")
-    return points[0, :, 0] if single else points[0].T
+    pix = np.ascontiguousarray(np.atleast_2d(pixel).T, dtype=float)
+    # coordinate-major (3, n) and einsum, not BLAS (see lift_pixels)
+    K_inv = K.inverse()
+    dirs = np.einsum("ij,jn->in", K_inv[:, :2], pix) + K_inv[:, 2:]
+    dirs /= np.sqrt(np.einsum("in,in->n", dirs, dirs))
+    c = pose.center
+    b = np.einsum("i,in->n", c, dirs)
+    cc = np.einsum("i,i->", c, c)
+    disc = b * b - (cc - pose.radius**2)
+    misses = np.count_nonzero(disc < -1e-12 * cc)
+    if misses:
+        raise RayMissesSphere(f"{misses} of {pix.shape[1]} rays miss the sphere")
+    dirs *= b - np.sqrt(np.maximum(disc, 0.0))
+    return dirs[:, 0] if single else dirs.T
 
 
 def lift_pixels(
@@ -152,6 +159,12 @@ def lift_pixels(
     The points come coordinate-major, (B, 3, n), so that every per-point
     sum runs along contiguous rows; with them comes the (B,) count of rays
     that miss. A member with misses has meaningless points.
+
+    This core serves calibrate's candidate stacks (a few hundred pixels for
+    each of up to ten candidates), where BLAS is fastest.
+    ``lift_pixel_to_sphere`` computes the same points for one pose without
+    BLAS: at frame sizes these stacked products start a BLAS thread that
+    keeps spinning after they return.
     """
     dirs = K_inv @ hom_px
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)

@@ -101,3 +101,19 @@ def bundle_small(truth_small):
 def bundle_small_noisy():
     truth = make_small_truth(NoiseSpec(contour_sigma=0.5, intensity_sigma=0.01, seed=7))
     return render_scene(truth)
+
+
+@pytest.fixture(scope="session")
+def cppb_disc():
+    """cppB's sphere 0 as ``render_scene`` lifts it: the truth, the pose and
+    the ~100k signal pixels inside the sphere's silhouette."""
+    from twosphere.geometry import sample_conic_points
+    from twosphere.simulate import (CONTOUR_SAMPLES, preset, project_sphere_to_conic,
+                                    signal_pixels)
+
+    truth = preset("cppB")
+    pose = truth.spheres[0]
+    conic = project_sphere_to_conic(pose, truth.camera)
+    boundary = sample_conic_points(conic, CONTOUR_SAMPLES)
+    pixels = signal_pixels([boundary], truth.cam_w, truth.cam_h)
+    return truth, pose, pixels[conic.normalized().evaluate(pixels) < 0]

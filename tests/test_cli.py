@@ -141,6 +141,8 @@ BROKEN_BUNDLES = [
                  "contours/sphere1.csv: not rows of 2 numbers", id="contour_odd_count"),
     pytest.param(append_line("oracle/sphere0.csv", "1,2"),
                  "oracle/sphere0.csv: not rows of 7 numbers", id="oracle_short_line"),
+    pytest.param(lambda root: (root / "contours" / "sphere0.csv").write_text(""),
+                 "contours/sphere0.csv: no points", id="contour_empty"),
 ]
 
 
@@ -296,6 +298,25 @@ class TestCalibrate:
         (broken / "contours" / "sphere1.csv").unlink()
         (broken / "calib.json").unlink(missing_ok=True)
         assert main(["--quiet", "calibrate", str(broken)]) == 5
+
+    @pytest.mark.parametrize("contours", [1, 3])
+    def test_reconstruct_without_two_contours_exits_5(self, micro_bundle_dir, micro_calib,
+                                                      tmp_path, caplog, contours):
+        import shutil
+
+        broken = tmp_path / "bundle"
+        shutil.copytree(micro_bundle_dir, broken)
+        if contours == 1:
+            (broken / "contours" / "sphere1.csv").unlink()
+        else:
+            shutil.copy(broken / "contours" / "sphere0.csv", broken / "contours" / "sphere2.csv")
+        ply, stats = tmp_path / "c.ply", tmp_path / "s.json"
+        assert main(["--quiet", "reconstruct", str(broken), str(micro_calib),
+                     "--out-ply", str(ply), "--out-stats", str(stats)]) == 5
+        assert error_lines(caplog) == [
+            f"two sphere observations required, found {contours}"
+        ]
+        assert not ply.exists() and not stats.exists()
 
     def test_stride_wider_than_the_discs_exits_4(self, micro_bundle_dir, tmp_path, caplog):
         out = tmp_path / "c.json"

@@ -6,6 +6,7 @@ from twosphere import (
     ProjMatrix,
     decompose,
     dlt_estimate,
+    lift_pixel_to_sphere,
     project_points,
 )
 from twosphere.errors import (
@@ -19,6 +20,7 @@ from twosphere.projector import (
     compose,
     dlt_stack,
     normalize_points,
+    project_stack,
     reprojection_residuals,
 )
 from twosphere.simulate import rotation_about_y
@@ -184,6 +186,32 @@ class TestResiduals:
         M = compose(K_PROJ, np.eye(3), np.zeros(3))
         with pytest.raises(PointAtInfinity):
             project_points(M, X)
+
+
+class TestProjectParity:
+    """``project_points`` and the batched ``project_stack`` share no code; at
+    B = 1 they must agree on a whole cppB disc's surface points."""
+
+    def test_projections_agree(self, cppb_disc):
+        truth, pose, pix = cppb_disc
+        points = lift_pixel_to_sphere(pix, truth.camera, pose)
+        M = truth.proj_matrix
+        projected = project_points(M, points)
+        stacked, ok = project_stack(M.m[None], points.T[None])
+        expected = stacked[0].T
+        assert ok[0] and projected.shape == expected.shape == (len(pix), 2)
+        gap = np.linalg.norm(projected - expected, axis=1)
+        assert np.all(gap <= 1e-12 * np.linalg.norm(expected, axis=1))
+
+    def test_point_on_the_principal_plane(self, cppb_disc):
+        truth, pose, pix = cppb_disc
+        M = truth.proj_matrix
+        # the foot of the camera centre on the plane M[2] . [X, 1] = 0 (|M[2, :3]| = 1)
+        on_plane = -M.m[2, 3] * M.m[2, :3]
+        points = np.vstack([lift_pixel_to_sphere(pix, truth.camera, pose), on_plane])
+        assert not project_stack(M.m[None], points.T[None])[1][0]
+        with pytest.raises(PointAtInfinity):
+            project_points(M, points)
 
 
 class TestDecompose:

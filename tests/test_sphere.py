@@ -12,6 +12,7 @@ from twosphere import (
 )
 from twosphere.errors import BehindCamera, NotASphereImage, RayMissesSphere
 from twosphere.geometry import homogenize, sample_conic_points
+from twosphere.sphere import lift_pixels
 
 K_IDENTITY = Intrinsics(fx=1.0, fy=1.0, skew=0.0, u0=0.0, v0=0.0)
 TABLE_CAMERA = Intrinsics(fx=3277.5, fy=3277.8, skew=-18.6, u0=1699.4, v0=1330.1)
@@ -193,6 +194,37 @@ class TestLiftPixel:
         pose_rot = SpherePose(center=R @ self.POSE.center, radius=1.0)
         x_rot = lift_pixel_to_sphere(pix_rot, K_IDENTITY, pose_rot)
         np.testing.assert_allclose(x_rot, R @ x, atol=1e-12)
+
+
+class TestLiftParity:
+    """``lift_pixel_to_sphere`` and the batched ``lift_pixels`` share no code;
+    at B = 1 they must agree on a whole cppB disc."""
+
+    @staticmethod
+    def batched(pix, truth, pose):
+        points, misses = lift_pixels(
+            homogenize(pix).T, truth.camera.inverse()[None], pose.center[None], pose.radius
+        )
+        return points[0].T, misses[0]
+
+    def test_points_agree(self, cppb_disc):
+        truth, pose, pix = cppb_disc
+        assert len(pix) > 100_000
+        points = lift_pixel_to_sphere(pix, truth.camera, pose)
+        expected, misses = self.batched(pix, truth, pose)
+        assert misses == 0 and points.shape == expected.shape
+        gap = np.linalg.norm(points - expected, axis=1)
+        assert np.all(gap <= 1e-12 * np.linalg.norm(expected, axis=1))
+        single = lift_pixel_to_sphere(pix[0], truth.camera, pose)
+        assert single.shape == (3,)
+        assert np.linalg.norm(single - expected[0]) <= 1e-12 * np.linalg.norm(expected[0])
+
+    def test_pixel_off_the_disc_misses(self, cppb_disc):
+        truth, pose, pix = cppb_disc
+        off = np.vstack([pix, [0.0, 0.0]])  # the frame's corner, far off the disc
+        assert self.batched(off, truth, pose)[1] == 1
+        with pytest.raises(RayMissesSphere, match=f"^1 of {len(off)} rays miss"):
+            lift_pixel_to_sphere(off, truth.camera, pose)
 
 
 class TestSampleInteriorPixels:
