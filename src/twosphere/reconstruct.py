@@ -12,6 +12,8 @@ from .simulate import SceneBundle
 __all__ = ["triangulate", "reconstruct_cloud", "write_ply"]
 
 PARALLEL_ANGLE_RAD = 1e-6
+# Rows of the stride grid that reconstruct_cloud decodes and triangulates at once.
+BLOCK_ROWS = 1 << 15
 
 
 # The (n, 3) products below use einsum, not BLAS: at a camera frame's worth of
@@ -67,40 +69,58 @@ def reconstruct_cloud(
     Returns (points, per-point surface errors or None, stats). Surface error
     is the distance to the nearest true sphere surface, available because the
     bundle carries its ground truth; near-parallel pixels are skipped and
-    counted in the stats.
+    counted in the stats. The surface statistics are None when no point is
+    left.
+
+    The stride grid is decoded and triangulated ``BLOCK_ROWS`` rows of
+    ``bundle.pixels`` at a time. Every step is per pixel or per ray, so the
+    result does not depend on the block size, and the working memory is
+    bounded by one block and the output, not by the frame.
     """
     from .pipeline import decode_bundle
 
     if stride < 1:
         raise ValueError(f"stride must be at least 1, got {stride}")
     xs, ys = bundle.pixels.T
-    # a slice decodes the stride-1 grid without gathering a copy of the stacks
-    at = slice(None) if stride == 1 else np.flatnonzero((xs % stride == 0) & (ys % stride == 0))
-    proj_px, valid = decode_bundle(bundle, at)
-    cam_px = bundle.pixels[at][valid].astype(float)
-    stats: dict = {"valid_pixels": int(len(cam_px))}
-    if len(cam_px) == 0:
-        stats.update({"points": 0, "skipped_parallel": 0, "surface_rmse": None})
-        return np.zeros((0, 3)), None, stats
-
-    d_cam, d_prj, origin = _ray_geometry(cam_px, proj_px[valid], K_C, M_P)
-    points, ok = _midpoints(d_cam, d_prj, origin)
-    points = points[ok]
-    stats["points"] = int(len(points))
-    stats["skipped_parallel"] = int(np.count_nonzero(~ok))
-
-    errors = None
-    if len(points):
+    grid = None if stride == 1 else np.flatnonzero((xs % stride == 0) & (ys % stride == 0))
+    n_rows = len(bundle.pixels) if grid is None else len(grid)
+    valid_pixels = skipped = 0
+    point_blocks, error_blocks = [], []
+    for start in range(0, n_rows, BLOCK_ROWS):
+        stop = start + BLOCK_ROWS
+        # a slice decodes the stride-1 grid without gathering a copy of the stacks
+        at = slice(start, stop) if grid is None else grid[start:stop]
+        proj_px, valid = decode_bundle(bundle, at)
+        cam_px = bundle.pixels[at][valid].astype(float)
+        valid_pixels += len(cam_px)
+        if len(cam_px) == 0:
+            continue
+        d_cam, d_prj, origin = _ray_geometry(cam_px, proj_px[valid], K_C, M_P)
+        points, ok = _midpoints(d_cam, d_prj, origin)
+        points = points[ok]
+        skipped += int(np.count_nonzero(~ok))
         per_sphere = [
             np.abs(np.linalg.norm(points - s.center[None, :], axis=1) - s.radius)
             for s in bundle.truth.spheres
         ]
-        errors = np.min(np.column_stack(per_sphere), axis=1)
-        stats["surface_rmse"] = float(np.sqrt(np.mean(errors**2)))
-        stats["surface_mean"] = float(np.mean(errors))
-        stats["surface_max"] = float(np.max(errors))
-    else:
-        stats["surface_rmse"] = None
+        point_blocks.append(points)
+        error_blocks.append(np.min(np.column_stack(per_sphere), axis=1))
+
+    points = np.concatenate(point_blocks) if point_blocks else np.zeros((0, 3))
+    stats: dict = {
+        "valid_pixels": valid_pixels,
+        "points": len(points),
+        "skipped_parallel": skipped,
+        "surface_rmse": None,
+        "surface_mean": None,
+        "surface_max": None,
+    }
+    if len(points) == 0:
+        return points, None, stats
+    errors = np.concatenate(error_blocks)
+    stats["surface_rmse"] = float(np.sqrt(np.mean(errors**2)))
+    stats["surface_mean"] = float(np.mean(errors))
+    stats["surface_max"] = float(np.max(errors))
     return points, errors, stats
 
 

@@ -1,12 +1,16 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import twosphere.reconstruct as reconstruct
 from twosphere import (
     Intrinsics,
+    preset,
     project_points,
     reconstruct_cloud,
+    render_scene,
     run_calibration,
     triangulate,
     write_ply,
@@ -83,7 +87,9 @@ class TestReconstructCloud:
         assert stats["surface_rmse"] < 1e-3 * mean_radius
 
     @pytest.mark.parametrize("stride", [1, 3])
-    def test_equals_full_decode_then_grid_mask(self, bundle_small_noisy, stride):
+    def test_equals_full_decode_then_grid_mask(self, bundle_small_noisy, monkeypatch, stride):
+        """The cloud does not depend on the block size. One-row blocks run at
+        stride 3 only: at stride 1 the 48k calls take ~33 s."""
         from twosphere.pipeline import decode_bundle
 
         truth = bundle_small_noisy.truth
@@ -94,11 +100,39 @@ class TestReconstructCloud:
             bundle_small_noisy.pixels[valid].astype(float), proj_px[valid],
             truth.camera, truth.proj_matrix,
         )
-        points, _, stats = reconstruct_cloud(
-            bundle_small_noisy, truth.camera, truth.proj_matrix, stride=stride
+        expected_errors = np.min(
+            [np.abs(np.linalg.norm(expected - s.center, axis=1) - s.radius) for s in truth.spheres],
+            axis=0,
         )
-        assert stats["valid_pixels"] == len(expected) == stats["points"]
-        assert points.tobytes() == expected.tobytes()
+        expected_stats = {
+            "valid_pixels": len(expected),
+            "points": len(expected),
+            "skipped_parallel": 0,
+            "surface_rmse": float(np.sqrt(np.mean(expected_errors**2))),
+            "surface_mean": float(np.mean(expected_errors)),
+            "surface_max": float(np.max(expected_errors)),
+        }
+        for block_rows in (7, 4096, 10**9) if stride == 1 else (1, 7, 4096, 10**9):
+            monkeypatch.setattr(reconstruct, "BLOCK_ROWS", block_rows)
+            points, errors, stats = reconstruct_cloud(
+                bundle_small_noisy, truth.camera, truth.proj_matrix, stride=stride
+            )
+            assert points.tobytes() == expected.tobytes(), block_rows
+            assert errors.tobytes() == expected_errors.tobytes(), block_rows
+            assert stats == expected_stats, block_rows
+
+    def test_working_memory_bounded_by_block_and_output(self):
+        """cppB at stride 1 decodes 266k signal pixels; decoded all at once
+        their float64 temporaries peak at ~30 MB above the output."""
+        truth = preset("cppB")
+        bundle = render_scene(truth)
+        tracemalloc.start()
+        try:
+            points, errors, _ = reconstruct_cloud(bundle, truth.camera, truth.proj_matrix)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - points.nbytes - errors.nbytes < 12e6
 
     @pytest.mark.parametrize("stride", [0, -1])
     def test_stride_below_one_rejected(self, bundle_small, stride):
@@ -106,7 +140,7 @@ class TestReconstructCloud:
         with pytest.raises(ValueError, match="stride"):
             reconstruct_cloud(bundle_small, truth.camera, truth.proj_matrix, stride=stride)
 
-    def test_empty_after_masking(self, bundle_small):
+    def test_empty_after_masking(self, bundle_small, monkeypatch):
         import copy
 
         hollow = copy.copy(bundle_small)
@@ -114,11 +148,21 @@ class TestReconstructCloud:
             key: [np.full_like(img, 0.3) for img in stack]
             for key, stack in bundle_small.stacks.items()
         }
-        points, errors, stats = reconstruct_cloud(
-            hollow, bundle_small.truth.camera, bundle_small.truth.proj_matrix
-        )
-        assert stats["points"] == 0 and stats["valid_pixels"] == 0
-        assert len(points) == 0
+        for block_rows in (4096, 10**9):  # twelve blocks, one block
+            monkeypatch.setattr(reconstruct, "BLOCK_ROWS", block_rows)
+            points, errors, stats = reconstruct_cloud(
+                hollow, bundle_small.truth.camera, bundle_small.truth.proj_matrix
+            )
+            assert len(points) == 0 and errors is None
+            # the schema of a non-empty cloud, every surface statistic null
+            assert stats == {
+                "valid_pixels": 0,
+                "points": 0,
+                "skipped_parallel": 0,
+                "surface_rmse": None,
+                "surface_mean": None,
+                "surface_max": None,
+            }
 
 
 class TestPly:
