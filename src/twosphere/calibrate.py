@@ -3,12 +3,12 @@
 Given the silhouette conics of two spheres of known radius plus dense
 camera-pixel to projector-pixel correspondences on each, a candidate camera
 intrinsics K determines both spheres' centers, lifts every camera pixel to a
-3D surface point, and a single shared projector matrix fitted over the union
-of both spheres must reproject every projector pixel: the two spheres'
-estimates have to agree. The search over the five intrinsics parameters
-minimizes those reprojection residuals plus a penalty tying the vanishing
-line / vanishing point pair of the conic pair to the image of the absolute
-conic (``l ~ K^-T K^-1 v``).
+3D surface point, and one projector matrix fitted over both spheres must
+reproject every projector pixel: the two spheres' estimates have to agree.
+``calibrate`` minimizes those residuals over the five intrinsics, plus a
+penalty tying the conic pair's vanishing line and point to the image of the
+absolute conic (``l ~ K^-T K^-1 v``). The focal scan, the Jacobian and the
+descent take any residual function ``fn(P) -> (vec, ok)`` of candidate rows.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ F_SCAN_HI = 5.0
 F_SCAN_SAMPLES = 40
 REL_STEP_TOL = 1e-8
 FD_REL_STEP = 1e-5  # central-difference step relative to max(|p_j|, 1)
-KERNEL_BATCH = 10  # candidates per residual-kernel call: one Jacobian's probes
+KERNEL_BATCH = 10  # candidate rows per residual-kernel call
 
 
 @dataclass(frozen=True)
@@ -71,10 +71,10 @@ class SphereObservation:
     proj_px: np.ndarray
 
     def __post_init__(self) -> None:
-        cam = np.asarray(self.cam_px, dtype=float).reshape(-1, 2)
-        proj = np.asarray(self.proj_px, dtype=float).reshape(-1, 2)
-        if len(cam) != len(proj):
-            raise ValueError("camera and projector pixel counts differ")
+        cam = np.asarray(self.cam_px, dtype=float)
+        proj = np.asarray(self.proj_px, dtype=float)
+        if cam.ndim != 2 or cam.shape[1] != 2 or cam.shape != proj.shape:
+            raise ValueError(f"pixels must be two (n, 2) arrays, got {cam.shape} and {proj.shape}")
         if not (np.all(np.isfinite(cam)) and np.all(np.isfinite(proj))):
             raise ValueError("correspondences contain non-finite values")
         object.__setattr__(self, "cam_px", cam)
@@ -109,10 +109,11 @@ class IscProblem:
                 )
         if self.obs1.conic.allclose(self.obs2.conic, tol=1e-12):
             raise ValueError("the two sphere observations share one conic")
-        if not (self.radii[0] > 0 and self.radii[1] > 0):
-            raise ValueError("sphere radii must be positive")
-        if self.mu < 0:
-            raise ValueError("constraint weight must be non-negative")
+        r = np.asarray(self.radii, dtype=float)
+        if r.shape != (2,) or not np.all(np.isfinite(r) & (r > 0)):
+            raise ValueError(f"sphere radii must be two finite positive numbers, got {self.radii}")
+        if not (np.isfinite(self.mu) and self.mu >= 0):
+            raise ValueError(f"constraint weight must be finite and non-negative, got {self.mu}")
 
     @classmethod
     def build(
@@ -126,13 +127,13 @@ class IscProblem:
     ) -> "IscProblem":
         """Assemble a problem, extracting the constraint pair from the conics.
 
-        ``radii`` may be a single shared radius or a per-sphere pair. The
+        ``radii`` is a single shared radius or a per-sphere pair. The
         eigenvector selection is bootstrapped with a focal guess of the
         image width and the principal point at the image center. A
         coincident conic pair raises CoincidentConics here, before any
         optimization starts.
         """
-        r = (float(radii), float(radii)) if np.isscalar(radii) else (float(radii[0]), float(radii[1]))
+        r = (radii, radii) if np.ndim(radii) == 0 else radii
         bootstrap = Intrinsics(fx=cam_w, fy=cam_w, skew=0.0, u0=cam_w / 2.0, v0=cam_h / 2.0)
         line, point = constraint_pair(obs1.conic, obs2.conic, bootstrap)
         if mu is None:
@@ -140,7 +141,7 @@ class IscProblem:
         return cls(
             obs1=obs1,
             obs2=obs2,
-            radii=r,
+            radii=tuple(np.asarray(r, dtype=float).tolist()),
             cam_w=int(cam_w),
             cam_h=int(cam_h),
             constraint=(line, point),
@@ -280,19 +281,6 @@ def _residuals(P: np.ndarray, problem: IscProblem) -> tuple[np.ndarray, np.ndarr
     return vec, ok, matrices
 
 
-def _residual_vector(params: np.ndarray, problem: IscProblem) -> tuple[np.ndarray, ProjMatrix]:
-    """The kernel at one candidate: its residual row and projector matrix.
-
-    Raises InfeasibleCandidate where the kernel masks the candidate.
-    """
-    vec, ok, M = _residuals(params, problem)
-    if not ok[0]:
-        raise InfeasibleCandidate(
-            "candidate intrinsics make the sphere or projector geometry impossible"
-        )
-    return vec[0], ProjMatrix(M[0])
-
-
 def isc_objective(K: Intrinsics, problem: IscProblem) -> tuple[float, ProjMatrix]:
     """Objective value at candidate intrinsics, with the fitted projector matrix.
 
@@ -301,14 +289,15 @@ def isc_objective(K: Intrinsics, problem: IscProblem) -> tuple[float, ProjMatrix
     impossibilities raise InfeasibleCandidate; the search treats those
     candidates as rejected steps rather than a crash.
     """
-    params = np.array([K.fx, K.fy, K.skew, K.u0, K.v0])
-    vec, M = _residual_vector(params, problem)
-    return _objective_parts(vec, problem)[1], M
+    vec, ok, M = _residuals(np.array([K.fx, K.fy, K.skew, K.u0, K.v0]), problem)
+    if not ok[0]:
+        raise InfeasibleCandidate("candidate K makes the sphere or projector geometry impossible")
+    return _objective_parts(vec[0], problem)[1], ProjMatrix(M[0])
 
 
 def _objective_parts(vec: np.ndarray, problem: IscProblem) -> tuple[np.ndarray, float]:
-    """Per-correspondence residual norms and the objective value, from a
-    ``_residual_vector`` output (whose tail is the sqrt(mu)-scaled cross)."""
+    """Per-correspondence residual norms and the objective value, from one
+    ``_residuals`` row (whose tail is the sqrt(mu)-scaled cross)."""
     n = len(problem.obs1) + len(problem.obs2)
     norms = np.linalg.norm(vec[: 2 * n].reshape(-1, 2), axis=1)
     cross = vec[2 * n :]
@@ -316,15 +305,23 @@ def _objective_parts(vec: np.ndarray, problem: IscProblem) -> tuple[np.ndarray, 
 
 
 # ---------------------------------------------------------------------------
-# Levenberg-Marquardt with numeric derivatives
+# Levenberg-Marquardt with numeric derivatives over any residual function
 # ---------------------------------------------------------------------------
 
-def _jacobian(params, r0, problem):
-    """Central-difference Jacobian from one kernel call over the 2 x 5 probes;
-    one-sided where a probe is infeasible, zero where both are."""
-    n = len(params)
-    h = FD_REL_STEP * np.maximum(np.abs(params), 1.0)
-    vec, ok, _ = _residuals(np.vstack([params + np.diag(h), params - np.diag(h)]), problem)
+def _batched(fn, P):
+    """``fn`` over any number of candidate rows P (B, n), ``KERNEL_BATCH`` per
+    call. The solver's ``fn(P) -> (vec, ok)`` returns residual rows (B, m)
+    and a feasibility mask (B,) for at most that many rows."""
+    parts = [fn(P[i : i + KERNEL_BATCH]) for i in range(0, len(P), KERNEL_BATCH)]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def _jacobian(fn, p, r0):
+    """Central-difference Jacobian from the 2n probes; one-sided where a probe
+    is infeasible, zero where both are."""
+    n = len(p)
+    h = FD_REL_STEP * np.maximum(np.abs(p), 1.0)
+    vec, ok = _batched(fn, np.vstack([p + np.diag(h), p - np.diag(h)]))
     rp, rm, h = vec[:n], vec[n:], h[:, None]
     cols = np.where(
         (ok[:n] & ok[n:])[:, None],
@@ -334,22 +331,25 @@ def _jacobian(params, r0, problem):
     return cols.T
 
 
-def _levenberg_marquardt(p0, problem, max_iters):
-    """Damped least squares from the feasible point p0.
+def _levenberg_marquardt(fn, p0, max_iters):
+    """Damped least squares of ``fn``'s residuals from the start p0.
 
-    Converged means a step, accepted or not, shorter than ``REL_STEP_TOL *
-    max(|p|, 1)``: the descent ends there. Returns (p, history, iterations,
-    converged).
+    Raises InfeasibleCandidate when ``fn`` masks p0. Converged means a step,
+    accepted or not, shorter than ``REL_STEP_TOL * max(|p|, 1)``: the
+    descent ends there. Returns (p, history, iterations, converged).
     """
     p = np.asarray(p0, dtype=float).copy()
-    r = _residual_vector(p, problem)[0]
+    vec, ok = fn(p[None])
+    if not ok[0]:
+        raise InfeasibleCandidate("the descent's start is infeasible")
+    r = vec[0]
     F = float(r @ r)
     history = [F]
     lam = 1e-3
     converged = False
     iterations = 0
     for _ in range(max_iters):
-        J = _jacobian(p, r, problem)
+        J = _jacobian(fn, p, r)
         jtj = J.T @ J
         grad = J.T @ r
         accepted = False
@@ -362,7 +362,7 @@ def _levenberg_marquardt(p0, problem, max_iters):
                 lam *= 10.0
                 continue
             trial = p + step
-            vec, ok, _ = _residuals(trial, problem)
+            vec, ok = fn(trial[None])
             if ok[0]:
                 r_trial = vec[0]
                 F_trial = float(r_trial @ r_trial)
@@ -385,23 +385,19 @@ def _levenberg_marquardt(p0, problem, max_iters):
     return p, history, iterations, converged
 
 
-def _scan_start(problem: IscProblem) -> np.ndarray:
+def _scan_start(fn, cam_w, cam_h) -> np.ndarray:
     """Lowest feasible sample of the focal scan, the start of the descent.
 
     The focal length runs logarithmically over ``[F_SCAN_LO, F_SCAN_HI] *
-    cam_w`` with the principal point at the image center and zero skew; the
-    kernel takes the samples ``KERNEL_BATCH`` at a time. Raises
-    NoFeasibleStart when every sample is infeasible.
+    cam_w`` with the principal point at the image center and zero skew.
+    Raises NoFeasibleStart when every sample is infeasible.
     """
-    f = np.geomspace(F_SCAN_LO * problem.cam_w, F_SCAN_HI * problem.cam_w, F_SCAN_SAMPLES)
+    f = np.geomspace(F_SCAN_LO * cam_w, F_SCAN_HI * cam_w, F_SCAN_SAMPLES)
     samples = np.column_stack(
-        [f, f, np.zeros_like(f), np.full_like(f, problem.cam_w / 2.0),
-         np.full_like(f, problem.cam_h / 2.0)]
+        [f, f, np.zeros_like(f), np.full_like(f, cam_w / 2.0), np.full_like(f, cam_h / 2.0)]
     )
-    F = np.full(len(samples), np.inf)
-    for i in range(0, len(samples), KERNEL_BATCH):
-        vec, ok, _ = _residuals(samples[i : i + KERNEL_BATCH], problem)
-        F[i : i + KERNEL_BATCH][ok] = np.einsum("ij,ij->i", vec[ok], vec[ok])
+    vec, ok = _batched(fn, samples)
+    F = np.where(ok, np.einsum("ij,ij->i", vec, vec), np.inf)
     if not np.any(np.isfinite(F)):
         raise NoFeasibleStart("no feasible focal length in the scan range")
     return samples[np.argmin(F)]
@@ -426,17 +422,21 @@ def calibrate(problem: IscProblem, max_iters: int = 200) -> CalibResult:
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     free = replace(problem, mu=0.0)
+    fn = lambda P: _residuals(P, free)[:2]  # noqa: E731
     params, history, iterations, converged = _levenberg_marquardt(
-        _scan_start(free), free, max_iters
+        fn, _scan_start(fn, problem.cam_w, problem.cam_h), max_iters
     )
     if problem.mu > 0:
         line, point = constraint_pair(problem.obs1.conic, problem.obs2.conic, Intrinsics(*params))
         problem = replace(problem, constraint=(line, point))
-        params, history, iterations, converged = _levenberg_marquardt(params, problem, max_iters)
+        params, history, iterations, converged = _levenberg_marquardt(
+            lambda P: _residuals(P, problem)[:2], params, max_iters
+        )
 
     K = Intrinsics(*params)
-    vec, M = _residual_vector(params, problem)
-    norms, objective = _objective_parts(vec, problem)
+    vec, _, M = _residuals(params, problem)
+    M = ProjMatrix(M[0])
+    norms, objective = _objective_parts(vec[0], problem)
     n1 = len(problem.obs1)
     proj_K, rotation, translation = decompose(M)
     return CalibResult(

@@ -33,8 +33,8 @@ from twosphere.calibrate import (
     F_SCAN_SAMPLES,
     FD_REL_STEP,
     KERNEL_BATCH,
+    _jacobian,
     _levenberg_marquardt,
-    _residual_vector,
     _residuals,
     _scan_start,
 )
@@ -225,6 +225,15 @@ def reference_residuals(params, problem):
     return np.concatenate([planar.ravel(), np.sqrt(problem.mu) * cross]), M
 
 
+def residual_fn(problem):
+    """The solver's ``fn(P) -> (vec, ok)`` over ``problem``, as ``calibrate`` passes it."""
+    return lambda P: _residuals(P, problem)[:2]
+
+
+def scan_start(problem):
+    return _scan_start(residual_fn(problem), problem.cam_w, problem.cam_h)
+
+
 def scan_samples(problem):
     f = np.geomspace(F_SCAN_LO * problem.cam_w, F_SCAN_HI * problem.cam_w, F_SCAN_SAMPLES)
     return np.array([[v, v, 0.0, problem.cam_w / 2.0, problem.cam_h / 2.0] for v in f])
@@ -262,7 +271,7 @@ class TestResidualKernel:
         # rays miss (a short focal, a far principal point)
         cx, cy = problem.cam_w / 2.0, problem.cam_h / 2.0
         misses = [[0.1 * cx, 0.1 * cx, 0.0, cx, cy], [2.0 * cx, 2.0 * cx, 0.0, -8.0 * cx, cy]]
-        P = np.vstack([scan_samples(problem), jacobian_probes(_scan_start(problem)), misses])
+        P = np.vstack([scan_samples(problem), jacobian_probes(scan_start(problem)), misses])
         vec, ok, M = kernel_in_chunks(P, problem)
         assert vec.shape == (len(P), 2 * (len(problem.obs1) + len(problem.obs2)) + 3)
         feasible = 0
@@ -282,7 +291,7 @@ class TestResidualKernel:
 
     def test_member_independent_of_batch(self, bundle_small_noisy):
         problem = build_problem(bundle_small_noisy)
-        good = jacobian_probes(_scan_start(problem))[:4]
+        good = jacobian_probes(scan_start(problem))[:4]
         bad = [[-700.0, 700.0, 0.0, 400.0, 300.0], [np.nan, 700.0, 0.0, 400.0, 300.0],
                [100.0, 100.0, 0.0, 400.0, 300.0]]
         batch = np.vstack([bad[0], good[0], bad[1], good[1], good[2], bad[2], good[3]])
@@ -310,7 +319,7 @@ class TestResidualKernel:
         assert 10 in sizes[4:]  # the Jacobians
         problem = build_problem(bundle_small_noisy)
         with pytest.raises(ValueError):
-            kernel(np.tile(_scan_start(problem), (KERNEL_BATCH + 1, 1)), problem)
+            kernel(np.tile(scan_start(problem), (KERNEL_BATCH + 1, 1)), problem)
 
 
 def _with_proj_px(problem, proj_of_points):
@@ -372,7 +381,7 @@ class TestInfeasibleCandidates:
         if feasible:
             assert ok[1]
         with pytest.raises(InfeasibleCandidate):
-            _residual_vector(np.array(candidate), problem)
+            _levenberg_marquardt(residual_fn(problem), np.array(candidate), 1)
         if np.all(np.isfinite(candidate)) and candidate[0] > 0 and candidate[1] > 0:
             with pytest.raises(InfeasibleCandidate):
                 isc_objective(Intrinsics(*candidate), problem)
@@ -404,6 +413,33 @@ class TestProblemBuild:
         assert problem.mu == 0.0
         value, _ = isc_objective(truth_small.camera, problem)
         assert value < 1e-6
+
+    @pytest.mark.parametrize("radii, mu", [
+        (0.4, np.nan), (0.4, np.inf), (0.4, -1.0),
+        ((np.inf, 0.55), None), ((0.4, np.nan), None), ((0.4, 0.0), None), (-0.4, None),
+        ([0.4], None), ([0.4, 0.55, 9.0], None), ([[0.4, 0.55]], None),
+    ], ids=["mu_nan", "mu_inf", "mu_negative", "radius_inf", "radius_nan", "radius_zero",
+            "shared_radius_negative", "one_listed_radius", "three_radii", "nested_radii"])
+    def test_malformed_mu_or_radii_rejected(self, truth_small, radii, mu):
+        obs = exact_observations(truth_small)
+        with pytest.raises(ValueError):
+            IscProblem.build(obs[0], obs[1], radii, truth_small.cam_w, truth_small.cam_h, mu=mu)
+
+    def test_shared_radius_and_pair_accepted(self, truth_small):
+        obs = exact_observations(truth_small)
+        shared = IscProblem.build(obs[0], obs[1], 0.4, truth_small.cam_w, truth_small.cam_h)
+        pair = IscProblem.build(obs[0], obs[1], [0.4, 0.55], truth_small.cam_w, truth_small.cam_h)
+        assert shared.radii == (0.4, 0.4) and pair.radii == (0.4, 0.55)
+
+    def test_observation_rejects_pixels_not_n_by_2(self, truth_small):
+        # a (40, 3) homogeneous array holds as many numbers as 60 pixels
+        obs = exact_observations(truth_small)[0]
+        cam, proj = obs.cam_px[:40], obs.proj_px[:60]
+        for bad_cam, bad_proj in [(homogenize(cam), proj), (cam.ravel(), proj[:40].ravel()),
+                                  (cam, proj[:39]), (cam[None], proj[:40][None])]:
+            with pytest.raises(ValueError):
+                SphereObservation(conic=obs.conic, cam_px=bad_cam, proj_px=bad_proj)
+        assert len(SphereObservation(conic=obs.conic, cam_px=cam, proj_px=proj[:40])) == 40
 
 
 class TestCalibrate:
@@ -486,7 +522,7 @@ class TestCalibrate:
         problem = replace(exact_problem(truth_small), mu=0.0)
         true = params_of(truth_small.camera)
         p0 = true * np.array([scale, scale * 0.97, 0.0, 1.1, 0.9])
-        p, _, iterations, converged = _levenberg_marquardt(p0, problem, 200)
+        p, _, iterations, converged = _levenberg_marquardt(residual_fn(problem), p0, 200)
         assert converged and iterations > 2
         rel = np.abs(p - true) / np.abs(true)
         assert np.all(rel[[0, 1, 3, 4]] < 1e-3)
@@ -549,11 +585,9 @@ class TestSingleStart:
         cx, cy = problem.cam_w / 2.0, problem.cam_h / 2.0
         scan = []
         for f in np.geomspace(F_SCAN_LO * problem.cam_w, F_SCAN_HI * problem.cam_w, F_SCAN_SAMPLES):
-            try:
-                r = _residual_vector(np.array([f, f, 0.0, cx, cy]), problem)[0]
-            except InfeasibleCandidate:
-                continue
-            scan.append((float(r @ r), f))
+            vec, ok, _ = _residuals(np.array([f, f, 0.0, cx, cy]), problem)
+            if ok[0]:
+                scan.append((float(vec[0] @ vec[0]), f))
         focals = []
         for _, f in sorted(scan):
             if all(abs(np.log(f / s)) > 0.25 for s in focals):
@@ -574,8 +608,46 @@ class TestSingleStart:
         starts = self.former_starts(problem)
         assert len(starts) >= 2
         for p0 in starts:
-            got = _levenberg_marquardt(p0, problem, 200)[0]
+            got = _levenberg_marquardt(residual_fn(problem), p0, 200)[0]
             np.testing.assert_allclose(got, expected, rtol=1e-5)
+
+
+class TestSolverCore:
+    """The scan, the Jacobian and the descent take any residual function: a
+    toy of six parameters, linear residuals ``A p - b`` masked outside a box."""
+
+    rng = np.random.default_rng(5)
+    A = rng.normal(size=(14, 6))
+    b = rng.normal(size=14)
+    minimum = np.linalg.lstsq(A, b, rcond=None)[0]
+
+    def toy(self, sizes):
+        def fn(P):
+            assert P.ndim == 2 and len(P) <= KERNEL_BATCH
+            sizes.append(len(P))
+            ok = np.all(np.abs(P) < 10.0, axis=1)
+            return np.where(ok[:, None], P @ self.A.T - self.b, np.nan), ok
+        return fn
+
+    def test_jacobian_splits_twelve_probes(self):
+        sizes = []
+        fn = self.toy(sizes)
+        p = np.full(6, 0.5)
+        J = _jacobian(fn, p, fn(p[None])[0][0])
+        assert sizes == [1, 10, 2]
+        np.testing.assert_allclose(J, self.A, rtol=1e-6, atol=1e-8)
+
+    def test_descent_reaches_the_minimum(self):
+        assert np.all(np.abs(self.minimum) < 10.0)
+        p, history, iterations, converged = _levenberg_marquardt(self.toy([]), np.zeros(6), 200)
+        assert converged and iterations >= 1
+        np.testing.assert_allclose(p, self.minimum, rtol=1e-7, atol=1e-9)
+        r = self.A @ self.minimum - self.b
+        assert history[-1] == pytest.approx(r @ r, rel=1e-12)
+
+    def test_infeasible_start_raises(self):
+        with pytest.raises(InfeasibleCandidate):
+            _levenberg_marquardt(self.toy([]), np.full(6, 20.0), 200)
 
 
 class TestEvaluate:
