@@ -117,12 +117,10 @@ def project_points(M: ProjMatrix, points: np.ndarray) -> np.ndarray:
     projected vector's magnitude.
     """
     pts = np.ascontiguousarray(np.atleast_2d(points).T, dtype=float)
-    # coordinate-major (3, n) and einsum, not BLAS (see project_stack)
-    hom = np.einsum("ij,jn->in", M.left, pts) + M.m[:, 3:]
-    scale = np.sqrt(np.einsum("in,in->n", hom, hom))
-    if np.any(np.abs(hom[2]) <= 1e-12 * scale):
+    projected, ok = project_stack(M.m[None], pts[None])
+    if not ok[0]:
         raise PointAtInfinity("a point projects to infinity under this matrix")
-    return (hom[:2] / hom[2]).T
+    return projected[0].T
 
 
 def project_stack(M: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -130,13 +128,10 @@ def project_stack(M: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.nda
     points: the (B, 2, n) projections and a (B,) mask, false where a point
     projects to infinity (that member's projections are meaningless).
 
-    This core serves calibrate's candidate stacks, where BLAS is fastest.
-    ``project_points`` computes the same projections for one matrix without
-    BLAS: at frame sizes this stacked product starts a BLAS thread that
-    keeps spinning after it returns.
+    Every product is an einsum, not BLAS (see ``sphere.lift_pixels``).
     """
-    hom = M @ np.concatenate([points, np.ones_like(points[:, :1])], axis=1)
-    scale = np.linalg.norm(hom, axis=1)
+    hom = np.einsum("bij,bjn->bin", M[:, :, :3], points) + M[:, :, 3:]
+    scale = np.sqrt(np.einsum("bin,bin->bn", hom, hom))
     ok = ~np.any(np.abs(hom[:, 2]) <= 1e-12 * scale, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         return hom[:, :2] / hom[:, 2:], ok

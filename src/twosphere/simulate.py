@@ -502,14 +502,18 @@ class SceneBundle:
 
 
 def _read_rows(path: Path, columns: int) -> np.ndarray:
-    """A bundle CSV as rows of ``columns`` numbers; InvalidBundle if it holds anything else."""
+    """A bundle CSV as rows of ``columns`` finite numbers; InvalidBundle if it
+    holds anything else."""
+    name = f"{path.parent.name}/{path.name}"
     try:
         with warnings.catch_warnings():  # a file without rows reads as (0, columns)
             warnings.simplefilter("ignore", UserWarning)
-            return np.loadtxt(path, delimiter=",").reshape(-1, columns)
+            rows = np.loadtxt(path, delimiter=",").reshape(-1, columns)
     except ValueError as exc:
-        raise InvalidBundle(f"{path.parent.name}/{path.name}: not rows of {columns} numbers "
-                            f"({exc})") from exc
+        raise InvalidBundle(f"{name}: not rows of {columns} numbers ({exc})") from exc
+    if not np.all(np.isfinite(rows)):
+        raise InvalidBundle(f"{name}: not rows of {columns} finite numbers")
+    return rows
 
 
 def _fringe_path(root: Path, orientation: str, freq: int, step: int) -> Path:

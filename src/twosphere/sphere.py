@@ -133,46 +133,37 @@ def lift_pixel_to_sphere(pixel: np.ndarray, K: Intrinsics, pose: SpherePose) -> 
     Raises RayMissesSphere if any ray misses.
     """
     single = np.asarray(pixel).ndim == 1
-    pix = np.ascontiguousarray(np.atleast_2d(pixel).T, dtype=float)
-    # coordinate-major (3, n) and einsum, not BLAS (see lift_pixels)
-    K_inv = K.inverse()
-    dirs = np.einsum("ij,jn->in", K_inv[:, :2], pix) + K_inv[:, 2:]
-    dirs /= np.sqrt(np.einsum("in,in->n", dirs, dirs))
-    c = pose.center
-    b = np.einsum("i,in->n", c, dirs)
-    cc = np.einsum("i,i->", c, c)
-    disc = b * b - (cc - pose.radius**2)
-    misses = np.count_nonzero(disc < -1e-12 * cc)
-    if misses:
-        raise RayMissesSphere(f"{misses} of {pix.shape[1]} rays miss the sphere")
-    dirs *= b - np.sqrt(np.maximum(disc, 0.0))
-    return dirs[:, 0] if single else dirs.T
+    px = np.ascontiguousarray(np.atleast_2d(pixel).T, dtype=float)
+    points, misses = lift_pixels(px, K.inverse()[None], pose.center[None], pose.radius)
+    if misses[0]:
+        raise RayMissesSphere(f"{misses[0]} of {px.shape[1]} rays miss the sphere")
+    return points[0, :, 0] if single else points[0].T
 
 
 def lift_pixels(
-    hom_px: np.ndarray, K_inv: np.ndarray, centers: np.ndarray, radius: float
+    px: np.ndarray, K_inv: np.ndarray, centers: np.ndarray, radius: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``lift_pixel_to_sphere`` of the same homogeneous pixels, given as a
-    (3, n) array, for a stack of (B, 3, 3) inverse intrinsics and (B, 3)
-    sphere centers.
+    """``lift_pixel_to_sphere`` of the same coordinate-major (2, n) pixels for
+    a stack of (B, 3, 3) inverse intrinsics and (B, 3) sphere centers.
 
     The points come coordinate-major, (B, 3, n), so that every per-point
     sum runs along contiguous rows; with them comes the (B,) count of rays
     that miss. A member with misses has meaningless points.
 
-    This core serves calibrate's candidate stacks (a few hundred pixels for
-    each of up to ten candidates), where BLAS is fastest.
-    ``lift_pixel_to_sphere`` computes the same points for one pose without
-    BLAS: at frame sizes these stacked products start a BLAS thread that
-    keeps spinning after they return.
+    Every product is an einsum, not BLAS: the render lifts whole discs
+    through this core, and on some hosts a frame-sized BLAS product,
+    stacked or 2-D, starts a second OpenBLAS thread that keeps spinning
+    after it returns.
     """
-    dirs = K_inv @ hom_px
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    b = (centers[:, None, :] @ dirs)[:, 0]
-    cc = np.einsum("ij,ij->i", centers, centers)[:, None]
+    B, n = len(K_inv), px.shape[1]
+    dirs = np.einsum("kj,jn->kn", K_inv[:, :, :2].reshape(3 * B, 2), px).reshape(B, 3, n)
+    dirs += K_inv[:, :, 2:]
+    dirs /= np.sqrt(np.einsum("bin,bin->bn", dirs, dirs))[:, None]
+    b = np.einsum("bi,bin->bn", centers, dirs)
+    cc = np.einsum("bi,bi->b", centers, centers)[:, None]
     disc = b * b - (cc - radius**2)
     misses = np.count_nonzero(disc < -1e-12 * cc, axis=1)
-    dirs *= (b - np.sqrt(np.maximum(disc, 0.0)))[:, None, :]
+    dirs *= (b - np.sqrt(np.maximum(disc, 0.0)))[:, None]
     return dirs, misses
 
 

@@ -141,6 +141,10 @@ BROKEN_BUNDLES = [
                  "contours/sphere1.csv: not rows of 2 numbers", id="contour_odd_count"),
     pytest.param(append_line("oracle/sphere0.csv", "1,2"),
                  "oracle/sphere0.csv: not rows of 7 numbers", id="oracle_short_line"),
+    pytest.param(append_line("contours/sphere0.csv", "inf,inf"),
+                 "contours/sphere0.csv: not rows of 2 finite numbers", id="contour_inf"),
+    pytest.param(append_line("oracle/sphere1.csv", "1,2,3,4,nan,6,7"),
+                 "oracle/sphere1.csv: not rows of 7 finite numbers", id="oracle_nan"),
     pytest.param(lambda root: (root / "contours" / "sphere0.csv").write_text(""),
                  "contours/sphere0.csv: no points", id="contour_empty"),
 ]

@@ -189,19 +189,8 @@ class TestResiduals:
 
 
 class TestProjectParity:
-    """``project_points`` and the batched ``project_stack`` share no code; at
-    B = 1 they must agree on a whole cppB disc's surface points."""
-
-    def test_projections_agree(self, cppb_disc):
-        truth, pose, pix = cppb_disc
-        points = lift_pixel_to_sphere(pix, truth.camera, pose)
-        M = truth.proj_matrix
-        projected = project_points(M, points)
-        stacked, ok = project_stack(M.m[None], points.T[None])
-        expected = stacked[0].T
-        assert ok[0] and projected.shape == expected.shape == (len(pix), 2)
-        gap = np.linalg.norm(projected - expected, axis=1)
-        assert np.all(gap <= 1e-12 * np.linalg.norm(expected, axis=1))
+    """``project_points`` is ``project_stack`` at B = 1, called with a whole
+    cppB disc's surface points."""
 
     def test_point_on_the_principal_plane(self, cppb_disc):
         truth, pose, pix = cppb_disc
