@@ -3,8 +3,10 @@
 Recovers camera intrinsics and the projector matrix (hence projector
 intrinsics, rotation and translation) from the silhouette conics and
 structured-light correspondences of exactly two spheres, by enforcing that
-one shared projector matrix explains both spheres under the pole-polar
-constraint linking their conic pair to the image of the absolute conic.
+one shared projector matrix explains both spheres. ``calibrate`` then
+refines that estimate with a penalty, weighted by its ``mu``, on the
+pole-polar constraint linking the conic pair to the image of the absolute
+conic.
 A built-in synthetic simulator supplies exact ground truth for verification.
 """
 

@@ -5,20 +5,22 @@ camera-pixel to projector-pixel correspondences on each, a candidate camera
 intrinsics K determines both spheres' centers, lifts every camera pixel to a
 3D surface point, and one projector matrix fitted over both spheres must
 reproject every projector pixel: the two spheres' estimates have to agree.
-``calibrate`` minimizes those residuals over the five intrinsics, plus a
-penalty tying the conic pair's vanishing line and point to the image of the
-absolute conic (``l ~ K^-T K^-1 v``). The focal scan, the Jacobian and the
-descent take any residual function ``fn(P) -> (vec, ok)`` of candidate rows.
+That reprojection term is the objective, and ``_residuals`` is its one
+kernel. ``calibrate`` minimizes it over the five intrinsics, then, unless
+``mu`` is 0, descends once more with a pole-polar penalty appended: the
+conic pair's vanishing line and point must satisfy ``l ~ K^-T K^-1 v``. The
+focal scan, the Jacobian and the descent take any residual function
+``fn(P) -> (vec, ok)`` of candidate rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import InfeasibleCandidate, NoFeasibleStart, TooFewPoints
+from .errors import CoincidentConics, InfeasibleCandidate, NoFeasibleStart, TooFewPoints
 from .geometry import (
     Conic,
     Intrinsics,
@@ -88,20 +90,14 @@ class SphereObservation:
 
 @dataclass(frozen=True)
 class IscProblem:
-    """Inputs of one calibration run.
-
-    ``constraint`` is the unit-normalized (vanishing line, vanishing point)
-    pair extracted from the two conics; ``mu`` weights the pole-polar penalty
-    (0 disables it, the CLI's ``--mu 0`` path).
-    """
+    """Inputs of one calibration run: both spheres' observations, their radii
+    and the camera image size."""
 
     obs1: SphereObservation
     obs2: SphereObservation
     radii: tuple[float, float]
     cam_w: int
     cam_h: int
-    constraint: tuple[np.ndarray, np.ndarray]
-    mu: float
 
     def __post_init__(self) -> None:
         for i, obs in enumerate((self.obs1, self.obs2)):
@@ -109,45 +105,25 @@ class IscProblem:
                 raise TooFewPoints(
                     f"sphere {i} has {len(obs)} valid correspondences, at least 10 are needed"
                 )
-        if self.obs1.conic.allclose(self.obs2.conic, tol=1e-12):
-            raise ValueError("the two sphere observations share one conic")
+        if self.obs1.conic.allclose(self.obs2.conic, tol=1e-10):
+            raise CoincidentConics("the two sphere observations share one conic")
         r = np.asarray(self.radii, dtype=float)
         if r.shape != (2,) or not np.all(np.isfinite(r) & (r > 0)):
             raise ValueError(f"sphere radii must be two finite positive numbers, got {self.radii}")
-        if not (np.isfinite(self.mu) and self.mu >= 0):
-            raise ValueError(f"constraint weight must be finite and non-negative, got {self.mu}")
 
     @classmethod
     def build(
-        cls,
-        obs1: SphereObservation,
-        obs2: SphereObservation,
-        radii,
-        cam_w: int,
-        cam_h: int,
-        mu: float | None = None,
+        cls, obs1: SphereObservation, obs2: SphereObservation, radii, cam_w: int, cam_h: int
     ) -> "IscProblem":
-        """Assemble a problem, extracting the constraint pair from the conics.
-
-        ``radii`` is a single shared radius or a per-sphere pair. The
-        eigenvector selection is bootstrapped with a focal guess of the
-        image width and the principal point at the image center. A
-        coincident conic pair raises CoincidentConics here, before any
-        optimization starts.
-        """
+        """Assemble a problem; ``radii`` is a single shared radius or a
+        per-sphere pair."""
         r = (radii, radii) if np.ndim(radii) == 0 else radii
-        bootstrap = Intrinsics(fx=cam_w, fy=cam_w, skew=0.0, u0=cam_w / 2.0, v0=cam_h / 2.0)
-        line, point = constraint_pair(obs1.conic, obs2.conic, bootstrap)
-        if mu is None:
-            mu = 1e4 * (len(obs1) + len(obs2))
         return cls(
             obs1=obs1,
             obs2=obs2,
             radii=tuple(np.asarray(r, dtype=float).tolist()),
             cam_w=int(cam_w),
             cam_h=int(cam_h),
-            constraint=(line, point),
-            mu=float(mu),
         )
 
     @cached_property
@@ -172,7 +148,7 @@ class CalibResult:
     proj_intrinsics: Intrinsics
     rotation: np.ndarray
     translation: np.ndarray
-    objective: float  # sum of unsquared residual norms + mu * constraint
+    objective: float  # sum of unsquared reprojection norms (isc_objective)
     constraint_residual: float  # ||l_hat x (omega v)_hat|| at the solution
     per_sphere_rms: tuple[float, float]  # residual-norm sums / N1, N2
     iterations: int
@@ -238,8 +214,7 @@ def _residuals(P: np.ndarray, problem: IscProblem) -> tuple[np.ndarray, np.ndarr
     ``P`` holds one (fx, fy, skew, u0, v0) row per candidate. Returns the
     residuals (B, m), a feasibility mask (B,) and the fitted projector
     matrices (B, 3, 4) in the ``ProjMatrix`` gauge. A residual row holds 2
-    components per correspondence (both spheres, obs1 first), then sqrt(mu)
-    times the 3-component pole-polar cross product.
+    components per correspondence, both spheres, obs1 first.
 
     A candidate is infeasible when its focal lengths are not positive and
     finite, a back-projected cone lacks a sphere's eigenvalue signature, a
@@ -253,7 +228,7 @@ def _residuals(P: np.ndarray, problem: IscProblem) -> tuple[np.ndarray, np.ndarr
         raise ValueError(f"{len(P)} candidates exceed the kernel batch of {KERNEL_BATCH}")
     px1, px2, proj_norm, T2_inv, proj_px = problem._kernel_inputs
     r1, r2 = problem.radii
-    vec = np.full((len(P), 2 * len(proj_px) + 3), np.nan)
+    vec = np.full((len(P), 2 * len(proj_px)), np.nan)
     matrices = np.full((len(P), 3, 4), np.nan)
 
     live = np.flatnonzero(np.all(np.isfinite(P), axis=1) & (P[:, 0] > 0) & (P[:, 1] > 0))
@@ -265,19 +240,17 @@ def _residuals(P: np.ndarray, problem: IscProblem) -> tuple[np.ndarray, np.ndarr
     x1, misses1 = lift_pixels(px1, K_inv, c1[keep], r1)
     x2, misses2 = lift_pixels(px2, K_inv, c2[keep], r2)
     keep = (misses1 == 0) & (misses2 == 0)
-    live, K_inv = live[keep], K_inv[keep]
+    live = live[keep]
     points = np.concatenate([x1[keep], x2[keep]], axis=2)
     M, fitted = dlt_stack(proj_norm, T2_inv, points)
     M, gauged = gauge(M)
     keep = fitted & gauged
-    live, K_inv, M, points = live[keep], K_inv[keep], M[keep], points[keep]
+    live, M, points = live[keep], M[keep], points[keep]
     projected, keep = project_stack(M, points)
-    live, K_inv, M = live[keep], K_inv[keep], M[keep]
+    live = live[keep]
 
-    planar = (proj_px - projected[keep].transpose(0, 2, 1)).reshape(len(live), 2 * len(proj_px))
-    cross = pole_polar_crosses(*problem.constraint, K_inv)
-    vec[live] = np.concatenate([planar, np.sqrt(problem.mu) * cross], axis=1)
-    matrices[live] = M
+    vec[live] = (proj_px - projected[keep].transpose(0, 2, 1)).reshape(len(live), vec.shape[1])
+    matrices[live] = M[keep]
     ok = np.zeros(len(P), dtype=bool)
     ok[live] = True
     return vec, ok, matrices
@@ -286,24 +259,21 @@ def _residuals(P: np.ndarray, problem: IscProblem) -> tuple[np.ndarray, np.ndarr
 def isc_objective(K: Intrinsics, problem: IscProblem) -> tuple[float, ProjMatrix]:
     """Objective value at candidate intrinsics, with the fitted projector matrix.
 
-    The value is the sum of unsquared reprojection norms over both spheres
-    plus ``mu`` times the squared scale-free pole-polar residual. Geometric
-    impossibilities raise InfeasibleCandidate; the search treats those
-    candidates as rejected steps rather than a crash.
+    The value is the sum of unsquared reprojection norms over both spheres.
+    Geometric impossibilities raise InfeasibleCandidate; the search treats
+    those candidates as rejected steps rather than a crash.
     """
     vec, ok, M = _residuals(np.array([K.fx, K.fy, K.skew, K.u0, K.v0]), problem)
     if not ok[0]:
         raise InfeasibleCandidate("candidate K makes the sphere or projector geometry impossible")
-    return _objective_parts(vec[0], problem)[1], ProjMatrix(M[0])
+    return _reprojection_norms(vec[0])[1], ProjMatrix(M[0])
 
 
-def _objective_parts(vec: np.ndarray, problem: IscProblem) -> tuple[np.ndarray, float]:
-    """Per-correspondence residual norms and the objective value, from one
-    ``_residuals`` row (whose tail is the sqrt(mu)-scaled cross)."""
-    n = len(problem.obs1) + len(problem.obs2)
-    norms = np.linalg.norm(vec[: 2 * n].reshape(-1, 2), axis=1)
-    cross = vec[2 * n :]
-    return norms, float(norms.sum() + cross @ cross)
+def _reprojection_norms(row: np.ndarray) -> tuple[np.ndarray, float]:
+    """Per-correspondence reprojection norms of one ``_residuals`` row, and
+    their sum: the objective value."""
+    norms = np.linalg.norm(row.reshape(-1, 2), axis=1)
+    return norms, float(norms.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -405,40 +375,53 @@ def _scan_start(fn, cam_w, cam_h) -> np.ndarray:
     return samples[np.argmin(F)]
 
 
-def calibrate(problem: IscProblem, max_iters: int = 200) -> CalibResult:
+def calibrate(
+    problem: IscProblem, max_iters: int = 200, *, mu: float | None = None
+) -> CalibResult:
     """Search the five intrinsics parameters for the consistency optimum.
 
-    One focal scan of the penalty-free problem picks the start (see
-    ``_scan_start``), and one damped descent from it localizes the
-    intrinsics. When the constraint penalty is active, the vanishing pair is
-    then re-selected under that much sharper estimate (the image-width
-    bootstrap can rank the eigenvector candidates wrongly), and one more
-    descent solves the penalized problem from the warm start. Each descent
-    stops after at most ``max_iters`` accepted steps; ``iterations`` and
-    ``history`` describe the final descent only. Fully deterministic for
-    identical inputs.
+    One focal scan picks the start (see ``_scan_start``), and one damped
+    descent of the reprojection residuals localizes the intrinsics. The
+    vanishing pair of the two conics is selected under that estimate. When
+    ``mu`` is positive (default ``1e4`` times the correspondence count), one
+    more descent from the warm start appends ``sqrt(mu)`` times the pair's
+    pole-polar cross product to the residuals. Each descent stops after at
+    most ``max_iters`` accepted steps; ``iterations`` and ``history``
+    describe the final descent only. The reported ``objective`` is
+    ``isc_objective`` at the result, at every ``mu``; the penalty's size is
+    ``constraint_residual``. Fully deterministic for identical inputs.
 
     Raises NoFeasibleStart when every scan sample is infeasible, and
-    ValueError when ``max_iters`` is below 1.
+    ValueError when ``max_iters`` is below 1 or ``mu`` is negative or not
+    finite.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
-    free = replace(problem, mu=0.0)
-    fn = lambda P: _residuals(P, free)[:2]  # noqa: E731
+    mu = 1e4 * (len(problem.obs1) + len(problem.obs2)) if mu is None else float(mu)
+    if not (np.isfinite(mu) and mu >= 0):
+        raise ValueError(f"constraint weight must be finite and non-negative, got {mu}")
+    fn = lambda P: _residuals(P, problem)[:2]  # noqa: E731
     params, history, iterations, converged = _levenberg_marquardt(
         fn, _scan_start(fn, problem.cam_w, problem.cam_h), max_iters
     )
-    if problem.mu > 0:
-        line, point = constraint_pair(problem.obs1.conic, problem.obs2.conic, Intrinsics(*params))
-        problem = replace(problem, constraint=(line, point))
+    # a rough guess, such as a focal of the image width, can misrank the pairs
+    line, point = constraint_pair(problem.obs1.conic, problem.obs2.conic, Intrinsics(*params))
+    if mu > 0:
+
+        def penalized(P):
+            vec, ok = fn(P)
+            cross = np.full((len(P), 3), np.nan)
+            cross[ok] = pole_polar_crosses(line, point, intrinsics_matrices(P[ok])[1])
+            return np.concatenate([vec, np.sqrt(mu) * cross], axis=1), ok
+
         params, history, iterations, converged = _levenberg_marquardt(
-            lambda P: _residuals(P, problem)[:2], params, max_iters
+            penalized, params, max_iters
         )
 
     K = Intrinsics(*params)
     vec, _, M = _residuals(params, problem)
     M = ProjMatrix(M[0])
-    norms, objective = _objective_parts(vec[0], problem)
+    norms, objective = _reprojection_norms(vec[0])
     n1 = len(problem.obs1)
     proj_K, rotation, translation = decompose(M)
     return CalibResult(
@@ -448,7 +431,7 @@ def calibrate(problem: IscProblem, max_iters: int = 200) -> CalibResult:
         rotation=rotation,
         translation=translation,
         objective=objective,
-        constraint_residual=float(np.linalg.norm(pole_polar_cross(*problem.constraint, K))),
+        constraint_residual=float(np.linalg.norm(pole_polar_cross(line, point, K))),
         per_sphere_rms=(float(norms[:n1].sum() / n1), float(norms[n1:].sum() / (len(norms) - n1))),
         iterations=iterations,
         converged=converged,

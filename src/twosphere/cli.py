@@ -113,7 +113,7 @@ def cmd_calibrate(args) -> int:
         return EXIT_INPUT
 
     try:
-        result, problem = run_calibration(
+        result, _ = run_calibration(
             bundle, stride=args.stride, mu=args.mu, max_iters=args.max_iters
         )
     except (DegenerateConic, CoincidentConics) as exc:
@@ -124,7 +124,7 @@ def cmd_calibrate(args) -> int:
         return EXIT_CALIB
 
     payload = result.to_json_dict()
-    payload["constraint_checked"] = problem.mu > 0
+    payload["constraint_checked"] = args.mu is None or args.mu > 0
     if bundle.oracle is not None:
         payload["error_report"] = evaluate_against_truth(result, bundle.truth)
 

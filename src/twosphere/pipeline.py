@@ -81,14 +81,10 @@ def assemble_observations(
     return observations
 
 
-def build_problem(
-    bundle: SceneBundle, stride: int | None = None, mu: float | None = None
-) -> IscProblem:
+def build_problem(bundle: SceneBundle, stride: int | None = None) -> IscProblem:
     obs = assemble_observations(bundle, stride)
     radii = tuple(s.radius for s in bundle.truth.spheres)
-    return IscProblem.build(
-        obs[0], obs[1], radii, bundle.truth.cam_w, bundle.truth.cam_h, mu=mu
-    )
+    return IscProblem.build(obs[0], obs[1], radii, bundle.truth.cam_w, bundle.truth.cam_h)
 
 
 def run_calibration(
@@ -97,9 +93,9 @@ def run_calibration(
     mu: float | None = None,
     max_iters: int = 200,
 ) -> tuple[CalibResult, IscProblem]:
-    """Full pipeline: decode, assemble, extract the constraint, optimize."""
-    problem = build_problem(bundle, stride, mu)
-    result = calibrate(problem, max_iters)
+    """Full pipeline: decode, assemble, optimize."""
+    problem = build_problem(bundle, stride)
+    result = calibrate(problem, max_iters, mu=mu)
     log.info(
         "calibration %s after %d iterations, objective %.6g",
         "converged" if result.converged else "stopped",

@@ -68,8 +68,9 @@ def sphere_center_from_conic(
     pair_gap_tol : relative gap allowed between the two cone eigenvalues that
         should coincide for a true sphere image. 1e-6 suits exact conics;
         use ~1e-2 for conics fitted to noisy contours, or None to skip the
-        check entirely (the calibration inner loop does this, since candidate
-        intrinsics far from the truth legitimately bend the cone elliptic).
+        check entirely (the calibration's residual kernel calls
+        ``sphere_centers`` without it, since candidate intrinsics far from
+        the truth legitimately bend the cone elliptic).
 
     Raises
     ------

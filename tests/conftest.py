@@ -79,12 +79,12 @@ def exact_observations(truth: SceneTruth):
     return obs
 
 
-def exact_problem(truth: SceneTruth, mu=None):
+def exact_problem(truth: SceneTruth):
     from twosphere import IscProblem
 
     obs = exact_observations(truth)
     radii = tuple(s.radius for s in truth.spheres)
-    return IscProblem.build(obs[0], obs[1], radii, truth.cam_w, truth.cam_h, mu=mu)
+    return IscProblem.build(obs[0], obs[1], radii, truth.cam_w, truth.cam_h)
 
 
 @pytest.fixture(scope="session")

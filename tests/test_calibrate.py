@@ -50,7 +50,7 @@ from twosphere.errors import (
     SingularBlock,
     TooFewPoints,
 )
-from twosphere.geometry import homogenize
+from twosphere.geometry import homogenize, pole_polar_cross
 from twosphere.simulate import rotation_about_y
 
 calibrate_module = importlib.import_module("twosphere.calibrate")
@@ -104,7 +104,7 @@ class TestIscObjective:
         problem = exact_problem(truth_small)
         value, M = isc_objective(truth_small.camera, problem)
         assert value < 1e-6
-        line, point = problem.constraint
+        line, point = constraint_pair(problem.obs1.conic, problem.obs2.conic, truth_small.camera)
         assert pole_polar_residual(line, point, truth_small.camera) ** 2 < 1e-12
 
     def test_gradient_vanishes_at_truth(self, truth_small):
@@ -219,15 +219,24 @@ def reference_residuals(params, problem):
     if np.any(np.abs(hom[:, 2]) <= 1e-12 * np.linalg.norm(hom, axis=1)):
         raise PointAtInfinity("infinity")
     planar = xp - hom[:, :2] / hom[:, 2:3]
-    w = K_inv.T @ K_inv
-    wv = w @ problem.constraint[1]
-    cross = np.cross(problem.constraint[0], wv / np.linalg.norm(wv))
-    return np.concatenate([planar.ravel(), np.sqrt(problem.mu) * cross]), M
+    return planar.ravel(), M
 
 
 def residual_fn(problem):
     """The solver's ``fn(P) -> (vec, ok)`` over ``problem``, as ``calibrate`` passes it."""
     return lambda P: _residuals(P, problem)[:2]
+
+
+def penalized_fn(problem, pair, mu):
+    """``residual_fn`` with ``sqrt(mu)`` times the pair's pole-polar cross
+    product appended to each feasible row, as ``calibrate``'s penalized pass
+    descends on it."""
+    def fn(P):
+        vec, ok = residual_fn(problem)(P)
+        cross = np.full((len(P), 3), np.nan)
+        cross[ok] = [pole_polar_cross(*pair, Intrinsics(*p)) for p in P[ok]]
+        return np.hstack([vec, np.sqrt(mu) * cross]), ok
+    return fn
 
 
 def scan_start(problem):
@@ -273,7 +282,7 @@ class TestResidualKernel:
         misses = [[0.1 * cx, 0.1 * cx, 0.0, cx, cy], [2.0 * cx, 2.0 * cx, 0.0, -8.0 * cx, cy]]
         P = np.vstack([scan_samples(problem), jacobian_probes(scan_start(problem)), misses])
         vec, ok, M = kernel_in_chunks(P, problem)
-        assert vec.shape == (len(P), 2 * (len(problem.obs1) + len(problem.obs2)) + 3)
+        assert vec.shape == (len(P), 2 * (len(problem.obs1) + len(problem.obs2)))
         feasible = 0
         for i, params in enumerate(P):
             try:
@@ -406,11 +415,13 @@ class TestProblemBuild:
 
     def test_default_mu_scales_with_count(self, truth_small):
         problem = exact_problem(truth_small)
-        assert problem.mu == pytest.approx(1e4 * (len(problem.obs1) + len(problem.obs2)))
+        default = calibrate(problem)
+        scaled = calibrate(problem, mu=1e4 * (len(problem.obs1) + len(problem.obs2)))
+        assert default.to_json_dict() == scaled.to_json_dict()
 
     def test_mu_zero_permitted(self, truth_small):
-        problem = exact_problem(truth_small, mu=0.0)
-        assert problem.mu == 0.0
+        problem = exact_problem(truth_small)
+        assert calibrate(problem, mu=0.0).converged
         value, _ = isc_objective(truth_small.camera, problem)
         assert value < 1e-6
 
@@ -423,7 +434,8 @@ class TestProblemBuild:
     def test_malformed_mu_or_radii_rejected(self, truth_small, radii, mu):
         obs = exact_observations(truth_small)
         with pytest.raises(ValueError):
-            IscProblem.build(obs[0], obs[1], radii, truth_small.cam_w, truth_small.cam_h, mu=mu)
+            problem = IscProblem.build(obs[0], obs[1], radii, truth_small.cam_w, truth_small.cam_h)
+            calibrate(problem, mu=mu)
 
     def test_shared_radius_and_pair_accepted(self, truth_small):
         obs = exact_observations(truth_small)
@@ -479,12 +491,29 @@ class TestCalibrate:
         # one objective definition: the reported value is isc_objective at
         # the reported camera, and the constraint residual is the shared
         # pole-polar function's
-        problem = build_problem(bundle_small_noisy, mu=0.0)
-        result = calibrate(problem)
+        problem = build_problem(bundle_small_noisy)
+        result = calibrate(problem, mu=0.0)
         assert result.objective == isc_objective(result.camera, problem)[0]
-        expected = pole_polar_residual(*problem.constraint, result.camera)
+        pair = constraint_pair(problem.obs1.conic, problem.obs2.conic, result.camera)
+        expected = pole_polar_residual(*pair, result.camera)
         assert expected > 0
         assert abs(result.constraint_residual - expected) <= 1e-12 * expected
+
+    def test_reported_objective_at_default_mu(self, bundle_small_noisy):
+        # the penalty does not enter the reported objective: it is the sum of
+        # the reprojection norms whose per-sphere means are also reported
+        problem = build_problem(bundle_small_noisy)
+        result = calibrate(problem)
+        assert result.objective == isc_objective(result.camera, problem)[0]
+        n1, n2 = len(problem.obs1), len(problem.obs2)
+        norm_sum = n1 * result.per_sphere_rms[0] + n2 * result.per_sphere_rms[1]
+        assert result.objective == pytest.approx(norm_sum, rel=1e-12)
+
+    def test_mu_zero_reports_the_pair_selected_under_the_estimate(self):
+        # an image-width focal guess ranks noiseless cppB's eigenvector pairs
+        # wrongly; the pair selected under the estimate holds at the optimum
+        result = calibrate(exact_problem(preset("cppB")), mu=0.0)
+        assert result.constraint_residual < 1e-6
 
     def test_stride_and_max_iters_reach_the_search(self, bundle_small):
         def n_corr(problem):
@@ -519,7 +548,7 @@ class TestCalibrate:
         # the step stop does not end a descent that is still far away: from
         # focal lengths 50 % high or 40 % low and an offset principal point,
         # the descent reaches criterion-1 accuracy (0.1 %)
-        problem = replace(exact_problem(truth_small), mu=0.0)
+        problem = exact_problem(truth_small)
         true = params_of(truth_small.camera)
         p0 = true * np.array([scale, scale * 0.97, 0.0, 1.1, 0.9])
         p, _, iterations, converged = _levenberg_marquardt(residual_fn(problem), p0, 200)
@@ -579,13 +608,13 @@ class TestSingleStart:
     reaches calibrate's camera."""
 
     @staticmethod
-    def former_starts(problem):
-        """The former rule: the three lowest feasible focal-scan samples
-        whose focals lie pairwise more than 0.25 apart in log."""
+    def former_starts(problem, fn):
+        """The former rule: the three lowest feasible focal-scan samples of
+        ``fn`` whose focals lie pairwise more than 0.25 apart in log."""
         cx, cy = problem.cam_w / 2.0, problem.cam_h / 2.0
         scan = []
         for f in np.geomspace(F_SCAN_LO * problem.cam_w, F_SCAN_HI * problem.cam_w, F_SCAN_SAMPLES):
-            vec, ok, _ = _residuals(np.array([f, f, 0.0, cx, cy]), problem)
+            vec, ok = fn(np.array([[f, f, 0.0, cx, cy]]))
             if ok[0]:
                 scan.append((float(vec[0] @ vec[0]), f))
         focals = []
@@ -598,17 +627,18 @@ class TestSingleStart:
 
     @pytest.mark.parametrize("mu", [0.0, None], ids=["mu0", "default_mu"])
     def test_former_starts_reach_the_same_camera(self, bundle_small_noisy, mu):
-        problem = build_problem(bundle_small_noisy, mu=mu)
-        expected = params_of(calibrate(problem).camera)
-        if problem.mu > 0:
-            # the penalized pass: its pair is re-selected at the penalty-free optimum
-            free_camera = calibrate(replace(problem, mu=0.0)).camera
+        problem = build_problem(bundle_small_noisy)
+        expected = params_of(calibrate(problem, mu=mu).camera)
+        fn = residual_fn(problem)
+        if mu is None:
+            # the penalized pass: its pair is selected at the penalty-free optimum
+            free_camera = calibrate(problem, mu=0.0).camera
             pair = constraint_pair(problem.obs1.conic, problem.obs2.conic, free_camera)
-            problem = replace(problem, constraint=pair)
-        starts = self.former_starts(problem)
+            fn = penalized_fn(problem, pair, 1e4 * (len(problem.obs1) + len(problem.obs2)))
+        starts = self.former_starts(problem, fn)
         assert len(starts) >= 2
         for p0 in starts:
-            got = _levenberg_marquardt(residual_fn(problem), p0, 200)[0]
+            got = _levenberg_marquardt(fn, p0, 200)[0]
             np.testing.assert_allclose(got, expected, rtol=1e-5)
 
 

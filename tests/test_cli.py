@@ -348,6 +348,18 @@ class TestCalibrate:
         assert len(errors) == 1 and "sphere 0's contour does not fit a real ellipse" in errors[0]
         assert not out.exists()
 
+    def test_coincident_contours_exit_5(self, micro_bundle_dir, tmp_path, caplog):
+        import shutil
+
+        broken = tmp_path / "coincident"
+        shutil.copytree(micro_bundle_dir, broken)
+        (broken / "calib.json").unlink(missing_ok=True)
+        shutil.copy(broken / "contours" / "sphere0.csv", broken / "contours" / "sphere1.csv")
+        assert main(["--quiet", "calibrate", str(broken)]) == 5
+        errors = error_lines(caplog)
+        assert len(errors) == 1 and "share one conic" in errors[0]
+        assert not (broken / "calib.json").exists()
+
     def test_missing_bundle_exits_2(self, tmp_path):
         assert main(["--quiet", "calibrate", str(tmp_path / "nowhere")]) == 2
 

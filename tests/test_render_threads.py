@@ -12,10 +12,14 @@ The check runs in a fresh interpreter with OpenBLAS free to start its
 threads. It times the second call of each stage, after a pause: the first
 one may still see the pool spin once while it starts. On a host with one
 CPU, or whose OpenBLAS runs these products on one thread, no second thread
-spins, so the tests pass without testing anything.
+spins, so those tests pass without testing anything. A static check of the
+cores' source holds on every host: none of them calls a BLAS product.
 """
 
+import ast
+import inspect
 import os
+import textwrap
 import subprocess
 import sys
 from pathlib import Path
@@ -78,3 +82,29 @@ def test_second_noisy_cppb_calibration_uses_one_thread(cpu_per_wall):
 def test_second_noisy_cppb_reconstruction_uses_one_thread(cpu_per_wall):
     ratio = cpu_per_wall["reconstruction"]
     assert ratio <= 1.2, f"the second reconstruction used {ratio:.2f} s of CPU per second of wall"
+
+
+# the numpy calls that hand a product to BLAS; ``@`` is checked as an operator
+BLAS_CALLS = {"matmul", "dot", "tensordot", "inner"}
+
+
+def blas_products(function) -> list[int]:
+    """Source lines of ``function`` that take a BLAS product."""
+    lines = inspect.getsourcelines(function)[1]
+    tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+    return [
+        lines + node.lineno - 1
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+        or isinstance(node, ast.Attribute) and node.attr in BLAS_CALLS
+        or isinstance(node, ast.Name) and node.id in BLAS_CALLS
+    ]
+
+
+def test_render_and_triangulation_cores_take_no_blas_product():
+    from twosphere import projector, reconstruct, sphere
+
+    cores = (sphere.lift_pixels, projector.project_stack, reconstruct._ray_geometry,
+             reconstruct._midpoints)
+    found = {core.__qualname__: blas_products(core) for core in cores}
+    assert not any(found.values()), f"BLAS products at source lines {found}"
