@@ -15,8 +15,8 @@ focal scan, the Jacobian and the descent take any residual function
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import asdict, astuple, dataclass, field, fields
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -172,35 +172,40 @@ class CalibResult:
     @classmethod
     def from_json_dict(cls, d: dict) -> "CalibResult":
         """Inverse of ``to_json_dict``. Every number must be a finite int or
-        float, not a bool; a ValueError names the first field that is not."""
-        checks = [(f"{section}.{name}", d[section][name], _is_number, "a finite number")
-                  for section in ("camera", "projector")
-                  for name in ("fx", "fy", "skew", "u0", "v0")]
-        checks += [
-            ("proj_matrix", d["proj_matrix"], lambda v: _is_vector(v, 12), "12 finite numbers"),
-            ("rotation", d["rotation"], lambda v: _is_matrix(v, 3, 3),
-             "a 3x3 matrix of finite numbers"),
-            ("translation", d["translation"], lambda v: _is_vector(v, 3), "3 finite numbers"),
-            ("objective", d["objective"], _is_number, "a finite number"),
-            ("constraint_residual", d["constraint_residual"], _is_number, "a finite number"),
-            ("per_sphere_rms", d["per_sphere_rms"], lambda v: _is_vector(v, 2), "2 finite numbers"),
-            ("iterations", d["iterations"], _is_integer, "an integer"),
-            ("converged", d["converged"], lambda v: isinstance(v, bool), "true or false"),
-        ]
-        for name, value, valid, expected in checks:
-            if not valid(value):
-                raise ValueError(f"{name}: must be {expected}")
+        float, not a bool; a ValueError names the first field that is not,
+        that is missing or whose parent is not an object."""
+
+        def read(path, valid=_is_number, expected="a finite number", convert=float):
+            node, keys = d, path.split(".")
+            for depth, key in enumerate(keys):
+                if not isinstance(node, dict):
+                    raise ValueError(f"{'.'.join(keys[:depth]) or 'calibration'}: must be an object")
+                if key not in node:
+                    raise ValueError(f"{'.'.join(keys[:depth + 1])}: missing")
+                node = node[key]
+            if not valid(node):
+                raise ValueError(f"{path}: must be {expected}")
+            return convert(node)
+
+        def intrinsics(section):
+            return Intrinsics(**{f.name: read(f"{section}.{f.name}") for f in fields(Intrinsics)})
+
+        floats = partial(np.asarray, dtype=float)
+        # keyword arguments are evaluated in order: the first bad field is reported
         return cls(
-            camera=Intrinsics.from_dict(d["camera"]),
-            proj_matrix=ProjMatrix.from_json(d["proj_matrix"]),
-            proj_intrinsics=Intrinsics.from_dict(d["projector"]),
-            rotation=np.asarray(d["rotation"], dtype=float),
-            translation=np.asarray(d["translation"], dtype=float),
-            objective=float(d["objective"]),
-            constraint_residual=float(d["constraint_residual"]),
-            per_sphere_rms=(float(d["per_sphere_rms"][0]), float(d["per_sphere_rms"][1])),
-            iterations=int(d["iterations"]),
-            converged=bool(d["converged"]),
+            camera=intrinsics("camera"),
+            proj_intrinsics=intrinsics("projector"),
+            proj_matrix=read("proj_matrix", lambda v: _is_vector(v, 12), "12 finite numbers",
+                             ProjMatrix.from_json),
+            rotation=read("rotation", lambda v: _is_matrix(v, 3, 3),
+                          "a 3x3 matrix of finite numbers", floats),
+            translation=read("translation", lambda v: _is_vector(v, 3), "3 finite numbers", floats),
+            objective=read("objective"),
+            constraint_residual=read("constraint_residual"),
+            per_sphere_rms=read("per_sphere_rms", lambda v: _is_vector(v, 2), "2 finite numbers",
+                                lambda v: tuple(map(float, v))),
+            iterations=read("iterations", _is_integer, "an integer", int),
+            converged=read("converged", lambda v: isinstance(v, bool), "true or false", bool),
         )
 
 
@@ -263,7 +268,7 @@ def isc_objective(K: Intrinsics, problem: IscProblem) -> tuple[float, ProjMatrix
     Geometric impossibilities raise InfeasibleCandidate; the search treats
     those candidates as rejected steps rather than a crash.
     """
-    vec, ok, M = _residuals(np.array([K.fx, K.fy, K.skew, K.u0, K.v0]), problem)
+    vec, ok, M = _residuals(np.array(astuple(K)), problem)
     if not ok[0]:
         raise InfeasibleCandidate("candidate K makes the sphere or projector geometry impossible")
     return _reprojection_norms(vec[0])[1], ProjMatrix(M[0])
@@ -445,8 +450,8 @@ def calibrate(
 
 def _relative_errors_pct(est: Intrinsics, true: Intrinsics) -> dict:
     out = {}
-    for name in ("fx", "fy", "skew", "u0", "v0"):
-        e, t = getattr(est, name), getattr(true, name)
+    for name, e in asdict(est).items():
+        t = getattr(true, name)
         out[name] = 100.0 * (e - t) / t if t != 0 else float("inf") if e != t else 0.0
     return out
 
@@ -476,8 +481,8 @@ def format_error_report(report: dict) -> str:
     """Render the 12-row error table (10 intrinsics + rotation + translation)."""
     rows = []
     for device in ("camera", "projector"):
-        for name in ("fx", "fy", "skew", "u0", "v0"):
-            rows.append((f"{device}.{name}", f"{report[device][name]:+.3f} %"))
+        for f in fields(Intrinsics):
+            rows.append((f"{device}.{f.name}", f"{report[device][f.name]:+.3f} %"))
     rows.append(("rotation", f"{report['rotation_deg']:.6f} deg"))
     rows.append(("translation", f"{100.0 * report['translation_rel']:.4f} %"))
     width = max(len(name) for name, _ in rows)

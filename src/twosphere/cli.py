@@ -140,11 +140,8 @@ def cmd_calibrate(args) -> int:
     if "error_report" in payload:
         print(format_error_report(payload["error_report"]))
     else:
-        cam = result.camera
-        print(
-            f"fx={cam.fx:.4f} fy={cam.fy:.4f} skew={cam.skew:.4f} "
-            f"u0={cam.u0:.4f} v0={cam.v0:.4f} converged={result.converged}"
-        )
+        camera = " ".join(f"{name}={v:.4f}" for name, v in result.camera.to_dict().items())
+        print(f"{camera} converged={result.converged}")
     return EXIT_OK
 
 

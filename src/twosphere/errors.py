@@ -93,7 +93,7 @@ class InvalidBundle(TwosphereError):
     """A bundle file is malformed: the manifest is not a JSON object, names a
     fringe format other than float32 or holds a scene truth that fails
     ``validate_config``; a fringe sidecar lacks its width and height; or a
-    contour or oracle CSV is not rows of numbers of its width."""
+    contour or oracle CSV is not rows of exactly 2 or 7 numbers."""
 
 
 class InvalidNoise(TwosphereError):

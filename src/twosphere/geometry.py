@@ -10,7 +10,7 @@ and on a line ``l`` iff ``l . x = 0``. Pixel coordinates are ``(x, y)`` with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
@@ -63,8 +63,8 @@ class Intrinsics:
     def __post_init__(self) -> None:
         if not (self.fx > 0 and self.fy > 0):
             raise ValueError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
-        for name in ("fx", "fy", "skew", "u0", "v0"):
-            if not np.isfinite(getattr(self, name)):
+        for name, value in asdict(self).items():
+            if not np.isfinite(value):
                 raise ValueError(f"{name} is not finite")
 
     def as_matrix(self) -> np.ndarray:
@@ -79,7 +79,7 @@ class Intrinsics:
         return iac_matrices(self.inverse()[None])[0]
 
     def _row(self) -> np.ndarray:
-        return np.array([[self.fx, self.fy, self.skew, self.u0, self.v0]])
+        return np.array([astuple(self)])
 
     @classmethod
     def from_matrix(cls, K: np.ndarray) -> "Intrinsics":
@@ -89,14 +89,14 @@ class Intrinsics:
         K = K / K[2, 2]
         if abs(K[1, 0]) > 1e-9 or abs(K[2, 0]) > 1e-9 or abs(K[2, 1]) > 1e-9:
             raise ValueError("intrinsics matrix must be upper triangular")
-        return cls(fx=K[0, 0], fy=K[1, 1], skew=K[0, 1], u0=K[0, 2], v0=K[1, 2])
+        return cls(K[0, 0], K[1, 1], K[0, 1], K[0, 2], K[1, 2])
 
     def to_dict(self) -> dict:
-        return {"fx": self.fx, "fy": self.fy, "skew": self.skew, "u0": self.u0, "v0": self.v0}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Intrinsics":
-        return cls(fx=d["fx"], fy=d["fy"], skew=d["skew"], u0=d["u0"], v0=d["v0"])
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 def intrinsics_matrices(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

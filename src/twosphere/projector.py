@@ -255,8 +255,7 @@ def decompose(M: ProjMatrix) -> tuple[Intrinsics, np.ndarray, np.ndarray]:
     k33 = K[2, 2]
     K = K / k33
     T = np.linalg.solve(K, M.m[:, 3] / k33)
-    intr = Intrinsics(fx=K[0, 0], fy=K[1, 1], skew=K[0, 1], u0=K[0, 2], v0=K[1, 2])
-    return intr, R, T
+    return Intrinsics.from_matrix(K), R, T
 
 
 def compose(K: Intrinsics, R: np.ndarray, T: np.ndarray) -> ProjMatrix:

@@ -12,7 +12,7 @@ import json
 import numbers
 import sys
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -120,27 +120,9 @@ class SceneTruth:
         return replace(self, noise=noise)
 
     def to_config(self) -> dict:
-        cam = self.camera
-        prj = self.proj_intrinsics
         return {
-            "camera": {
-                "width_px": self.cam_w,
-                "height_px": self.cam_h,
-                "fx_px": cam.fx,
-                "fy_px": cam.fy,
-                "skew_px": cam.skew,
-                "u0_px": cam.u0,
-                "v0_px": cam.v0,
-            },
-            "projector": {
-                "width_px": self.proj_w,
-                "height_px": self.proj_h,
-                "fx_px": prj.fx,
-                "fy_px": prj.fy,
-                "skew_px": prj.skew,
-                "u0_px": prj.u0,
-                "v0_px": prj.v0,
-            },
+            "camera": _device_section(self.camera, self.cam_w, self.cam_h),
+            "projector": _device_section(self.proj_intrinsics, self.proj_w, self.proj_h),
             "projector_pose": {
                 "rotation": [[float(v) for v in row] for row in self.rotation],
                 "translation_lu": [float(v) for v in self.translation],
@@ -156,8 +138,6 @@ class SceneTruth:
     @classmethod
     def from_config(cls, cfg: dict) -> "SceneTruth":
         """Build from a validated config dict (see ``validate_config``)."""
-        cam = cfg["camera"]
-        prj = cfg["projector"]
         pose = cfg["projector_pose"]
         if "rotation" in pose:
             rotation = np.asarray(pose["rotation"], dtype=float)
@@ -168,18 +148,8 @@ class SceneTruth:
             translation = -rotation @ center
         fringe = cfg.get("fringe", {})
         return cls(
-            camera=Intrinsics(
-                fx=cam["fx_px"], fy=cam["fy_px"], skew=cam["skew_px"],
-                u0=cam["u0_px"], v0=cam["v0_px"],
-            ),
-            cam_w=int(cam["width_px"]),
-            cam_h=int(cam["height_px"]),
-            proj_intrinsics=Intrinsics(
-                fx=prj["fx_px"], fy=prj["fy_px"], skew=prj["skew_px"],
-                u0=prj["u0_px"], v0=prj["v0_px"],
-            ),
-            proj_w=int(prj["width_px"]),
-            proj_h=int(prj["height_px"]),
+            *_device_from_section(cfg["camera"]),  # camera, cam_w, cam_h
+            *_device_from_section(cfg["projector"]),  # proj_intrinsics, proj_w, proj_h
             rotation=rotation,
             translation=translation,
             spheres=tuple(
@@ -190,6 +160,21 @@ class SceneTruth:
             freqs=tuple(int(f) for f in fringe.get("frequencies_cpf", FRINGE_FREQS)),
             noise=NoiseSpec.from_dict(cfg.get("noise", {})),
         )
+
+
+# a config's camera or projector section: the frame size, then the intrinsics, in pixels
+_FRAME_KEYS = ("width_px", "height_px")
+_INTRINSICS_KEYS = tuple(f"{f.name}_px" for f in fields(Intrinsics))
+
+
+def _device_section(K: Intrinsics, w: int, h: int) -> dict:
+    return dict(zip(_FRAME_KEYS + _INTRINSICS_KEYS, (w, h, *astuple(K))))
+
+
+def _device_from_section(dev: dict) -> tuple[Intrinsics, int, int]:
+    """Inverse of ``_device_section`` for a validated section."""
+    w, h = (int(dev[key]) for key in _FRAME_KEYS)
+    return Intrinsics(*(dev[key] for key in _INTRINSICS_KEYS)), w, h
 
 
 def _is_number(x) -> bool:
@@ -224,13 +209,13 @@ def validate_config(cfg: dict) -> list[str]:
         if not isinstance(dev, dict):
             problems.append(f"{section}: missing section")
             continue
-        for fld in ("width_px", "height_px"):
+        for fld in _FRAME_KEYS:
             if not _is_integer(dev.get(fld)) or dev[fld] <= 0:
                 problems.append(f"{section}.{fld}: missing or not a positive integer")
-        for fld in ("fx_px", "fy_px", "skew_px", "u0_px", "v0_px"):
+        for fld in _INTRINSICS_KEYS:
             if not _is_number(dev.get(fld)):
                 problems.append(f"{section}.{fld}: missing or not a finite number")
-            elif fld in ("fx_px", "fy_px") and dev[fld] <= 0:
+            elif fld in _INTRINSICS_KEYS[:2] and dev[fld] <= 0:  # the focal lengths
                 problems.append(f"{section}.{fld}: must be positive")
 
     pose = cfg.get("projector_pose")
@@ -380,7 +365,6 @@ class SceneBundle:
 
     truth: SceneTruth
     contours: list  # per sphere: (m, 2) contour points, noisy if configured
-    analytic_conics: list  # per sphere: exact silhouette Conic
     pixels: np.ndarray  # (n, 2) integer (x, y), row-major
     stacks: dict
     oracle: list | None  # per sphere: Correspondences, or None when stripped
@@ -496,21 +480,22 @@ class SceneBundle:
                     Correspondences(cam_px=table[:, :2], proj_px=table[:, 2:4], points=table[:, 4:7])
                 )
 
-        analytic = [project_sphere_to_conic(s, truth.camera) for s in truth.spheres]
-        return cls(truth=truth, contours=contours, analytic_conics=analytic,
-                   pixels=pixels, stacks=stacks, oracle=oracle)
+        return cls(truth=truth, contours=contours, pixels=pixels, stacks=stacks, oracle=oracle)
 
 
 def _read_rows(path: Path, columns: int) -> np.ndarray:
-    """A bundle CSV as rows of ``columns`` finite numbers; InvalidBundle if it
-    holds anything else."""
+    """A bundle CSV as rows of exactly ``columns`` finite numbers; InvalidBundle
+    if it holds anything else. A file without rows reads as (0, columns)."""
     name = f"{path.parent.name}/{path.name}"
     try:
-        with warnings.catch_warnings():  # a file without rows reads as (0, columns)
+        with warnings.catch_warnings():  # numpy warns on a file without rows
             warnings.simplefilter("ignore", UserWarning)
-            rows = np.loadtxt(path, delimiter=",").reshape(-1, columns)
+            rows = np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise InvalidBundle(f"{name}: not rows of {columns} numbers ({exc})") from exc
+    if rows.size and rows.shape[1] != columns:
+        raise InvalidBundle(f"{name}: not rows of {columns} numbers ({rows.shape[1]} per row)")
+    rows = rows.reshape(-1, columns)
     if not np.all(np.isfinite(rows)):
         raise InvalidBundle(f"{name}: not rows of {columns} finite numbers")
     return rows
@@ -629,7 +614,6 @@ def render_scene(truth: SceneTruth) -> SceneBundle:
     return SceneBundle(
         truth=truth,
         contours=contours,
-        analytic_conics=conics,
         pixels=pixels,
         stacks=stacks,
         oracle=oracle,

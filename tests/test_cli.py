@@ -113,6 +113,13 @@ def append_line(name, line):
     return apply
 
 
+def add_column(name):
+    def apply(root):
+        path = root / name
+        path.write_text("".join(f"{row},1\n" for row in path.read_text().splitlines()))
+    return apply
+
+
 # broken bundles that must exit 2: (break the bundle copy, text the logged error names)
 BROKEN_BUNDLES = [
     pytest.param(cut_fringe, "sidecar says", id="fringe_cut_to_1000_bytes"),
@@ -141,6 +148,10 @@ BROKEN_BUNDLES = [
                  "contours/sphere1.csv: not rows of 2 numbers", id="contour_odd_count"),
     pytest.param(append_line("oracle/sphere0.csv", "1,2"),
                  "oracle/sphere0.csv: not rows of 7 numbers", id="oracle_short_line"),
+    pytest.param(add_column("contours/sphere0.csv"),
+                 "contours/sphere0.csv: not rows of 2 numbers", id="contour_three_columns"),
+    pytest.param(lambda root: (root / "oracle" / "sphere0.csv").write_text(",".join("1" * 14)),
+                 "oracle/sphere0.csv: not rows of 7 numbers", id="oracle_fourteen_values"),
     pytest.param(append_line("contours/sphere0.csv", "inf,inf"),
                  "contours/sphere0.csv: not rows of 2 finite numbers", id="contour_inf"),
     pytest.param(append_line("oracle/sphere1.csv", "1,2,3,4,nan,6,7"),
@@ -360,6 +371,33 @@ class TestCalibrate:
         assert len(errors) == 1 and "share one conic" in errors[0]
         assert not (broken / "calib.json").exists()
 
+    def test_calibration_does_not_read_the_answer(self, micro_bundle_dir, micro_calib, tmp_path):
+        import shutil
+
+        from twosphere.simulate import rotation_about_y
+
+        other = tmp_path / "other_truth"
+        shutil.copytree(micro_bundle_dir, other)
+        (other / "calib.json").unlink(missing_ok=True)
+        # other valid intrinsics, pose and sphere centres; the frame sizes,
+        # fringe settings, radii and noise stay
+        manifest = json.loads((other / "manifest.json").read_text())
+        truth = manifest["truth"]
+        truth["camera"].update(fx_px=350.0, fy_px=340.0, skew_px=2.0, u0_px=150.0, v0_px=125.0)
+        truth["projector"].update(fx_px=1000.0, fy_px=1010.0, skew_px=0.0, u0_px=420.0,
+                                  v0_px=240.0)
+        truth["projector_pose"] = {"rotation": rotation_about_y(-10.0).tolist(),
+                                   "translation_lu": [0.5, 0.1, -0.2]}
+        for sphere, center in zip(truth["spheres"], ([0.3, 0.2, 5.0], [-0.4, -0.1, 7.0])):
+            sphere["center_lu"] = center
+        (other / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "c.json"
+        assert main(["--quiet", "calibrate", str(other), "--out", str(out)]) == 0
+        got, want = (json.loads(path.read_text()) for path in (out, micro_calib))
+        # only the comparison with the truth may change
+        assert got.pop("error_report") != want.pop("error_report")
+        assert got == want
+
     def test_missing_bundle_exits_2(self, tmp_path):
         assert main(["--quiet", "calibrate", str(tmp_path / "nowhere")]) == 2
 
@@ -482,6 +520,7 @@ class TestReconstructAndEvaluate:
         assert len(out.strip().splitlines()) == 12
         assert "camera.fx" in out and "translation" in out
 
+    # an edit changes the calibration in place, or returns the document that replaces it
     @pytest.mark.parametrize("command", ["reconstruct", "evaluate"])
     @pytest.mark.parametrize("edit, reason", [
         pytest.param(lambda c: c["camera"].update(fx=-1), "focal lengths must be positive",
@@ -500,13 +539,18 @@ class TestReconstructAndEvaluate:
                      "proj_matrix: must be 12 finite numbers", id="false_matrix_entry"),
         pytest.param(lambda c: c["rotation"][1].__setitem__(2, NAN),
                      "rotation: must be a 3x3 matrix of finite numbers", id="nan_rotation_entry"),
+        pytest.param(lambda c: c.update(camera=[300.0, 301.0]), "camera: must be an object",
+                     id="camera_is_a_list"),
+        pytest.param(lambda c: [c], "calibration: must be an object", id="top_level_list"),
+        pytest.param(lambda c: c["camera"].__delitem__("fy"), "camera.fy: missing",
+                     id="camera_without_fy"),
     ])
     def test_malformed_calib_exits_2(self, micro_bundle_dir, micro_calib, tmp_path, caplog,
                                      command, edit, reason):
         calib = json.loads(micro_calib.read_text())
-        edit(calib)
+        replaced = edit(calib)
         bad = tmp_path / "calib.json"
-        bad.write_text(json.dumps(calib))
+        bad.write_text(json.dumps(calib if replaced is None else replaced))
         out = tmp_path / "out"
         out.mkdir()
         argv = {

@@ -135,7 +135,9 @@ class TestRenderScene:
             assert np.max(res) < 1e-10
 
     def test_contours_match_analytic_conics(self, bundle_small):
-        for pts, conic in zip(bundle_small.contours, bundle_small.analytic_conics):
+        truth = bundle_small.truth
+        conics = [project_sphere_to_conic(s, truth.camera) for s in truth.spheres]
+        for pts, conic in zip(bundle_small.contours, conics):
             assert len(pts) >= 200
             fitted = fit_conic(pts)
             assert fitted.allclose(conic, tol=1e-8)
@@ -159,7 +161,8 @@ class TestRenderScene:
         truth = bundle_small.truth
         flat, w = bundle_small.flat_index, truth.cam_w
         outside = np.ones(len(flat), dtype=bool)
-        for conic in bundle_small.analytic_conics:
+        for pose in truth.spheres:
+            conic = project_sphere_to_conic(pose, truth.camera)
             outside &= conic.normalized().evaluate(bundle_small.pixels.astype(float)) >= 0
         assert outside.any()
         ats = [
