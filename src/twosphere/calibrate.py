@@ -16,7 +16,7 @@ focal scan, the Jacobian and the descent take any residual function
 from __future__ import annotations
 
 from dataclasses import asdict, astuple, dataclass, field, fields
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .projector import (
     normalize_points,
     project_stack,
 )
-from .simulate import _is_integer, _is_matrix, _is_number, _is_vector
+from .simulate import INTEGER, MATRIX33, NUMBER, VECTOR3, _Fields, _is_vector, _read_intrinsics
 from .sphere import lift_pixels, sphere_centers
 
 # The single-candidate forms of the kernel's stages stay importable here:
@@ -172,41 +172,21 @@ class CalibResult:
     @classmethod
     def from_json_dict(cls, d: dict) -> "CalibResult":
         """Inverse of ``to_json_dict``. Every number must be a finite int or
-        float, not a bool; a ValueError names the first field that is not,
-        that is missing or whose parent is not an object."""
-
-        def read(path, valid=_is_number, expected="a finite number", convert=float):
-            node, keys = d, path.split(".")
-            for depth, key in enumerate(keys):
-                if not isinstance(node, dict):
-                    raise ValueError(f"{'.'.join(keys[:depth]) or 'calibration'}: must be an object")
-                if key not in node:
-                    raise ValueError(f"{'.'.join(keys[:depth + 1])}: missing")
-                node = node[key]
-            if not valid(node):
-                raise ValueError(f"{path}: must be {expected}")
-            return convert(node)
-
-        def intrinsics(section):
-            return Intrinsics(**{f.name: read(f"{section}.{f.name}") for f in fields(Intrinsics)})
-
-        floats = partial(np.asarray, dtype=float)
-        # keyword arguments are evaluated in order: the first bad field is reported
-        return cls(
-            camera=intrinsics("camera"),
-            proj_intrinsics=intrinsics("projector"),
-            proj_matrix=read("proj_matrix", lambda v: _is_vector(v, 12), "12 finite numbers",
-                             ProjMatrix.from_json),
-            rotation=read("rotation", lambda v: _is_matrix(v, 3, 3),
-                          "a 3x3 matrix of finite numbers", floats),
-            translation=read("translation", lambda v: _is_vector(v, 3), "3 finite numbers", floats),
-            objective=read("objective"),
-            constraint_residual=read("constraint_residual"),
-            per_sphere_rms=read("per_sphere_rms", lambda v: _is_vector(v, 2), "2 finite numbers",
-                                lambda v: tuple(map(float, v))),
-            iterations=read("iterations", _is_integer, "an integer", int),
-            converged=read("converged", lambda v: isinstance(v, bool), "true or false", bool),
-        )
+        float, not a bool, and the focal lengths positive; a ValueError names
+        the first field that is not, that is missing or whose parent is not
+        an object."""
+        read = _Fields(d, "calibration")
+        camera, projector = (_read_intrinsics(read, section) for section in ("camera", "projector"))
+        M = read("proj_matrix", (lambda v: _is_vector(v, 12), "must be 12 finite numbers"))
+        R, T = read("rotation", MATRIX33), read("translation", VECTOR3)
+        objective, residual = (read(name, NUMBER) for name in ("objective", "constraint_residual"))
+        rms = read("per_sphere_rms", (lambda v: _is_vector(v, 2), "must be 2 finite numbers"))
+        iterations = read("iterations", INTEGER)
+        converged = read("converged", (lambda v: isinstance(v, bool), "must be true or false"))
+        if read.problems:
+            raise ValueError(read.problems[0])
+        return cls(camera, ProjMatrix.from_json(M), projector, np.asarray(R, float),
+                   np.asarray(T, float), objective, residual, tuple(rms), iterations, converged)
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,14 @@ import json
 import logging
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .calibrate import CalibResult, evaluate_against_truth, format_error_report
-from .errors import CoincidentConics, DegenerateConic, TwosphereError
+from .errors import CoincidentConics, DegenerateConic, InvalidConfig, TwosphereError
 from .pipeline import run_calibration
 from .reconstruct import reconstruct_cloud, write_ply
-from .simulate import (PRESET_NAMES, NoiseSpec, SceneBundle, SceneTruth, preset,
-                       render_scene, validate_config)
+from .simulate import PRESET_NAMES, SceneBundle, SceneTruth, preset, render_scene
 
 log = logging.getLogger("twosphere")
 
@@ -46,28 +46,21 @@ def _load_truth(args) -> SceneTruth:
         except json.JSONDecodeError as exc:
             log.error("config line %d column %d: %s", exc.lineno, exc.colno, exc.msg)
             raise SystemExit(EXIT_INPUT)
-        problems = validate_config(cfg)
-        if problems:
-            for p in problems:
-                log.error("config %s", p)
-            raise SystemExit(EXIT_INPUT)
         try:
             truth = SceneTruth.from_config(cfg)
+        except InvalidConfig as exc:
+            for problem in exc.problems:
+                log.error("config %s", problem)
+            raise SystemExit(EXIT_INPUT)
         except TwosphereError as exc:
             log.error("infeasible scene: %s", exc)
             raise SystemExit(EXIT_SCENE)
     else:
         truth = preset(args.preset)
-    noise = truth.noise
-    return truth.with_noise(
-        NoiseSpec(
-            contour_sigma=noise.contour_sigma if args.noise_contour is None else args.noise_contour,
-            intensity_sigma=(
-                noise.intensity_sigma if args.noise_intensity is None else args.noise_intensity
-            ),
-            seed=noise.seed if args.seed is None else args.seed,
-        )
-    )
+    flags = {"contour_sigma": args.noise_contour, "intensity_sigma": args.noise_intensity,
+             "seed": args.seed}  # a flag that is given replaces the config's value
+    given = {name: value for name, value in flags.items() if value is not None}
+    return truth.with_noise(replace(truth.noise, **given))
 
 
 def _has_two_spheres(bundle: SceneBundle) -> bool:
@@ -178,13 +171,11 @@ def cmd_evaluate(args) -> int:
     try:
         calib = CalibResult.from_json_dict(json.loads(Path(args.calib).read_text()))
         manifest = json.loads(Path(args.truth).read_text())
-        truth_cfg = manifest["truth"] if "truth" in manifest else manifest
-        problems = validate_config(truth_cfg)
-        if problems:
-            for p in problems:
-                log.error("truth %s", p)
-            return EXIT_INPUT
-        truth = SceneTruth.from_config(truth_cfg)
+        truth = SceneTruth.from_config(manifest["truth"] if "truth" in manifest else manifest)
+    except InvalidConfig as exc:
+        for problem in exc.problems:
+            log.error("truth %s", problem)
+        return EXIT_INPUT
     except LOAD_ERRORS as exc:
         log.error("cannot load inputs: %s", exc)
         return EXIT_INPUT

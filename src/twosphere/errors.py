@@ -90,11 +90,20 @@ class SpheresOverlapInImage(TwosphereError):
 
 
 class InvalidBundle(TwosphereError):
-    """A bundle file is malformed: the manifest is not a JSON object, names a
-    fringe format other than float32 or holds a scene truth that fails
-    ``validate_config``; a fringe sidecar lacks its width and height; or a
-    contour or oracle CSV is not rows of exactly 2 or 7 numbers."""
+    """A bundle file is malformed: the manifest is not a JSON object of
+    ``format_version`` 1, names a fringe format other than float32 or holds a
+    scene truth that fails its config checks; a fringe sidecar lacks its width
+    and height; or a contour or oracle CSV is not rows of exactly 2 or 7 numbers."""
 
 
-class InvalidNoise(TwosphereError):
+class InvalidConfig(TwosphereError):
+    """A scene config fails its field checks; ``problems`` names each failing
+    field by its dotted path, e.g. ``camera.fx_px: missing``."""
+
+    def __init__(self, *problems: str):
+        super().__init__("; ".join(problems))
+        self.problems = problems
+
+
+class InvalidNoise(InvalidConfig):
     """A noise sigma is negative or not finite, or the seed is not a non-negative integer."""

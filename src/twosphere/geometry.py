@@ -10,7 +10,7 @@ and on a line ``l`` iff ``l . x = 0``. Pixel coordinates are ``(x, y)`` with
 
 from __future__ import annotations
 
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
@@ -93,10 +93,6 @@ class Intrinsics:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Intrinsics":
-        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 def intrinsics_matrices(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

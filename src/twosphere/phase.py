@@ -39,7 +39,7 @@ class FringeConfig:
 
     freqs are fringe counts across the coded span (cycles per frame),
     strictly increasing; consecutive ratios may not exceed 8, the safe bound
-    for round-to-nearest temporal unwrapping.
+    for round-to-nearest temporal unwrapping (``is_ladder``).
     """
 
     n_steps: int
@@ -53,12 +53,9 @@ class FringeConfig:
             raise ValueError("phase shifting needs at least 3 steps")
         if self.orientation not in ("vertical", "horizontal"):
             raise ValueError("orientation must be 'vertical' or 'horizontal'")
-        if len(self.freqs) < 1 or any(f <= 0 for f in self.freqs):
-            raise ValueError("freqs must be positive fringe counts")
-        if any(b <= a for a, b in zip(self.freqs, self.freqs[1:])):
-            raise ValueError("freqs must be strictly increasing")
-        if any(b / a > MAX_UNWRAP_RATIO for a, b in zip(self.freqs, self.freqs[1:])):
-            raise ValueError(f"consecutive frequency ratio exceeds {MAX_UNWRAP_RATIO}")
+        if not is_ladder(self.freqs):
+            raise ValueError(f"freqs must be positive and strictly increasing, each at most "
+                             f"{MAX_UNWRAP_RATIO:g}x the last, got {self.freqs}")
         if self.proj_w < 1 or self.proj_h < 1:
             raise ValueError("projector resolution must be positive")
 
@@ -70,6 +67,12 @@ class FringeConfig:
     @property
     def top_freq(self) -> int:
         return self.freqs[-1]
+
+
+def is_ladder(freqs) -> bool:
+    """Positive fringe counts, each above the last and at most MAX_UNWRAP_RATIO times it."""
+    return len(freqs) > 0 and freqs[0] > 0 and all(
+        a < b <= MAX_UNWRAP_RATIO * a for a, b in zip(freqs, freqs[1:]))
 
 
 def pattern_value(freq: int, step: int, n_steps: int, coord, span: int):

@@ -18,10 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from . import imageio
-from .errors import (BehindCamera, DimensionMismatch, InvalidBundle, InvalidNoise,
+from .errors import (BehindCamera, DimensionMismatch, InvalidBundle, InvalidConfig, InvalidNoise,
                      SphereOutOfView, SpheresOverlapInImage)
 from .geometry import Conic, Intrinsics, sample_conic_points
-from .phase import FringeConfig, pattern_value
+from .phase import MAX_UNWRAP_RATIO, FringeConfig, is_ladder, pattern_value
 from .projector import Correspondences, ProjMatrix, compose, project_points
 from .sphere import SpherePose, lift_pixel_to_sphere, sample_interior_pixels
 
@@ -44,6 +44,86 @@ MANIFEST_NAME = "manifest.json"
 IMAGE_FORMAT = "f32"  # the one fringe format: raw float32 frames (``imageio``)
 FRINGE_STEPS = 4  # default phase steps per pattern set
 FRINGE_FREQS = (1, 8, 64)  # default fringe counts per frame, coarse to fine
+ROTATION_TOL = 1e-9  # largest |R^T R - I| entry and |det R - 1| of a projector rotation
+
+
+# ---------------------------------------------------------------------------
+# JSON field rules and the one field reader (scene configs, calib.json)
+# ---------------------------------------------------------------------------
+
+def _is_number(x) -> bool:
+    """A finite real number, not a bool: not NaN, infinite or too large for a float."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
+def _is_integer(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_vector(x, n: int) -> bool:
+    return isinstance(x, list) and len(x) == n and all(_is_number(v) for v in x)
+
+
+def _is_rotation(R) -> bool:
+    R = np.asarray(R, dtype=float)  # a rotation's entries lie in [-1, 1]: no product overflows
+    return np.abs(R).max() <= 1.0 + ROTATION_TOL and max(
+        np.abs(R.T @ R - np.eye(3)).max(), abs(np.linalg.det(R) - 1.0)) <= ROTATION_TOL
+
+
+# checks for ``_Fields``: (predicate, what the field must be when it fails)
+NUMBER = (_is_number, "must be a finite number")
+INTEGER = (_is_integer, "must be an integer")
+POSITIVE = (lambda x: x > 0, "must be positive")
+NON_NEGATIVE = (lambda x: x >= 0, "must be non-negative")
+FOCAL = (lambda x: x > 0, "must be positive (focal lengths must be positive)")
+VECTOR3 = (lambda x: _is_vector(x, 3), "must be a 3-vector of finite numbers")
+MATRIX33 = (lambda x: isinstance(x, list) and len(x) == 3 and all(_is_vector(r, 3) for r in x),
+            "must be a 3x3 matrix of finite numbers")
+ROTATION = (_is_rotation, f"must be a rotation: R^T R = I and det R = 1 within {ROTATION_TOL:g}")
+TWO_SPHERES = (lambda s: isinstance(s, (list, tuple)) and len(s) == 2,
+               "must hold exactly two spheres")
+# a scene's ladder starts at 1 cycle per frame, the absolute rung ``unwrap_ladder`` needs
+LADDER = (lambda f: is_ladder(f) and f[0] == 1,
+          f"must start at 1 and increase strictly, each at most {MAX_UNWRAP_RATIO:g}x the last")
+_REQUIRED = object()
+
+
+class _Fields:
+    """A JSON document read one field at a time: ``read(path, *checks)`` walks
+    the dotted path (``spheres.0.radius_lu``, named ``spheres[0].radius_lu``)
+    and returns the value, or records ``<name>: <what is wrong>`` once in
+    ``problems`` and returns None. A field with a ``default`` may be missing."""
+
+    def __init__(self, doc, name: str):
+        self.doc, self.name, self.problems = doc, name, []
+
+    def __call__(self, path: str, *checks, default=_REQUIRED):
+        keys = [int(k) if k.isdigit() else k for k in path.split(".")]
+        node = self.doc
+        for depth, key in enumerate(keys):
+            if isinstance(key, str) and not isinstance(node, dict):
+                return self._fail(keys[:depth], "must be an object")
+            if isinstance(key, str) and key not in node:
+                return self._fail(keys[:depth + 1], "missing") if default is _REQUIRED else default
+            node = node[key]
+        for valid, phrase in checks:
+            if not valid(node):
+                return self._fail(keys, phrase)
+        return node
+
+    def _fail(self, keys, phrase: str) -> None:
+        name = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)[1:]
+        problem = f"{name or self.name}: {phrase}"
+        if problem not in self.problems:
+            self.problems.append(problem)
+
+
+def _read_intrinsics(read: _Fields, section: str, suffix="", wrong="must be a finite number"):
+    """Intrinsics from the fields ``<section>.<name><suffix>``, or None when one is
+    not a finite number (``wrong`` says so) or a focal length is not positive."""
+    values = [read(f"{section}.{f.name}{suffix}", (_is_number, wrong),
+                   *([FOCAL] if f.name in ("fx", "fy") else [])) for f in fields(Intrinsics)]
+    return None if None in values else Intrinsics(*values)
 
 
 @dataclass(frozen=True)
@@ -54,9 +134,9 @@ class NoiseSpec:
 
     def __post_init__(self) -> None:
         sigmas = (self.contour_sigma, self.intensity_sigma)
-        if not all(isinstance(s, numbers.Real) and 0 <= s < np.inf for s in sigmas):
+        if not all(_is_number(s) and s >= 0 for s in sigmas):
             raise InvalidNoise(f"noise sigmas must be finite and >= 0, got {sigmas}")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+        if not (_is_integer(self.seed) and self.seed >= 0):
             raise InvalidNoise(f"seed must be an integer >= 0, got {self.seed!r}")
 
     def to_dict(self) -> dict:
@@ -68,11 +148,20 @@ class NoiseSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NoiseSpec":
-        return cls(
-            contour_sigma=float(d.get("contour_sigma_px", 0.0)),
-            intensity_sigma=float(d.get("intensity_sigma", 0.0)),
-            seed=d.get("seed", 0),  # not int(): a non-integer seed is rejected, not truncated
-        )
+        """Inverse of ``to_dict``; InvalidNoise names each field that fails."""
+        read = _Fields(d, "noise")
+        spec = _read_noise(read, "")
+        if read.problems:
+            raise InvalidNoise(*read.problems)
+        return spec
+
+
+def _read_noise(read: _Fields, prefix: str) -> NoiseSpec | None:
+    """A noise section from the fields ``<prefix><key>``, each optional."""
+    sigmas = [read(prefix + key, NUMBER, NON_NEGATIVE, default=0.0)
+              for key in ("contour_sigma_px", "intensity_sigma")]
+    seed = read(prefix + "seed", INTEGER, NON_NEGATIVE, default=0)  # an integer, not truncated
+    return None if None in (*sigmas, seed) else NoiseSpec(*map(float, sigmas), seed)
 
 
 def rotation_about_y(angle_deg: float) -> np.ndarray:
@@ -84,7 +173,9 @@ def rotation_about_y(angle_deg: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SceneTruth:
-    """Ground truth of one synthetic scene (camera frame is the world frame)."""
+    """Ground truth of one synthetic scene (camera frame is the world frame).
+    ValueError unless it holds two spheres, a rotation and a fringe ladder
+    from 1 cycle per frame up."""
 
     camera: Intrinsics
     cam_w: int
@@ -103,6 +194,10 @@ class SceneTruth:
         object.__setattr__(self, "rotation", np.asarray(self.rotation, dtype=float).reshape(3, 3))
         object.__setattr__(self, "translation", np.asarray(self.translation, dtype=float).reshape(3))
         object.__setattr__(self, "spheres", tuple(self.spheres))
+        for name, (valid, phrase) in (("spheres", TWO_SPHERES), ("rotation", ROTATION),
+                                      ("freqs", LADDER)):
+            if not valid(getattr(self, name)):
+                raise ValueError(f"{name} {phrase}, got {getattr(self, name)}")
 
     @property
     def proj_matrix(self) -> ProjMatrix:
@@ -136,142 +231,63 @@ class SceneTruth:
         }
 
     @classmethod
-    def from_config(cls, cfg: dict) -> "SceneTruth":
-        """Build from a validated config dict (see ``validate_config``)."""
-        pose = cfg["projector_pose"]
+    def from_config(cls, cfg) -> "SceneTruth":
+        """Read a scene config in one pass that checks each field as it reads
+        it. InvalidConfig lists every problem under its dotted path (an
+        InvalidNoise when all are in the noise section); a sphere that does not
+        clear the camera raises BehindCamera."""
+        read = _Fields(cfg, "config")
+        devices = [(_read_intrinsics(read, s, "_px", "missing or not a finite number"),
+                    *(read(f"{s}.{key}", INTEGER, POSITIVE) for key in _FRAME_KEYS))
+                   for s in ("camera", "projector")]  # (intrinsics, width, height) each
+        pose = read("projector_pose", (
+            lambda p: isinstance(p, dict) and ("rotation" in p or "yaw_deg" in p),
+            "needs rotation/translation_lu or yaw_deg/baseline_lu")) or {}
         if "rotation" in pose:
-            rotation = np.asarray(pose["rotation"], dtype=float)
-            translation = np.asarray(pose["translation_lu"], dtype=float)
-        else:
-            rotation = rotation_about_y(float(pose["yaw_deg"]))
-            center = np.array([float(pose["baseline_lu"]), 0.0, 0.0])
-            translation = -rotation @ center
-        fringe = cfg.get("fringe", {})
-        return cls(
-            *_device_from_section(cfg["camera"]),  # camera, cam_w, cam_h
-            *_device_from_section(cfg["projector"]),  # proj_intrinsics, proj_w, proj_h
-            rotation=rotation,
-            translation=translation,
-            spheres=tuple(
-                SpherePose(center=np.asarray(s["center_lu"], dtype=float), radius=float(s["radius_lu"]))
-                for s in cfg["spheres"]
-            ),
-            n_steps=int(fringe.get("n_steps", FRINGE_STEPS)),
-            freqs=tuple(int(f) for f in fringe.get("frequencies_cpf", FRINGE_FREQS)),
-            noise=NoiseSpec.from_dict(cfg.get("noise", {})),
-        )
+            rotation = read("projector_pose.rotation", MATRIX33, ROTATION)
+            translation = read("projector_pose.translation_lu", VECTOR3)
+        elif pose:
+            yaw = read("projector_pose.yaw_deg", NUMBER)
+            baseline = read("projector_pose.baseline_lu", NUMBER, POSITIVE)
+        spheres = [(read(f"spheres.{i}.center_lu", VECTOR3),
+                    read(f"spheres.{i}.radius_lu", NUMBER, POSITIVE))
+                   for i in range(len(read("spheres", TWO_SPHERES) or ()))]
+        n_steps = read("fringe.n_steps", INTEGER, (lambda n: n >= 3, "must be at least 3"),
+                       default=FRINGE_STEPS)
+        integers = (lambda f: isinstance(f, list) and all(map(_is_integer, f)),
+                    "must be a list of integers")
+        freqs = read("fringe.frequencies_cpf", integers, LADDER, default=list(FRINGE_FREQS))
+        noise = _read_noise(read, "noise.")
+        if read.problems:
+            noise_only = all(p.startswith("noise") for p in read.problems)
+            raise (InvalidNoise if noise_only else InvalidConfig)(*read.problems)
+        if "rotation" not in pose:
+            rotation = rotation_about_y(float(yaw))
+            translation = -rotation @ np.array([float(baseline), 0.0, 0.0])
+        spheres = tuple(SpherePose(center=c, radius=float(r)) for c, r in spheres)
+        return cls(*devices[0], *devices[1], rotation, translation, spheres, n_steps,
+                   tuple(freqs), noise)
 
 
 # a config's camera or projector section: the frame size, then the intrinsics, in pixels
 _FRAME_KEYS = ("width_px", "height_px")
-_INTRINSICS_KEYS = tuple(f"{f.name}_px" for f in fields(Intrinsics))
 
 
 def _device_section(K: Intrinsics, w: int, h: int) -> dict:
-    return dict(zip(_FRAME_KEYS + _INTRINSICS_KEYS, (w, h, *astuple(K))))
+    keys = _FRAME_KEYS + tuple(f"{f.name}_px" for f in fields(Intrinsics))
+    return dict(zip(keys, (w, h, *astuple(K))))
 
 
-def _device_from_section(dev: dict) -> tuple[Intrinsics, int, int]:
-    """Inverse of ``_device_section`` for a validated section."""
-    w, h = (int(dev[key]) for key in _FRAME_KEYS)
-    return Intrinsics(*(dev[key] for key in _INTRINSICS_KEYS)), w, h
-
-
-def _is_number(x) -> bool:
-    """A finite JSON number: int or float, not bool, NaN, infinite or too large for a float."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
-
-
-def _is_integer(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_vector(x, n: int) -> bool:
-    return isinstance(x, list) and len(x) == n and all(_is_number(v) for v in x)
-
-
-def _is_matrix(x, rows: int, cols: int) -> bool:
-    return isinstance(x, list) and len(x) == rows and all(_is_vector(row, cols) for row in x)
-
-
-def validate_config(cfg: dict) -> list[str]:
-    """Field-level diagnostics for a scene config; empty list when valid.
-
-    Every number must be a finite int or float (a bool is not a number), and
-    frame sizes, fringe counts and the seed must be integers.
-    """
-    problems: list[str] = []
-    if not isinstance(cfg, dict):
-        return ["config: top level must be a JSON object"]
-
-    for section in ("camera", "projector"):
-        dev = cfg.get(section)
-        if not isinstance(dev, dict):
-            problems.append(f"{section}: missing section")
-            continue
-        for fld in _FRAME_KEYS:
-            if not _is_integer(dev.get(fld)) or dev[fld] <= 0:
-                problems.append(f"{section}.{fld}: missing or not a positive integer")
-        for fld in _INTRINSICS_KEYS:
-            if not _is_number(dev.get(fld)):
-                problems.append(f"{section}.{fld}: missing or not a finite number")
-            elif fld in _INTRINSICS_KEYS[:2] and dev[fld] <= 0:  # the focal lengths
-                problems.append(f"{section}.{fld}: must be positive")
-
-    pose = cfg.get("projector_pose")
-    if not isinstance(pose, dict):
-        problems.append("projector_pose: missing section")
-    elif "rotation" in pose:
-        if not _is_matrix(pose["rotation"], 3, 3):
-            problems.append("projector_pose.rotation: must be a 3x3 matrix of finite numbers")
-        if not _is_vector(pose.get("translation_lu"), 3):
-            problems.append("projector_pose.translation_lu: must be a 3-vector of finite numbers")
-    elif "yaw_deg" in pose:
-        if not _is_number(pose["yaw_deg"]):
-            problems.append("projector_pose.yaw_deg: must be a finite number")
-        if not _is_number(pose.get("baseline_lu")) or pose["baseline_lu"] <= 0:
-            problems.append("projector_pose.baseline_lu: must be positive")
-    else:
-        problems.append("projector_pose: needs rotation/translation_lu or yaw_deg/baseline_lu")
-
-    spheres = cfg.get("spheres")
-    if not isinstance(spheres, list) or len(spheres) != 2:
-        problems.append("spheres: exactly two spheres required")
-    else:
-        for i, s in enumerate(spheres):
-            if not isinstance(s, dict):
-                problems.append(f"spheres[{i}]: must be an object")
-                continue
-            if not _is_vector(s.get("center_lu"), 3):
-                problems.append(f"spheres[{i}].center_lu: must be a 3-vector of finite numbers")
-            if not _is_number(s.get("radius_lu")) or s["radius_lu"] <= 0:
-                problems.append(f"spheres[{i}].radius_lu: must be positive")
-
-    fringe = cfg.get("fringe", {})
-    if not isinstance(fringe, dict):
-        problems.append("fringe: must be an object")
-    elif fringe:
-        n_steps = fringe.get("n_steps", FRINGE_STEPS)
-        if not _is_integer(n_steps) or n_steps < 3:
-            problems.append("fringe.n_steps: integer >= 3 required")
-        freqs = fringe.get("frequencies_cpf", list(FRINGE_FREQS))
-        if not isinstance(freqs, list) or any(not _is_integer(f) or f <= 0 for f in freqs):
-            problems.append("fringe.frequencies_cpf: positive integers required")
-        elif any(b <= a or b / a > 8 for a, b in zip(freqs, freqs[1:])):
-            problems.append("fringe.frequencies_cpf: strictly increasing, ratio <= 8")
-
-    noise = cfg.get("noise", {})
-    if not isinstance(noise, dict):
-        problems.append("noise: must be an object")
-    else:
-        for fld in ("contour_sigma_px", "intensity_sigma"):
-            sigma = noise.get(fld, 0.0)
-            if not _is_number(sigma) or sigma < 0:
-                problems.append(f"noise.{fld}: finite non-negative number required")
-        seed = noise.get("seed", 0)
-        if not _is_integer(seed) or seed < 0:
-            problems.append("noise.seed: non-negative integer required")
-    return problems
+def validate_config(cfg) -> list[str]:
+    """The problems ``SceneTruth.from_config`` finds in a scene config; none
+    for a valid config, also of a scene that cannot be rendered."""
+    try:
+        SceneTruth.from_config(cfg)
+    except InvalidConfig as exc:
+        return list(exc.problems)
+    except BehindCamera:
+        pass
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -436,13 +452,16 @@ class SceneBundle:
         manifest = json.loads(manifest_path.read_text())
         if not isinstance(manifest, dict):
             raise InvalidBundle(f"{MANIFEST_NAME} is not a JSON object")
+        version = manifest.get("format_version")
+        if not (_is_integer(version) and version == 1):
+            raise InvalidBundle(f"format_version {version!r}: only 1 is read")
         image_format = manifest.get("image_format", IMAGE_FORMAT)
         if image_format != IMAGE_FORMAT:
             raise InvalidBundle(f"image_format {image_format!r}: only {IMAGE_FORMAT!r} is read")
-        problems = validate_config(manifest.get("truth"))
-        if problems:
-            raise InvalidBundle("manifest truth " + "; ".join(problems))
-        truth = SceneTruth.from_config(manifest["truth"])
+        try:
+            truth = SceneTruth.from_config(manifest.get("truth"))
+        except InvalidConfig as exc:
+            raise InvalidBundle(f"manifest truth {exc}") from exc
 
         contours = []
         for path in sorted((root / "contours").glob("sphere*.csv")):
@@ -530,8 +549,6 @@ def render_scene(truth: SceneTruth) -> SceneBundle:
 
     Raises SphereOutOfView / SpheresOverlapInImage on infeasible geometry.
     """
-    if len(truth.spheres) != 2:
-        raise ValueError("a scene holds exactly two spheres")
     cam = truth.camera
     proj_m = truth.proj_matrix
     proj_center = proj_m.center()

@@ -7,7 +7,8 @@ import pytest
 
 from conftest import MICRO_CONFIG
 
-from twosphere.cli import main, validate_config
+from twosphere.cli import main
+from twosphere.simulate import validate_config
 
 
 def write_config(tmp_path, overrides=None, name="scene.json"):
@@ -66,6 +67,19 @@ BAD_NUMBERS = [
     pytest.param({"projector_pose": {**YAW_POSE, "yaw_deg": NAN}}, "projector_pose.yaw_deg",
                  id="yaw_nan"),
     pytest.param({"noise.seed": True}, "noise.seed", id="seed_true"),
+]
+
+ROT = MICRO_CONFIG["projector_pose"]["rotation"]
+
+# (config override, field the problem names) that break a scene rule: the fringe
+# ladder starts at 1 cycle per frame, and the projector rotation is a proper rotation
+BAD_SCENES = [
+    pytest.param({"fringe.frequencies_cpf": []}, "fringe.frequencies_cpf", id="empty_ladder"),
+    pytest.param({"fringe.frequencies_cpf": [2, 16]}, "fringe.frequencies_cpf", id="ladder_from_2"),
+    pytest.param({"projector_pose.rotation": [[1.5 * v for v in row] for row in ROT]},
+                 "projector_pose.rotation", id="rotation_scaled"),
+    pytest.param({"projector_pose.rotation": [*ROT[:2], [-v for v in ROT[2]]]},
+                 "projector_pose.rotation", id="rotation_reflected"),
 ]
 
 
@@ -158,6 +172,14 @@ BROKEN_BUNDLES = [
                  "oracle/sphere1.csv: not rows of 7 finite numbers", id="oracle_nan"),
     pytest.param(lambda root: (root / "contours" / "sphere0.csv").write_text(""),
                  "contours/sphere0.csv: no points", id="contour_empty"),
+    pytest.param(edit_manifest(lambda m: m["truth"]["projector_pose"].update(
+                     rotation=[[1.5 * v for v in row] for row in ROT])),
+                 "manifest truth projector_pose.rotation: must be a rotation",
+                 id="manifest_with_scaled_rotation"),
+    pytest.param(edit_manifest(lambda m: m.update(format_version=99)),
+                 "format_version 99: only 1 is read", id="manifest_version_99"),
+    pytest.param(edit_manifest(lambda m: m.update(format_version=2)),
+                 "format_version 2: only 1 is read", id="manifest_version_2"),
 ]
 
 
@@ -184,6 +206,11 @@ class TestValidateConfig:
 
     @pytest.mark.parametrize("overrides, field", BAD_NUMBERS)
     def test_bad_number_diagnostic(self, tmp_path, overrides, field):
+        problems = validate_config(json.loads(write_config(tmp_path, overrides).read_text()))
+        assert len(problems) == 1 and problems[0].startswith(field + ":")
+
+    @pytest.mark.parametrize("overrides, field", BAD_SCENES)
+    def test_bad_scene_diagnostic(self, tmp_path, overrides, field):
         problems = validate_config(json.loads(write_config(tmp_path, overrides).read_text()))
         assert len(problems) == 1 and problems[0].startswith(field + ":")
 
@@ -230,6 +257,15 @@ class TestSimulate:
 
     @pytest.mark.parametrize("overrides, field", BAD_NUMBERS)
     def test_bad_number_config_exits_2(self, tmp_path, caplog, overrides, field):
+        cfg = write_config(tmp_path, overrides)
+        assert main(["--quiet", "simulate", "--config", str(cfg), "--out",
+                     str(tmp_path / "x")]) == 2
+        assert not (tmp_path / "x").exists()
+        errors = error_lines(caplog)
+        assert len(errors) == 1 and errors[0].startswith(f"config {field}:")
+
+    @pytest.mark.parametrize("overrides, field", BAD_SCENES)
+    def test_bad_scene_config_exits_2(self, tmp_path, caplog, overrides, field):
         cfg = write_config(tmp_path, overrides)
         assert main(["--quiet", "simulate", "--config", str(cfg), "--out",
                      str(tmp_path / "x")]) == 2
@@ -544,6 +580,9 @@ class TestReconstructAndEvaluate:
         pytest.param(lambda c: [c], "calibration: must be an object", id="top_level_list"),
         pytest.param(lambda c: c["camera"].__delitem__("fy"), "camera.fy: missing",
                      id="camera_without_fy"),
+        pytest.param(lambda c: c["projector"].update(fx=-1),
+                     "projector.fx: must be positive (focal lengths must be positive)",
+                     id="negative_projector_fx"),
     ])
     def test_malformed_calib_exits_2(self, micro_bundle_dir, micro_calib, tmp_path, caplog,
                                      command, edit, reason):

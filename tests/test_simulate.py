@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,24 @@ class TestPresets:
         assert again.camera == t.camera
         np.testing.assert_allclose(again.rotation, t.rotation)
         np.testing.assert_allclose(again.translation, t.translation)
+
+
+class TestSceneRules:
+    """A scene holds two spheres, a rotation and a fringe ladder from 1 cycle
+    per frame up; the config reader and the constructor share these rules."""
+
+    R = make_micro_truth().rotation
+
+    @pytest.mark.parametrize("changes", [
+        pytest.param({"freqs": ()}, id="empty_ladder"),
+        pytest.param({"freqs": (2, 16)}, id="ladder_from_2"),
+        pytest.param({"rotation": 1.5 * R}, id="rotation_scaled"),
+        pytest.param({"rotation": np.diag([1.0, 1.0, -1.0]) @ R}, id="rotation_reflected"),
+        pytest.param({"spheres": make_micro_truth().spheres[:1]}, id="one_sphere"),
+    ])
+    def test_rejected_at_construction(self, changes):
+        with pytest.raises(ValueError):
+            replace(make_micro_truth(), **changes)
 
 
 class TestNoiseSpec:
