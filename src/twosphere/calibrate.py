@@ -6,11 +6,11 @@ intrinsics K determines both spheres' centers, lifts every camera pixel to a
 3D surface point, and one projector matrix fitted over both spheres must
 reproject every projector pixel: the two spheres' estimates have to agree.
 That reprojection term is the objective, and ``_residuals`` is its one
-kernel. ``calibrate`` minimizes it over the five intrinsics, then, unless
-``mu`` is 0, descends once more with a pole-polar penalty appended: the
-conic pair's vanishing line and point must satisfy ``l ~ K^-T K^-1 v``. The
-focal scan, the Jacobian and the descent take any residual function
-``fn(P) -> (vec, ok)`` of candidate rows.
+kernel, one loop over the spheres. ``calibrate`` minimizes it over the five
+intrinsics, then, unless ``mu`` is 0, descends once more with a pole-polar
+penalty appended: the conic pair's vanishing line and point must satisfy
+``l ~ K^-T K^-1 v``. The focal scan, the Jacobian and the descent take any
+residual function ``fn(P) -> (vec, ok)`` of candidate rows.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CoincidentConics, InfeasibleCandidate, NoFeasibleStart, TooFewPoints
+from .errors import (CoincidentConics, InfeasibleCandidate, NoFeasibleStart, TooFewPoints,
+                     TwosphereError)
 from .geometry import (
     Conic,
     Intrinsics,
@@ -90,52 +91,44 @@ class SphereObservation:
 
 @dataclass(frozen=True)
 class IscProblem:
-    """Inputs of one calibration run: both spheres' observations, their radii
-    and the camera image size."""
+    """Inputs of one calibration run: the spheres' observations, their radii
+    in the same order, and the camera image size."""
 
-    obs1: SphereObservation
-    obs2: SphereObservation
-    radii: tuple[float, float]
+    observations: tuple[SphereObservation, ...]
+    radii: tuple[float, ...]
     cam_w: int
     cam_h: int
 
     def __post_init__(self) -> None:
-        for i, obs in enumerate((self.obs1, self.obs2)):
-            if len(obs) < 10:
+        obs = tuple(self.observations)
+        if len(obs) != 2:
+            raise TwosphereError(f"two sphere observations required, got {len(obs)}")
+        for i, o in enumerate(obs):
+            if len(o) < 10:
                 raise TooFewPoints(
-                    f"sphere {i} has {len(obs)} valid correspondences, at least 10 are needed"
+                    f"sphere {i} has {len(o)} valid correspondences, at least 10 are needed"
                 )
-        if self.obs1.conic.allclose(self.obs2.conic, tol=1e-10):
+        if obs[0].conic.allclose(obs[1].conic, tol=1e-10):
             raise CoincidentConics("the two sphere observations share one conic")
         r = np.asarray(self.radii, dtype=float)
-        if r.shape != (2,) or not np.all(np.isfinite(r) & (r > 0)):
+        if r.shape != (len(obs),) or not np.all(np.isfinite(r) & (r > 0)):
             raise ValueError(f"sphere radii must be two finite positive numbers, got {self.radii}")
+        object.__setattr__(self, "observations", obs)
+        object.__setattr__(self, "radii", tuple(r.tolist()))
 
-    @classmethod
-    def build(
-        cls, obs1: SphereObservation, obs2: SphereObservation, radii, cam_w: int, cam_h: int
-    ) -> "IscProblem":
-        """Assemble a problem; ``radii`` is a single shared radius or a
-        per-sphere pair."""
-        r = (radii, radii) if np.ndim(radii) == 0 else radii
-        return cls(
-            obs1=obs1,
-            obs2=obs2,
-            radii=tuple(np.asarray(r, dtype=float).tolist()),
-            cam_w=int(cam_w),
-            cam_h=int(cam_h),
-        )
+    @property
+    def obs1(self) -> SphereObservation:  # perfbench's tracer reads it; the package does not
+        return self.observations[0]
 
     @cached_property
-    def _kernel_inputs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The residual kernel's inputs that do not depend on K: both spheres'
-        camera pixels and the DLT-normalized projector pixels,
-        coordinate-major, the inverse of that normalization, and the stacked
-        projector pixels."""
-        proj_px = np.vstack([self.obs1.proj_px, self.obs2.proj_px])
+    def _kernel_inputs(self) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray, np.ndarray]:
+        """The residual kernel's inputs that do not depend on K: each sphere's
+        camera pixels, coordinate-major, and the stacked projector pixels,
+        DLT-normalized, the inverse of that normalization, and as given."""
+        proj_px = np.vstack([obs.proj_px for obs in self.observations])
         proj_norm, T2 = normalize_points(proj_px.T)
-        px1, px2 = (np.ascontiguousarray(obs.cam_px.T) for obs in (self.obs1, self.obs2))
-        return px1, px2, proj_norm, np.linalg.inv(T2), proj_px
+        cam_px = tuple(np.ascontiguousarray(obs.cam_px.T) for obs in self.observations)
+        return cam_px, proj_norm, np.linalg.inv(T2), proj_px
 
 
 @dataclass
@@ -150,7 +143,7 @@ class CalibResult:
     translation: np.ndarray
     objective: float  # sum of unsquared reprojection norms (isc_objective)
     constraint_residual: float  # ||l_hat x (omega v)_hat|| at the solution
-    per_sphere_rms: tuple[float, float]  # residual-norm sums / N1, N2
+    per_sphere_rms: tuple[float, ...]  # each sphere's residual-norm sum / its count
     iterations: int
     converged: bool
     history: list = field(default_factory=list)  # accepted least-squares values
@@ -199,7 +192,7 @@ def _residuals(P: np.ndarray, problem: IscProblem) -> tuple[np.ndarray, np.ndarr
     ``P`` holds one (fx, fy, skew, u0, v0) row per candidate. Returns the
     residuals (B, m), a feasibility mask (B,) and the fitted projector
     matrices (B, 3, 4) in the ``ProjMatrix`` gauge. A residual row holds 2
-    components per correspondence, both spheres, obs1 first.
+    components per correspondence, sphere by sphere in the problem's order.
 
     A candidate is infeasible when its focal lengths are not positive and
     finite, a back-projected cone lacks a sphere's eigenvalue signature, a
@@ -211,22 +204,21 @@ def _residuals(P: np.ndarray, problem: IscProblem) -> tuple[np.ndarray, np.ndarr
     P = np.asarray(P, dtype=float).reshape(-1, 5)
     if len(P) > KERNEL_BATCH:
         raise ValueError(f"{len(P)} candidates exceed the kernel batch of {KERNEL_BATCH}")
-    px1, px2, proj_norm, T2_inv, proj_px = problem._kernel_inputs
-    r1, r2 = problem.radii
+    cam_px, proj_norm, T2_inv, proj_px = problem._kernel_inputs
     vec = np.full((len(P), 2 * len(proj_px)), np.nan)
     matrices = np.full((len(P), 3, 4), np.nan)
 
     live = np.flatnonzero(np.all(np.isfinite(P), axis=1) & (P[:, 0] > 0) & (P[:, 1] > 0))
     K, K_inv = intrinsics_matrices(P[live])
-    c1, fault1 = sphere_centers(problem.obs1.conic, K, r1)
-    c2, fault2 = sphere_centers(problem.obs2.conic, K, r2)
-    keep = (fault1 == 0) & (fault2 == 0)
+    centers, faults = zip(*(sphere_centers(obs.conic, K, r)
+                            for obs, r in zip(problem.observations, problem.radii)))
+    keep = ~np.any(faults, axis=0)
     live, K_inv = live[keep], K_inv[keep]
-    x1, misses1 = lift_pixels(px1, K_inv, c1[keep], r1)
-    x2, misses2 = lift_pixels(px2, K_inv, c2[keep], r2)
-    keep = (misses1 == 0) & (misses2 == 0)
+    points, misses = zip(*(lift_pixels(px, K_inv, c[keep], r)
+                           for px, c, r in zip(cam_px, centers, problem.radii)))
+    keep = ~np.any(misses, axis=0)
     live = live[keep]
-    points = np.concatenate([x1[keep], x2[keep]], axis=2)
+    points = np.concatenate([x[keep] for x in points], axis=2)
     M, fitted = dlt_stack(proj_norm, T2_inv, points)
     M, gauged = gauge(M)
     keep = fitted & gauged
@@ -382,7 +374,7 @@ def calibrate(
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
-    mu = 1e4 * (len(problem.obs1) + len(problem.obs2)) if mu is None else float(mu)
+    mu = 1e4 * sum(map(len, problem.observations)) if mu is None else float(mu)
     if not (np.isfinite(mu) and mu >= 0):
         raise ValueError(f"constraint weight must be finite and non-negative, got {mu}")
     fn = lambda P: _residuals(P, problem)[:2]  # noqa: E731
@@ -390,7 +382,7 @@ def calibrate(
         fn, _scan_start(fn, problem.cam_w, problem.cam_h), max_iters
     )
     # a rough guess, such as a focal of the image width, can misrank the pairs
-    line, point = constraint_pair(problem.obs1.conic, problem.obs2.conic, Intrinsics(*params))
+    line, point = constraint_pair(*(o.conic for o in problem.observations), Intrinsics(*params))
     if mu > 0:
 
         def penalized(P):
@@ -407,7 +399,7 @@ def calibrate(
     vec, _, M = _residuals(params, problem)
     M = ProjMatrix(M[0])
     norms, objective = _reprojection_norms(vec[0])
-    n1 = len(problem.obs1)
+    splits = np.cumsum([len(obs) for obs in problem.observations])[:-1]
     proj_K, rotation, translation = decompose(M)
     return CalibResult(
         camera=K,
@@ -417,7 +409,7 @@ def calibrate(
         translation=translation,
         objective=objective,
         constraint_residual=float(np.linalg.norm(pole_polar_cross(line, point, K))),
-        per_sphere_rms=(float(norms[:n1].sum() / n1), float(norms[n1:].sum() / (len(norms) - n1))),
+        per_sphere_rms=tuple(float(part.sum() / len(part)) for part in np.split(norms, splits)),
         iterations=iterations,
         converged=converged,
         history=history,

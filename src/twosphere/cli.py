@@ -170,8 +170,10 @@ def cmd_reconstruct(args) -> int:
 def cmd_evaluate(args) -> int:
     try:
         calib = CalibResult.from_json_dict(json.loads(Path(args.calib).read_text()))
-        manifest = json.loads(Path(args.truth).read_text())
-        truth = SceneTruth.from_config(manifest["truth"] if "truth" in manifest else manifest)
+        document = json.loads(Path(args.truth).read_text())
+        if "truth" in document:  # a bundle manifest, version-checked as SceneBundle.load does
+            document = SceneBundle.checked_manifest(document)["truth"]
+        truth = SceneTruth.from_config(document)
     except InvalidConfig as exc:
         for problem in exc.problems:
             log.error("truth %s", problem)

@@ -44,11 +44,14 @@ def read_float32(path) -> np.ndarray:
     """The (height, width) float32 raster that ``write_float32`` wrote to ``path``,
     as a read-only ``np.memmap`` of the file.
 
-    Raises DimensionMismatch unless the file holds exactly width x height values.
+    Raises ValueError unless the sidecar's width and height are integers, not
+    bools, and DimensionMismatch unless the file holds exactly that many values.
     """
     with open(f"{path}.json") as f:
         meta = json.load(f)
-    w, h = int(meta["width"]), int(meta["height"])
+    w, h = meta["width"], meta["height"]
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (w, h)):
+        raise ValueError(f"width {w!r} and height {h!r} must be integers")
     size = os.path.getsize(path)
     if size != 4 * w * h:
         raise DimensionMismatch(f"{path}: {size} bytes, sidecar says {w} x {h} float32 values")

@@ -13,7 +13,7 @@ import logging
 import numpy as np
 
 from .calibrate import CalibResult, IscProblem, SphereObservation, calibrate
-from .errors import DegenerateConic, TwosphereError
+from .errors import DegenerateConic
 from .geometry import fit_conic
 from .phase import decode_phase, phase_to_proj_coord
 from .simulate import SceneBundle
@@ -47,12 +47,8 @@ def assemble_observations(
     """Fitted conic plus pixel correspondences for every sphere in the bundle.
 
     ``stride`` is the sampling grid step in pixels; None gives ~24 samples
-    across each silhouette. Both spheres' samples are decoded in one call.
+    across each silhouette. All spheres' samples are decoded in one call.
     """
-    if len(bundle.contours) != 2:
-        raise TwosphereError(
-            f"two sphere observations required, bundle has {len(bundle.contours)}"
-        )
     flat = bundle.flat_index
     w, h = bundle.truth.cam_w, bundle.truth.cam_h
     conics = [fit_conic(contour) for contour in bundle.contours]
@@ -70,8 +66,9 @@ def assemble_observations(
         ok = flat[at] == want
         samples.append(pix[ok])
         rows.append(at[ok])
-    proj_px, valid = decode_bundle(bundle, np.concatenate(rows))
-    split = [len(rows[0])]
+    # the empty start lets a bundle without contours reach IscProblem, which names the count
+    proj_px, valid = decode_bundle(bundle, np.concatenate([np.zeros(0, int), *rows]))
+    split = np.cumsum([len(at) for at in rows])[:-1]
     observations = []
     for i, (conic, pix, px, ok) in enumerate(
         zip(conics, samples, np.split(proj_px, split), np.split(valid, split))
@@ -83,8 +80,8 @@ def assemble_observations(
 
 def build_problem(bundle: SceneBundle, stride: int | None = None) -> IscProblem:
     obs = assemble_observations(bundle, stride)
-    radii = tuple(s.radius for s in bundle.truth.spheres)
-    return IscProblem.build(obs[0], obs[1], radii, bundle.truth.cam_w, bundle.truth.cam_h)
+    radii = [s.radius for s in bundle.truth.spheres]
+    return IscProblem(obs, radii, bundle.truth.cam_w, bundle.truth.cam_h)
 
 
 def run_calibration(

@@ -437,6 +437,16 @@ class SceneBundle:
                     header="x_c,y_c,x_p,y_p,X,Y,Z",
                 )
 
+    @staticmethod
+    def checked_manifest(manifest) -> dict:
+        """``manifest``; InvalidBundle unless it is a JSON object of format version 1."""
+        if not isinstance(manifest, dict):
+            raise InvalidBundle(f"{MANIFEST_NAME} is not a JSON object")
+        version = manifest.get("format_version")
+        if not (_is_integer(version) and version == 1):
+            raise InvalidBundle(f"format_version {version!r}: only 1 is read")
+        return manifest
+
     @classmethod
     def load(cls, bundle_dir) -> "SceneBundle":
         """Read a bundle directory that ``save`` wrote.
@@ -449,12 +459,7 @@ class SceneBundle:
         manifest_path = root / MANIFEST_NAME
         if not manifest_path.exists():
             raise FileNotFoundError(f"no {MANIFEST_NAME} in {root}")
-        manifest = json.loads(manifest_path.read_text())
-        if not isinstance(manifest, dict):
-            raise InvalidBundle(f"{MANIFEST_NAME} is not a JSON object")
-        version = manifest.get("format_version")
-        if not (_is_integer(version) and version == 1):
-            raise InvalidBundle(f"format_version {version!r}: only 1 is read")
+        manifest = cls.checked_manifest(json.loads(manifest_path.read_text()))
         image_format = manifest.get("image_format", IMAGE_FORMAT)
         if image_format != IMAGE_FORMAT:
             raise InvalidBundle(f"image_format {image_format!r}: only {IMAGE_FORMAT!r} is read")

@@ -82,9 +82,8 @@ def exact_observations(truth: SceneTruth):
 def exact_problem(truth: SceneTruth):
     from twosphere import IscProblem
 
-    obs = exact_observations(truth)
-    radii = tuple(s.radius for s in truth.spheres)
-    return IscProblem.build(obs[0], obs[1], radii, truth.cam_w, truth.cam_h)
+    radii = [s.radius for s in truth.spheres]
+    return IscProblem(exact_observations(truth), radii, truth.cam_w, truth.cam_h)
 
 
 @pytest.fixture(scope="session")

@@ -49,6 +49,7 @@ from twosphere.errors import (
     RayMissesSphere,
     SingularBlock,
     TooFewPoints,
+    TwosphereError,
 )
 from twosphere.geometry import homogenize, pole_polar_cross
 from twosphere.simulate import rotation_about_y
@@ -58,6 +59,14 @@ calibrate_module = importlib.import_module("twosphere.calibrate")
 
 def params_of(K: Intrinsics) -> np.ndarray:
     return np.array([K.fx, K.fy, K.skew, K.u0, K.v0])
+
+
+def conics_of(problem):
+    return [obs.conic for obs in problem.observations]
+
+
+def n_correspondences(problem):
+    return sum(len(obs) for obs in problem.observations)
 
 
 def random_scene(rng) -> SceneTruth:
@@ -104,7 +113,7 @@ class TestIscObjective:
         problem = exact_problem(truth_small)
         value, M = isc_objective(truth_small.camera, problem)
         assert value < 1e-6
-        line, point = constraint_pair(problem.obs1.conic, problem.obs2.conic, truth_small.camera)
+        line, point = constraint_pair(*conics_of(problem), truth_small.camera)
         assert pole_polar_residual(line, point, truth_small.camera) ** 2 < 1e-12
 
     def test_gradient_vanishes_at_truth(self, truth_small):
@@ -166,7 +175,7 @@ def reference_residuals(params, problem):
     K = np.array([[fx, skew, u0], [0.0, fy, v0], [0.0, 0.0, 1.0]])
     K_inv = np.linalg.inv(K)
     points = []
-    for obs, radius in zip((problem.obs1, problem.obs2), problem.radii):
+    for obs, radius in zip(problem.observations, problem.radii):
         q = K.T @ obs.conic.matrix @ K
         evals, evecs = np.linalg.eigh(q / np.linalg.norm(q))
         if np.min(np.abs(evals)) < 1e-12:
@@ -188,7 +197,7 @@ def reference_residuals(params, problem):
             raise RayMissesSphere("miss")
         points.append((b - np.sqrt(np.maximum(disc, 0.0)))[:, None] * dirs)
     X = np.vstack(points)
-    xp = np.vstack([problem.obs1.proj_px, problem.obs2.proj_px])
+    xp = np.vstack([obs.proj_px for obs in problem.observations])
 
     def normalization(pts):
         c = pts.mean(axis=0)
@@ -282,7 +291,7 @@ class TestResidualKernel:
         misses = [[0.1 * cx, 0.1 * cx, 0.0, cx, cy], [2.0 * cx, 2.0 * cx, 0.0, -8.0 * cx, cy]]
         P = np.vstack([scan_samples(problem), jacobian_probes(scan_start(problem)), misses])
         vec, ok, M = kernel_in_chunks(P, problem)
-        assert vec.shape == (len(P), 2 * (len(problem.obs1) + len(problem.obs2)))
+        assert vec.shape == (len(P), 2 * n_correspondences(problem))
         feasible = 0
         for i, params in enumerate(P):
             try:
@@ -335,21 +344,22 @@ def _with_proj_px(problem, proj_of_points):
     """The exact problem with projector pixels replaced by a function of the
     truth's lifted points; the conics and camera pixels stay."""
     obs = []
-    for o, pose in zip((problem.obs1, problem.obs2), SPHERES):
+    for o, pose in zip(problem.observations, SPHERES):
         points = lift_pixel_to_sphere(o.cam_px, make_small_truth().camera, pose)
         obs.append(
             SphereObservation(conic=o.conic, cam_px=o.cam_px, proj_px=proj_of_points(points))
         )
-    return replace(problem, obs1=obs[0], obs2=obs[1])
+    return replace(problem, observations=obs)
 
 
 def _behind_camera_problem(problem):
-    # obs1's conic becomes the tangent cone of a sphere whose center lies
+    # sphere 0's conic becomes the tangent cone of a sphere whose center lies
     # within one radius of the image plane under K = I
     s = np.array([10.0, 0.0, 0.5])
     cone = Conic.from_matrix(np.outer(s, s) - (s @ s - 1.0) * np.eye(3))
-    obs1 = SphereObservation(conic=cone, cam_px=problem.obs1.cam_px, proj_px=problem.obs1.proj_px)
-    return replace(problem, obs1=obs1, radii=(1.0, problem.radii[1]))
+    first, second = problem.observations
+    first = SphereObservation(conic=cone, cam_px=first.cam_px, proj_px=first.proj_px)
+    return replace(problem, observations=(first, second), radii=(1.0, problem.radii[1]))
 
 
 TRUTH_PARAMS = params_of(make_small_truth().camera).tolist()
@@ -403,7 +413,7 @@ class TestProblemBuild:
             conic=obs[0].conic, cam_px=obs[1].cam_px, proj_px=obs[1].proj_px
         )
         with pytest.raises(CoincidentConics):
-            IscProblem.build(obs[0], clone, (0.4, 0.55), truth_small.cam_w, truth_small.cam_h)
+            IscProblem([obs[0], clone], (0.4, 0.55), truth_small.cam_w, truth_small.cam_h)
 
     def test_requires_ten_correspondences(self, truth_small):
         obs = exact_observations(truth_small)
@@ -411,12 +421,12 @@ class TestProblemBuild:
             conic=obs[0].conic, cam_px=obs[0].cam_px[:9], proj_px=obs[0].proj_px[:9]
         )
         with pytest.raises(TooFewPoints, match="sphere 0 has 9 valid correspondences"):
-            IscProblem.build(short, obs[1], (0.4, 0.55), truth_small.cam_w, truth_small.cam_h)
+            IscProblem([short, obs[1]], (0.4, 0.55), truth_small.cam_w, truth_small.cam_h)
 
     def test_default_mu_scales_with_count(self, truth_small):
         problem = exact_problem(truth_small)
         default = calibrate(problem)
-        scaled = calibrate(problem, mu=1e4 * (len(problem.obs1) + len(problem.obs2)))
+        scaled = calibrate(problem, mu=1e4 * n_correspondences(problem))
         assert default.to_json_dict() == scaled.to_json_dict()
 
     def test_mu_zero_permitted(self, truth_small):
@@ -426,22 +436,30 @@ class TestProblemBuild:
         assert value < 1e-6
 
     @pytest.mark.parametrize("radii, mu", [
-        (0.4, np.nan), (0.4, np.inf), (0.4, -1.0),
-        ((np.inf, 0.55), None), ((0.4, np.nan), None), ((0.4, 0.0), None), (-0.4, None),
-        ([0.4], None), ([0.4, 0.55, 9.0], None), ([[0.4, 0.55]], None),
+        ((0.4, 0.55), np.nan), ((0.4, 0.55), np.inf), ((0.4, 0.55), -1.0),
+        ((np.inf, 0.55), None), ((0.4, np.nan), None), ((0.4, 0.0), None), ((-0.4, 0.55), None),
+        (0.4, None), ([0.4], None), ([0.4, 0.55, 9.0], None), ([[0.4, 0.55]], None),
     ], ids=["mu_nan", "mu_inf", "mu_negative", "radius_inf", "radius_nan", "radius_zero",
-            "shared_radius_negative", "one_listed_radius", "three_radii", "nested_radii"])
+            "radius_negative", "one_radius", "one_listed_radius", "three_radii",
+            "nested_radii"])
     def test_malformed_mu_or_radii_rejected(self, truth_small, radii, mu):
         obs = exact_observations(truth_small)
         with pytest.raises(ValueError):
-            problem = IscProblem.build(obs[0], obs[1], radii, truth_small.cam_w, truth_small.cam_h)
+            problem = IscProblem(obs, radii, truth_small.cam_w, truth_small.cam_h)
             calibrate(problem, mu=mu)
 
-    def test_shared_radius_and_pair_accepted(self, truth_small):
+    def test_observations_and_radii_held_as_tuples(self, truth_small):
         obs = exact_observations(truth_small)
-        shared = IscProblem.build(obs[0], obs[1], 0.4, truth_small.cam_w, truth_small.cam_h)
-        pair = IscProblem.build(obs[0], obs[1], [0.4, 0.55], truth_small.cam_w, truth_small.cam_h)
-        assert shared.radii == (0.4, 0.4) and pair.radii == (0.4, 0.55)
+        problem = IscProblem(obs, np.array([0.4, 0.55]), truth_small.cam_w, truth_small.cam_h)
+        assert problem.observations == tuple(obs) and problem.radii == (0.4, 0.55)
+        assert all(type(r) is float for r in problem.radii)
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_other_sphere_counts_rejected(self, truth_small, count):
+        obs = exact_observations(truth_small)
+        picked = [obs[i % 2] for i in range(count)]
+        with pytest.raises(TwosphereError, match=f"two sphere observations required, got {count}"):
+            IscProblem(picked, [0.4] * count, truth_small.cam_w, truth_small.cam_h)
 
     def test_observation_rejects_pixels_not_n_by_2(self, truth_small):
         # a (40, 3) homogeneous array holds as many numbers as 60 pixels
@@ -494,7 +512,7 @@ class TestCalibrate:
         problem = build_problem(bundle_small_noisy)
         result = calibrate(problem, mu=0.0)
         assert result.objective == isc_objective(result.camera, problem)[0]
-        pair = constraint_pair(problem.obs1.conic, problem.obs2.conic, result.camera)
+        pair = constraint_pair(*conics_of(problem), result.camera)
         expected = pole_polar_residual(*pair, result.camera)
         assert expected > 0
         assert abs(result.constraint_residual - expected) <= 1e-12 * expected
@@ -505,9 +523,20 @@ class TestCalibrate:
         problem = build_problem(bundle_small_noisy)
         result = calibrate(problem)
         assert result.objective == isc_objective(result.camera, problem)[0]
-        n1, n2 = len(problem.obs1), len(problem.obs2)
+        n1, n2 = (len(obs) for obs in problem.observations)
         norm_sum = n1 * result.per_sphere_rms[0] + n2 * result.per_sphere_rms[1]
         assert result.objective == pytest.approx(norm_sum, rel=1e-12)
+
+    @pytest.mark.parametrize("mu", [0.0, None], ids=["mu0", "default_mu"])
+    def test_per_sphere_rms_is_each_spheres_mean_norm(self, bundle_small_noisy, mu):
+        # the per-sphere means of the norms isc_objective sums, exactly
+        problem = build_problem(bundle_small_noisy)
+        result = calibrate(problem, mu=mu)
+        vec, ok, _ = _residuals(params_of(result.camera), problem)
+        norms = np.linalg.norm(vec[0].reshape(-1, 2), axis=1)
+        assert ok[0] and result.objective == float(norms.sum())
+        n1 = len(problem.observations[0])
+        assert result.per_sphere_rms == (float(norms[:n1].mean()), float(norms[n1:].mean()))
 
     def test_mu_zero_reports_the_pair_selected_under_the_estimate(self):
         # an image-width focal guess ranks noiseless cppB's eigenvector pairs
@@ -516,11 +545,8 @@ class TestCalibrate:
         assert result.constraint_residual < 1e-6
 
     def test_stride_and_max_iters_reach_the_search(self, bundle_small):
-        def n_corr(problem):
-            return len(problem.obs1) + len(problem.obs2)
-
         result, coarse = run_calibration(bundle_small, stride=8, max_iters=1)
-        assert n_corr(coarse) < n_corr(build_problem(bundle_small, stride=4))
+        assert n_correspondences(coarse) < n_correspondences(build_problem(bundle_small, stride=4))
         assert result.iterations <= 1
 
     @pytest.mark.parametrize("max_iters", [0, -3])
@@ -564,13 +590,8 @@ class TestCalibrate:
 
     def test_swap_symmetry(self, truth_small):
         problem = exact_problem(truth_small)
-        swapped = IscProblem.build(
-            problem.obs2,
-            problem.obs1,
-            (problem.radii[1], problem.radii[0]),
-            problem.cam_w,
-            problem.cam_h,
-        )
+        swapped = replace(problem, observations=problem.observations[::-1],
+                          radii=problem.radii[::-1])
         r1 = calibrate(problem)
         r2 = calibrate(swapped)
         np.testing.assert_allclose(
@@ -585,9 +606,7 @@ class TestCalibrate:
         for o in obs:
             outside = o.cam_px + 400.0
             bad.append(SphereObservation(conic=o.conic, cam_px=outside, proj_px=o.proj_px))
-        problem = IscProblem.build(
-            bad[0], bad[1], (0.4, 0.55), truth_small.cam_w, truth_small.cam_h
-        )
+        problem = IscProblem(bad, (0.4, 0.55), truth_small.cam_w, truth_small.cam_h)
         with pytest.raises(NoFeasibleStart):
             calibrate(problem)
 
@@ -633,8 +652,8 @@ class TestSingleStart:
         if mu is None:
             # the penalized pass: its pair is selected at the penalty-free optimum
             free_camera = calibrate(problem, mu=0.0).camera
-            pair = constraint_pair(problem.obs1.conic, problem.obs2.conic, free_camera)
-            fn = penalized_fn(problem, pair, 1e4 * (len(problem.obs1) + len(problem.obs2)))
+            pair = constraint_pair(*conics_of(problem), free_camera)
+            fn = penalized_fn(problem, pair, 1e4 * n_correspondences(problem))
         starts = self.former_starts(problem, fn)
         assert len(starts) >= 2
         for p0 in starts:

@@ -156,6 +156,12 @@ BROKEN_BUNDLES = [
                  "manifest.json is not a JSON object", id="manifest_is_a_list"),
     pytest.param(edit_json("fringes/v_f064_s2.f32.json", lambda m: m.pop("width")),
                  "v_f064_s2.f32.json: no integer width and height", id="sidecar_without_width"),
+    pytest.param(edit_json("fringes/v_f064_s2.f32.json", lambda m: m.update(width=320.7)),
+                 "v_f064_s2.f32.json: no integer width and height", id="sidecar_fractional_width"),
+    pytest.param(edit_json("fringes/v_f064_s2.f32.json", lambda m: m.update(width="320")),
+                 "v_f064_s2.f32.json: no integer width and height", id="sidecar_text_width"),
+    pytest.param(edit_json("fringes/v_f064_s2.f32.json", lambda m: m.update(height=True)),
+                 "v_f064_s2.f32.json: no integer width and height", id="sidecar_true_height"),
     pytest.param(append_line("contours/sphere0.csv", "a,b"),
                  "contours/sphere0.csv: not rows of 2 numbers", id="contour_text_line"),
     pytest.param(append_line("contours/sphere1.csv", "1,2,3"),
@@ -602,6 +608,19 @@ class TestReconstructAndEvaluate:
         errors = error_lines(caplog)
         assert len(errors) == 1 and errors[0].startswith("cannot load inputs: ")
         assert reason in errors[0]
+
+    @pytest.mark.parametrize("version", [2, 99, "1", None])
+    def test_evaluate_manifest_of_another_version_exits_2(self, micro_bundle_dir, micro_calib,
+                                                         tmp_path, caplog, capsys, version):
+        # the manifest's version is checked as SceneBundle.load checks it
+        manifest = json.loads((micro_bundle_dir / "manifest.json").read_text())
+        manifest["format_version"] = version
+        bad = tmp_path / "manifest.json"
+        bad.write_text(json.dumps(manifest))
+        assert main(["--quiet", "evaluate", str(micro_calib), str(bad)]) == 2
+        assert capsys.readouterr().out == ""
+        assert error_lines(caplog) == [
+            f"cannot load inputs: format_version {version!r}: only 1 is read"]
 
     def test_evaluate_schema_mismatch_exits_2(self, micro_calib, tmp_path):
         bad = tmp_path / "junk.json"

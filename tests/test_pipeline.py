@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from twosphere import fit_conic, phase, pipeline, run_calibration, sample_interior_pixels
-from twosphere.pipeline import decode_bundle
+from twosphere.errors import TwosphereError
+from twosphere.pipeline import assemble_observations, decode_bundle
 
 
 def full_decode_at(bundle, at):
@@ -53,3 +56,21 @@ class TestCalibrationDecode:
         assert len(decoded) == 6 and len(bundle_calls) == 1
         assert sum(decoded) <= 6 * sampled
         assert sum(decoded) < 0.05 * 6 * len(bundle_small_noisy.pixels)
+
+
+class TestSphereCount:
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_other_contour_counts_raise(self, bundle_small, count):
+        # a third contour is a copy of the first: decoded and assembled, then refused
+        contours = [bundle_small.contours[i % 2] for i in range(count)]
+        with pytest.raises(TwosphereError, match=f"two sphere observations required, got {count}"):
+            run_calibration(replace(bundle_small, contours=contours))
+
+    def test_each_sphere_keeps_its_own_rows(self, bundle_small_noisy):
+        # the one decode splits back at the cumulative sample counts: sphere
+        # 1's correspondences are the ones it has alone
+        both = assemble_observations(bundle_small_noisy)
+        alone = assemble_observations(replace(bundle_small_noisy,
+                                              contours=bundle_small_noisy.contours[1:]))
+        assert both[1].cam_px.tobytes() == alone[0].cam_px.tobytes()
+        assert both[1].proj_px.tobytes() == alone[0].proj_px.tobytes()
