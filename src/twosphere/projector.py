@@ -27,7 +27,6 @@ __all__ = [
     "dlt_stack",
     "normalize_points",
     "gauge",
-    "reprojection_residuals",
     "decompose",
     "compose",
     "project_points",
@@ -227,13 +226,6 @@ def _dlt_reduce(proj_norm: np.ndarray, points_hom: np.ndarray) -> np.ndarray:
     stack[:, :k, 8:12] = r[:, 0, :, 4:]
     stack[:, k:, 8:12] = r[:, 1, :, 4:]
     return stack
-
-
-def reprojection_residuals(M: ProjMatrix, proj_px: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Per-point Euclidean pixel distance ``|x_p - dehom(M X)|``, input order kept."""
-    xp = np.asarray(proj_px, dtype=float).reshape(-1, 2)
-    projected = project_points(M, points)
-    return np.linalg.norm(xp - projected, axis=1)
 
 
 def decompose(M: ProjMatrix) -> tuple[Intrinsics, np.ndarray, np.ndarray]:

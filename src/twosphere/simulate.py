@@ -12,6 +12,7 @@ import json
 import numbers
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from . import imageio
 from .errors import (BehindCamera, DimensionMismatch, InvalidBundle, InvalidConfig, InvalidNoise,
                      SphereOutOfView, SpheresOverlapInImage)
 from .geometry import Conic, Intrinsics, sample_conic_points
-from .phase import MAX_UNWRAP_RATIO, FringeConfig, is_ladder, pattern_value
+from .phase import MAX_UNWRAP_RATIO, FringeConfig, is_ladder
 from .projector import Correspondences, ProjMatrix, compose, project_points
 from .sphere import SpherePose, lift_pixel_to_sphere, sample_interior_pixels
 
@@ -35,7 +36,6 @@ __all__ = [
     "render_scene",
     "rotation_about_y",
     "signal_pixels",
-    "validate_config",
 ]
 
 CONTOUR_SAMPLES = 256
@@ -276,18 +276,6 @@ _FRAME_KEYS = ("width_px", "height_px")
 def _device_section(K: Intrinsics, w: int, h: int) -> dict:
     keys = _FRAME_KEYS + tuple(f"{f.name}_px" for f in fields(Intrinsics))
     return dict(zip(keys, (w, h, *astuple(K))))
-
-
-def validate_config(cfg) -> list[str]:
-    """The problems ``SceneTruth.from_config`` finds in a scene config; none
-    for a valid config, also of a scene that cannot be rendered."""
-    try:
-        SceneTruth.from_config(cfg)
-    except InvalidConfig as exc:
-        return list(exc.problems)
-    except BehindCamera:
-        pass
-    return []
 
 
 # ---------------------------------------------------------------------------
@@ -546,17 +534,88 @@ def _faces_projector(points: np.ndarray, pose: SpherePose, proj_center: np.ndarr
     return np.einsum("ni,ni->n", normals, proj_center[None, :] - points) > 0
 
 
+def _draw_noise(frame: np.ndarray, seed: int, index: int, sigma: float) -> np.ndarray:
+    """``frame``, filled in place with image ``index``'s float32 intensity noise."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 1, index]))
+    rng.standard_normal(dtype=np.float32, out=frame)
+    frame *= sigma
+    frame += 0.0  # -0.0 becomes +0.0, as in 0 + noise
+    return frame
+
+
+def _pattern_steps(freq: int, n_steps: int, coord, span: int):
+    """``pattern_value(freq, k, n_steps, coord, span)`` for k = 0 .. n_steps - 1,
+    bit for bit, from one phase argument ``2 pi freq coord / span``."""
+    phase = 2.0 * np.pi * freq * np.ascontiguousarray(coord, dtype=float) / span
+    for step in range(n_steps):
+        value = phase - 2.0 * np.pi * step / n_steps
+        np.cos(value, out=value)
+        value *= 0.5
+        value += 0.5
+        yield value
+
+
+def _lit_pixels(truth: SceneTruth, conics: list, pixels: np.ndarray) -> tuple[list, list]:
+    """Per sphere: the hidden exact correspondences, and (index into
+    ``pixels``, coded projector (x, y)) of its lit signal pixels."""
+    proj_m = truth.proj_matrix
+    proj_center = proj_m.center()
+    oracle = []
+    lit_pixels = []
+    for pose, conic in zip(truth.spheres, conics):
+        # hidden exact correspondences on interior pixels facing the projector
+        pix = sample_interior_pixels(conic)
+        points = lift_pixel_to_sphere(pix, truth.camera, pose)
+        lit = _faces_projector(points, pose, proj_center)
+        pix, points = pix[lit], points[lit]
+        proj_px = project_points(proj_m, points)
+        oracle.append(Correspondences(cam_px=pix, proj_px=proj_px, points=points))
+
+        # every lit signal pixel of the disc, with the exact projector
+        # coordinate of the surface point it sees
+        at = np.flatnonzero(conic.normalized().evaluate(pixels) < 0)
+        points = lift_pixel_to_sphere(pixels[at], truth.camera, pose)
+        lit = _faces_projector(points, pose, proj_center)
+        lit_pixels.append((at[lit], project_points(proj_m, points[lit])))
+    return oracle, lit_pixels
+
+
+def _fringe_stacks(truth: SceneTruth, n: int, lit_pixels: list, noise: list) -> dict:
+    """The bundle's ``stacks`` of frames of ``n`` pixels: the pattern at each
+    lit pixel's coded coordinate, 0 at every other pixel, plus the noise of
+    image i (vertical then horizontal, frequency-major) once ``noise[i]`` has
+    drawn it; no noise when ``noise`` is empty."""
+    stacks = {}
+    frames = []
+    for cfg in (truth.fringe_vertical, truth.fringe_horizontal):
+        axis = 0 if cfg.orientation == "vertical" else 1
+        for freq in cfg.freqs:
+            steps = [_pattern_steps(freq, cfg.n_steps, coded[:, axis], cfg.coded_span)
+                     for _, coded in lit_pixels]
+            for _ in range(cfg.n_steps):
+                values = [next(step) for step in steps]
+                frame = noise[len(frames)].result() if noise else np.zeros(n, dtype=np.float32)
+                for (at, _), value in zip(lit_pixels, values):
+                    if noise:  # the float32 pattern + noise, as a one-thread render adds
+                        frame[at] += value.astype(np.float32)
+                    else:  # a write alone: reading the untouched zeros would fault them in
+                        frame[at] = value
+                frames.append(frame)
+            stacks[(cfg.orientation, freq)] = frames[-cfg.n_steps:]
+    return stacks
+
+
 def render_scene(truth: SceneTruth) -> SceneBundle:
     """Render fringe stacks, contour point sets and hidden correspondences.
 
     Deterministic for a fixed seed: every noise stream derives from
     ``SeedSequence([seed, purpose, index])`` so render order cannot matter.
+    With intensity noise, one worker thread draws it; the thread is joined
+    before this returns or raises.
 
     Raises SphereOutOfView / SpheresOverlapInImage on infeasible geometry.
     """
     cam = truth.camera
-    proj_m = truth.proj_matrix
-    proj_center = proj_m.center()
     seed = truth.noise.seed
 
     conics = []
@@ -594,44 +653,18 @@ def render_scene(truth: SceneTruth) -> SceneBundle:
         contours.append(pts)
 
     pixels = signal_pixels(contours, truth.cam_w, truth.cam_h)
-    oracle = []
-    lit_pixels = []  # per sphere: (index into pixels, coded projector (x, y))
-    for pose, conic in zip(truth.spheres, conics):
-        # hidden exact correspondences on interior pixels facing the projector
-        pix = sample_interior_pixels(conic)
-        points = lift_pixel_to_sphere(pix, cam, pose)
-        lit = _faces_projector(points, pose, proj_center)
-        pix, points = pix[lit], points[lit]
-        proj_px = project_points(proj_m, points)
-        oracle.append(Correspondences(cam_px=pix, proj_px=proj_px, points=points))
-
-        # every lit signal pixel of the disc, with the exact projector
-        # coordinate of the surface point it sees
-        at = np.flatnonzero(conic.normalized().evaluate(pixels) < 0)
-        points = lift_pixel_to_sphere(pixels[at], cam, pose)
-        lit = _faces_projector(points, pose, proj_center)
-        lit_pixels.append((at[lit], project_points(proj_m, points[lit])))
-
-    # fringe stacks at the signal pixels: the pattern at each lit pixel's
-    # coded coordinate, 0 at every other pixel, plus per-pixel noise
-    stacks = {}
-    image_index = 0
-    for cfg in (truth.fringe_vertical, truth.fringe_horizontal):
-        axis = 0 if cfg.orientation == "vertical" else 1
-        for freq in cfg.freqs:
-            stack = []
-            for k in range(cfg.n_steps):
-                img = np.zeros(len(pixels), dtype=np.float32)
-                for at, coded in lit_pixels:
-                    img[at] = pattern_value(freq, k, cfg.n_steps, coded[:, axis], cfg.coded_span)
-                if truth.noise.intensity_sigma > 0:
-                    rng = np.random.default_rng(np.random.SeedSequence([seed, 1, image_index]))
-                    noise = rng.standard_normal(len(pixels), dtype=np.float32)
-                    noise *= truth.noise.intensity_sigma
-                    img += noise
-                stack.append(img)
-                image_index += 1
-            stacks[(cfg.orientation, freq)] = stack
+    # one worker draws each pattern image's noise (numpy draws without the
+    # GIL) while this thread lifts the discs and computes the fringes
+    pool = ThreadPoolExecutor(1)  # starts its thread on the first submit
+    try:
+        sigma = truth.noise.intensity_sigma
+        n_images = 2 * len(truth.freqs) * truth.n_steps  # both orientations
+        noise = [pool.submit(_draw_noise, np.empty(len(pixels), dtype=np.float32), seed, index,
+                             sigma) for index in range(n_images)] if sigma > 0 else []
+        oracle, lit_pixels = _lit_pixels(truth, conics, pixels)
+        stacks = _fringe_stacks(truth, len(pixels), lit_pixels, noise)
+    finally:
+        pool.shutdown(cancel_futures=True)  # joins the worker, also on an exception
 
     return SceneBundle(
         truth=truth,

@@ -3,13 +3,18 @@
 The "small" scene is a shrunk camera with the standard projector and the
 same sphere layout as the shipped presets; it renders in well under a
 second and exercises every pipeline stage. The "micro" scene is smaller
-still, for CLI round trips.
+still, for CLI round trips. ``random_layouts`` renders seeded random
+two-sphere layouts on the cppB rig for the robustness campaign.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from twosphere import Intrinsics, NoiseSpec, SceneTruth, SpherePose, render_scene
+from twosphere import (Intrinsics, NoiseSpec, SceneTruth, SpherePose, preset, project_points,
+                       render_scene)
+from twosphere.errors import TwosphereError
 from twosphere.simulate import rotation_about_y
 
 ROT = rotation_about_y(15.0)
@@ -54,6 +59,42 @@ def make_micro_truth(noise: NoiseSpec | None = None) -> SceneTruth:
 
 
 MICRO_CONFIG = make_micro_truth().to_config()
+
+LAYOUT_SEED = 12345
+
+
+def random_layouts(count: int):
+    """Render ``count`` seeded random two-sphere layouts on the cppB rig, one
+    bundle at a time, with 0.5 px contour and 0.01 intensity noise.
+
+    Each sphere in turn draws its depth z ~ U(3, 8), its radius r ~ U(0.25,
+    0.6) and the image of its centre (u, v) ~ U(0.15, 0.85) x (w, h); the
+    centre is z K^-1 (u, v, 1). A layout that ``render_scene`` refuses is
+    skipped, and accepted layout i renders at noise seed i.
+    """
+    rig = preset("cppB")
+    kinv = rig.camera.inverse()
+    rng = np.random.default_rng(LAYOUT_SEED)
+    accepted = 0
+    while accepted < count:
+        spheres = []
+        for _ in range(2):
+            z, r = rng.uniform(3, 8), rng.uniform(0.25, 0.6)
+            u, v = rng.uniform(0.15, 0.85) * rig.cam_w, rng.uniform(0.15, 0.85) * rig.cam_h
+            spheres.append(SpherePose(center=z * (kinv @ [u, v, 1.0]), radius=r))
+        truth = replace(rig, spheres=spheres, noise=NoiseSpec(0.5, 0.01, seed=accepted))
+        try:
+            bundle = render_scene(truth)
+        except TwosphereError:
+            continue
+        accepted += 1
+        yield bundle
+
+
+def reprojection_residuals(M, proj_px, points) -> np.ndarray:
+    """Per-point Euclidean pixel distance ``|x_p - dehom(M X)|``, input order kept."""
+    xp = np.asarray(proj_px, dtype=float).reshape(-1, 2)
+    return np.linalg.norm(xp - project_points(M, points), axis=1)
 
 
 def exact_observations(truth: SceneTruth):

@@ -8,7 +8,8 @@ import pytest
 from conftest import MICRO_CONFIG
 
 from twosphere.cli import main
-from twosphere.simulate import validate_config
+from twosphere.errors import BehindCamera, InvalidConfig
+from twosphere.simulate import SceneTruth
 
 
 def write_config(tmp_path, overrides=None, name="scene.json"):
@@ -24,6 +25,18 @@ def write_config(tmp_path, overrides=None, name="scene.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return path
+
+
+def validate_config(cfg) -> list[str]:
+    """The problems ``SceneTruth.from_config`` finds in a scene config; none
+    for a valid config, also of a scene that cannot be rendered."""
+    try:
+        SceneTruth.from_config(cfg)
+    except InvalidConfig as exc:
+        return list(exc.problems)
+    except BehindCamera:
+        pass
+    return []
 
 
 def tree_bytes(root: Path) -> dict:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import reprojection_residuals
+
 from twosphere import (
     Intrinsics,
     ProjMatrix,
@@ -21,7 +23,6 @@ from twosphere.projector import (
     dlt_stack,
     normalize_points,
     project_stack,
-    reprojection_residuals,
 )
 from twosphere.simulate import rotation_about_y
 

@@ -1,12 +1,14 @@
-"""A warmed render, calibration and reconstruction each run on one thread.
+"""A warmed noiseless render, calibration and reconstruction each run on one
+thread. (A noisy render draws its noise on one worker thread of its own; see
+``test_simulate.TestIntensityNoise``.)
 
 On some hosts a frame-sized BLAS product, stacked or 2-D, starts
 OpenBLAS's thread pool, whose threads keep spinning after the call returns,
 so the process uses more CPU time than wall time. The render lifts and
 projects each disc through calibrate's kernel cores, ``lift_pixels`` and
 ``project_stack``, so those cores must stay BLAS-free; so must the stride-1
-triangulation. A second render, calibration and reconstruction must each
-use at most 1.2 s of CPU per second of wall.
+triangulation. A second noiseless render, calibration and reconstruction
+must each use at most 1.2 s of CPU per second of wall.
 
 The check runs in a fresh interpreter with OpenBLAS free to start its
 threads. It times the second call of each stage, after a pause: the first

@@ -1,9 +1,10 @@
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import make_micro_truth, make_small_truth
+from conftest import make_micro_truth, make_small_truth, reprojection_residuals
 
 from twosphere import (
     Intrinsics,
@@ -19,8 +20,8 @@ from twosphere import (
 )
 from twosphere.errors import BehindCamera, InvalidNoise, SphereOutOfView, SpheresOverlapInImage
 from twosphere.geometry import ellipse_parameters
+from twosphere import simulate
 from twosphere.phase import pattern_value
-from twosphere.projector import reprojection_residuals
 
 
 class TestProjectSphereToConic:
@@ -275,6 +276,65 @@ class TestRenderScene:
             normals = (corr.points - pose.center) / pose.radius
             facing = np.einsum("ni,ni->n", normals, proj_center[None, :] - corr.points)
             assert np.all(facing > 0)
+
+
+def cppb_truth(noise: NoiseSpec | None = None):
+    return preset("cppB").with_noise(noise or NoiseSpec())
+
+
+class TestIntensityNoise:
+    """One worker thread draws each frame's noise while the render synthesises
+    the fringes; the bytes are those of ``pattern + noise`` in float32."""
+
+    @pytest.mark.parametrize("make_truth", [make_small_truth, cppb_truth], ids=["small", "cppB"])
+    def test_frame_is_noiseless_frame_plus_its_own_stream(self, make_truth):
+        sigma, seed = 0.01, 5
+        clean = render_scene(make_truth())
+        noisy = render_scene(make_truth(NoiseSpec(0.0, sigma, seed)))
+        index = 0
+        for cfg in (clean.truth.fringe_vertical, clean.truth.fringe_horizontal):
+            for frames, noisy_frames in zip(clean.stack_list(cfg), noisy.stack_list(cfg)):
+                for frame, noisy_frame in zip(frames, noisy_frames):
+                    rng = np.random.default_rng(np.random.SeedSequence([seed, 1, index]))
+                    noise = rng.standard_normal(len(frame), dtype=np.float32)
+                    noise *= sigma
+                    want = frame.copy()
+                    want += noise
+                    assert noisy_frame.tobytes() == want.tobytes(), f"frame {index}"
+                    index += 1
+        assert index == 2 * len(clean.truth.freqs) * clean.truth.n_steps
+
+    def test_shared_phase_argument_gives_pattern_value_bitwise(self, bundle_small):
+        # coded coordinates as the render passes them: a column of (n, 2)
+        coded = np.concatenate([c.proj_px for c in bundle_small.oracle])
+        for axis, span in ((0, 854), (1, 480)):
+            coord = coded[:, axis]
+            for freq in (1, 8, 64, 7):
+                for n_steps in (3, 4, 5):
+                    steps = list(simulate._pattern_steps(freq, n_steps, coord, span))
+                    assert len(steps) == n_steps
+                    for k, values in enumerate(steps):
+                        want = pattern_value(freq, k, n_steps, coord, span)
+                        assert values.tobytes() == want.tobytes(), (freq, n_steps, k)
+
+    def test_noisy_render_leaves_no_thread(self):
+        before = threading.active_count()
+        render_scene(make_micro_truth(NoiseSpec(0.5, 0.01, seed=3)))
+        assert threading.active_count() == before
+
+    def test_render_that_raises_after_the_worker_starts_leaves_no_thread(self, monkeypatch):
+        before = threading.active_count()
+        during = []
+
+        def failing_lift(*args):
+            during.append(threading.active_count())
+            raise RuntimeError("lift failed")
+
+        monkeypatch.setattr(simulate, "lift_pixel_to_sphere", failing_lift)
+        with pytest.raises(RuntimeError, match="lift failed"):
+            render_scene(make_small_truth(NoiseSpec(0.5, 0.01, seed=3)))
+        assert during == [before + 1]  # the worker was drawing when the lift raised
+        assert threading.active_count() == before
 
 
 class TestSignalPixels:
