@@ -118,8 +118,7 @@ def cmd_calibrate(args) -> int:
 
     payload = result.to_json_dict()
     payload["constraint_checked"] = args.mu is None or args.mu > 0
-    if bundle.oracle is not None:
-        payload["error_report"] = evaluate_against_truth(result, bundle.truth)
+    payload["error_report"] = evaluate_against_truth(result, bundle.truth)
 
     try:
         with open(out_path, "w") as f:
@@ -130,11 +129,7 @@ def cmd_calibrate(args) -> int:
         return EXIT_INPUT
     log.info("calibration written to %s", out_path)
 
-    if "error_report" in payload:
-        print(format_error_report(payload["error_report"]))
-    else:
-        camera = " ".join(f"{name}={v:.4f}" for name, v in result.camera.to_dict().items())
-        print(f"{camera} converged={result.converged}")
+    print(format_error_report(payload["error_report"]))
     return EXIT_OK
 
 

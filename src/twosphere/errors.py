@@ -93,7 +93,7 @@ class InvalidBundle(TwosphereError):
     """A bundle file is malformed: the manifest is not a JSON object of
     ``format_version`` 1, names a fringe format other than float32 or holds a
     scene truth that fails its config checks; a fringe sidecar lacks its width
-    and height; or a contour or oracle CSV is not rows of exactly 2 or 7 numbers."""
+    and height; or a contour CSV is not rows of exactly 2 numbers."""
 
 
 class InvalidConfig(TwosphereError):

@@ -13,7 +13,7 @@ import logging
 import numpy as np
 
 from .calibrate import CalibResult, IscProblem, SphereObservation, calibrate
-from .errors import DegenerateConic
+from .errors import DegenerateConic, TooFewPoints
 from .geometry import fit_conic
 from .phase import decode_phase, phase_to_proj_coord
 from .simulate import SceneBundle
@@ -51,7 +51,12 @@ def assemble_observations(
     """
     flat = bundle.flat_index
     w, h = bundle.truth.cam_w, bundle.truth.cam_h
-    conics = [fit_conic(contour) for contour in bundle.contours]
+    conics = []
+    for i, contour in enumerate(bundle.contours):
+        try:
+            conics.append(fit_conic(contour))
+        except (TooFewPoints, DegenerateConic) as exc:
+            raise DegenerateConic(f"sphere {i}'s contour cannot be fitted: {exc}") from exc
     samples, rows = [], []
     for i, conic in enumerate(conics):
         if not conic.is_real_ellipse:

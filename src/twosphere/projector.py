@@ -22,7 +22,6 @@ from .geometry import Intrinsics
 
 __all__ = [
     "ProjMatrix",
-    "Correspondences",
     "dlt_estimate",
     "dlt_stack",
     "normalize_points",
@@ -67,33 +66,6 @@ class ProjMatrix:
 
     def allclose(self, other: "ProjMatrix", tol: float = 1e-9) -> bool:
         return bool(np.max(np.abs(self.m - other.m)) < tol)
-
-
-@dataclass(frozen=True)
-class Correspondences:
-    """Camera pixel / projector pixel / 3D point triples, as parallel arrays."""
-
-    cam_px: np.ndarray
-    proj_px: np.ndarray
-    points: np.ndarray
-
-    def __post_init__(self) -> None:
-        cam = np.asarray(self.cam_px, dtype=float).reshape(-1, 2)
-        proj = np.asarray(self.proj_px, dtype=float).reshape(-1, 2)
-        pts = np.asarray(self.points, dtype=float).reshape(-1, 3)
-        if not (len(cam) == len(proj) == len(pts)):
-            raise ValueError("correspondence arrays differ in length")
-        for name, arr in (("cam_px", cam), ("proj_px", proj), ("points", pts)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite values")
-        if np.any(pts[:, 2] <= 0):
-            raise ValueError("3D points must have positive depth")
-        object.__setattr__(self, "cam_px", cam)
-        object.__setattr__(self, "proj_px", proj)
-        object.__setattr__(self, "points", pts)
-
-    def __len__(self) -> int:
-        return len(self.points)
 
 
 def gauge(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

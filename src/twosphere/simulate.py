@@ -1,9 +1,9 @@
 """Synthetic camera-projector scenes with exact ground truth.
 
 The simulator renders everything the physical rig would produce (contour
-points, phase-shifted fringe stacks seen by the camera) together with the
-hidden exact correspondences, so every estimation stage of the toolkit can
-be checked against an independent analytic oracle.
+points, phase-shifted fringe stacks seen by the camera) and records the
+scene truth that produced it, so every estimation stage of the toolkit can
+be checked against exact values.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ import numpy as np
 
 from . import imageio
 from .errors import (BehindCamera, DimensionMismatch, InvalidBundle, InvalidConfig, InvalidNoise,
-                     SphereOutOfView, SpheresOverlapInImage)
+                     RayMissesSphere, SphereOutOfView, SpheresOverlapInImage)
 from .geometry import Conic, Intrinsics, sample_conic_points
 from .phase import MAX_UNWRAP_RATIO, FringeConfig, is_ladder
-from .projector import Correspondences, ProjMatrix, compose, project_points
-from .sphere import SpherePose, lift_pixel_to_sphere, sample_interior_pixels
+from .projector import ProjMatrix, compose, project_stack
+from .sphere import SpherePose, lift_pixels
 
 __all__ = [
     "NoiseSpec",
@@ -363,15 +363,15 @@ class SceneBundle:
     ``pixels`` is the signal pixel list (see ``signal_pixels``).
     ``stacks[(orientation, freq)]`` holds the n_steps camera images for that
     pattern set, each the 1-D float32 array of the image's values at
-    ``pixels``. ``oracle`` carries the hidden exact correspondences; consumer
-    code must treat it as ground truth for verification only.
+    ``pixels``. ``truth`` is the scene that was rendered; calibration reads
+    only its frame sizes, fringe configs and sphere radii, and the rest
+    serves to check a result.
     """
 
     truth: SceneTruth
     contours: list  # per sphere: (m, 2) contour points, noisy if configured
     pixels: np.ndarray  # (n, 2) integer (x, y), row-major
     stacks: dict
-    oracle: list | None  # per sphere: Correspondences, or None when stripped
 
     @property
     def flat_index(self) -> np.ndarray:
@@ -385,7 +385,7 @@ class SceneBundle:
     # -- persistence ---------------------------------------------------
 
     def save(self, out_dir) -> None:
-        """Write the bundle directory (manifest, contours, fringes, oracle).
+        """Write the bundle directory (manifest, contours, fringes).
 
         Fringe files are full float32 frames, 0 outside ``pixels``. Only the
         band of rows from the first to the last row of ``pixels`` is written;
@@ -413,17 +413,6 @@ class SceneBundle:
             for k, values in enumerate(stack):
                 band.reshape(-1)[at] = values  # one buffer; only ``at`` is rewritten
                 imageio.write_float32(_fringe_path(out, orientation, freq, k), band, top, h)
-        if self.oracle is not None:
-            (out / "oracle").mkdir(exist_ok=True)
-            for i, corr in enumerate(self.oracle):
-                table = np.column_stack([corr.cam_px, corr.proj_px, corr.points])
-                np.savetxt(
-                    out / "oracle" / f"sphere{i}.csv",
-                    table,
-                    fmt="%.17g",
-                    delimiter=",",
-                    header="x_c,y_c,x_p,y_p,X,Y,Z",
-                )
 
     @staticmethod
     def checked_manifest(manifest) -> dict:
@@ -441,7 +430,7 @@ class SceneBundle:
 
         Each fringe file is mapped, not read, and only its values at the
         signal pixels are gathered, so ``stacks`` hold plain arrays and no
-        file stays open.
+        file stays open. Any other entry of the directory is ignored.
         """
         root = Path(bundle_dir)
         manifest_path = root / MANIFEST_NAME
@@ -456,12 +445,7 @@ class SceneBundle:
         except InvalidConfig as exc:
             raise InvalidBundle(f"manifest truth {exc}") from exc
 
-        contours = []
-        for path in sorted((root / "contours").glob("sphere*.csv")):
-            rows = _read_rows(path, 2)
-            if not len(rows):
-                raise InvalidBundle(f"contours/{path.name}: no points")
-            contours.append(rows)
+        contours = [_read_contour(path) for path in sorted((root / "contours").glob("sphere*.csv"))]
         pixels = signal_pixels(contours, truth.cam_w, truth.cam_h)
         flat = pixels[:, 1] * truth.cam_w + pixels[:, 0]
 
@@ -482,34 +466,26 @@ class SceneBundle:
                     stack.append(img.ravel()[flat])
                 stacks[(orientation, freq)] = stack
 
-        oracle = None
-        oracle_dir = root / "oracle"
-        if oracle_dir.is_dir():
-            oracle = []
-            for path in sorted(oracle_dir.glob("sphere*.csv")):
-                table = _read_rows(path, 7)
-                oracle.append(
-                    Correspondences(cam_px=table[:, :2], proj_px=table[:, 2:4], points=table[:, 4:7])
-                )
-
-        return cls(truth=truth, contours=contours, pixels=pixels, stacks=stacks, oracle=oracle)
+        return cls(truth=truth, contours=contours, pixels=pixels, stacks=stacks)
 
 
-def _read_rows(path: Path, columns: int) -> np.ndarray:
-    """A bundle CSV as rows of exactly ``columns`` finite numbers; InvalidBundle
-    if it holds anything else. A file without rows reads as (0, columns)."""
-    name = f"{path.parent.name}/{path.name}"
+def _read_contour(path: Path) -> np.ndarray:
+    """A contour CSV as (m, 2) rows of exactly 2 finite numbers, (x, y), at
+    least one row; InvalidBundle if it holds anything else."""
+    name = f"contours/{path.name}"
     try:
         with warnings.catch_warnings():  # numpy warns on a file without rows
             warnings.simplefilter("ignore", UserWarning)
             rows = np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as exc:
-        raise InvalidBundle(f"{name}: not rows of {columns} numbers ({exc})") from exc
-    if rows.size and rows.shape[1] != columns:
-        raise InvalidBundle(f"{name}: not rows of {columns} numbers ({rows.shape[1]} per row)")
-    rows = rows.reshape(-1, columns)
+        raise InvalidBundle(f"{name}: not rows of 2 numbers ({exc})") from exc
+    if rows.size and rows.shape[1] != 2:
+        raise InvalidBundle(f"{name}: not rows of 2 numbers ({rows.shape[1]} per row)")
+    rows = rows.reshape(-1, 2)
     if not np.all(np.isfinite(rows)):
-        raise InvalidBundle(f"{name}: not rows of {columns} finite numbers")
+        raise InvalidBundle(f"{name}: not rows of 2 finite numbers")
+    if not len(rows):
+        raise InvalidBundle(f"{name}: no points")
     return rows
 
 
@@ -529,9 +505,10 @@ def _check_in_frame(points: np.ndarray, w: int, h: int, what: str) -> None:
 
 
 def _faces_projector(points: np.ndarray, pose: SpherePose, proj_center: np.ndarray) -> np.ndarray:
-    """True where the sphere's surface at ``points`` faces the projector centre."""
-    normals = (points - pose.center) / pose.radius
-    return np.einsum("ni,ni->n", normals, proj_center[None, :] - points) > 0
+    """True where the sphere's surface at the coordinate-major (3, n) ``points``
+    faces the projector centre."""
+    normals = (points - pose.center[:, None]) / pose.radius
+    return np.einsum("in,in->n", normals, proj_center[:, None] - points) > 0
 
 
 def _draw_noise(frame: np.ndarray, seed: int, index: int, sigma: float) -> np.ndarray:
@@ -555,29 +532,23 @@ def _pattern_steps(freq: int, n_steps: int, coord, span: int):
         yield value
 
 
-def _lit_pixels(truth: SceneTruth, conics: list, pixels: np.ndarray) -> tuple[list, list]:
-    """Per sphere: the hidden exact correspondences, and (index into
-    ``pixels``, coded projector (x, y)) of its lit signal pixels."""
-    proj_m = truth.proj_matrix
-    proj_center = proj_m.center()
-    oracle = []
-    lit_pixels = []
-    for pose, conic in zip(truth.spheres, conics):
-        # hidden exact correspondences on interior pixels facing the projector
-        pix = sample_interior_pixels(conic)
-        points = lift_pixel_to_sphere(pix, truth.camera, pose)
-        lit = _faces_projector(points, pose, proj_center)
-        pix, points = pix[lit], points[lit]
-        proj_px = project_points(proj_m, points)
-        oracle.append(Correspondences(cam_px=pix, proj_px=proj_px, points=points))
-
-        # every lit signal pixel of the disc, with the exact projector
-        # coordinate of the surface point it sees
-        at = np.flatnonzero(conic.normalized().evaluate(pixels) < 0)
-        points = lift_pixel_to_sphere(pixels[at], truth.camera, pose)
-        lit = _faces_projector(points, pose, proj_center)
-        lit_pixels.append((at[lit], project_points(proj_m, points[lit])))
-    return oracle, lit_pixels
+def _lit_pixels(truth: SceneTruth, pose: SpherePose, conic: Conic, pixels: np.ndarray):
+    """(index into ``pixels``, coded projector (x, y)) of one sphere's lit
+    signal pixels: those inside its disc ``conic`` whose surface point faces
+    the projector, each with the exact projector coordinate of that point.
+    One call per sphere, so no sphere's lifted points outlive its call."""
+    at = np.flatnonzero(conic.normalized().evaluate(pixels) < 0)
+    points, misses = lift_pixels(np.ascontiguousarray(pixels[at].T, dtype=float),  # (2, n)
+                                 truth.camera.inverse()[None], pose.center[None], pose.radius)
+    if misses[0]:
+        raise RayMissesSphere(f"{misses[0]} of {len(at)} rays miss the sphere")
+    lit = _faces_projector(points[0], pose, truth.proj_matrix.center())
+    # compress keeps the points C-contiguous, and with them einsum's order of
+    # summation; a lit point lies in front of the projector (render_scene
+    # checks that the sphere clears it), so none projects to infinity
+    points = np.compress(lit, points, axis=2)
+    coded, _ = project_stack(truth.proj_matrix.m[None], points)
+    return at[lit], coded[0].T
 
 
 def _fringe_stacks(truth: SceneTruth, n: int, lit_pixels: list, noise: list) -> dict:
@@ -606,7 +577,7 @@ def _fringe_stacks(truth: SceneTruth, n: int, lit_pixels: list, noise: list) -> 
 
 
 def render_scene(truth: SceneTruth) -> SceneBundle:
-    """Render fringe stacks, contour point sets and hidden correspondences.
+    """Render fringe stacks and contour point sets of a scene truth.
 
     Deterministic for a fixed seed: every noise stream derives from
     ``SeedSequence([seed, purpose, index])`` so render order cannot matter.
@@ -661,15 +632,10 @@ def render_scene(truth: SceneTruth) -> SceneBundle:
         n_images = 2 * len(truth.freqs) * truth.n_steps  # both orientations
         noise = [pool.submit(_draw_noise, np.empty(len(pixels), dtype=np.float32), seed, index,
                              sigma) for index in range(n_images)] if sigma > 0 else []
-        oracle, lit_pixels = _lit_pixels(truth, conics, pixels)
+        lit_pixels = [_lit_pixels(truth, pose, conic, pixels)
+                      for pose, conic in zip(truth.spheres, conics)]
         stacks = _fringe_stacks(truth, len(pixels), lit_pixels, noise)
     finally:
         pool.shutdown(cancel_futures=True)  # joins the worker, also on an exception
 
-    return SceneBundle(
-        truth=truth,
-        contours=contours,
-        pixels=pixels,
-        stacks=stacks,
-        oracle=oracle,
-    )
+    return SceneBundle(truth=truth, contours=contours, pixels=pixels, stacks=stacks)

@@ -28,6 +28,7 @@ __all__ = [
 
 RIM_MARGIN_PX = 2.0  # least distance of an interior sample from the silhouette
 RIM_MARGIN_FRAC = 0.05  # or this fraction of the semi-minor axis, if larger
+RIM_BLOCK = 2048  # grid points per block of the rim distance: (RIM_BLOCK, 256) floats at a time
 
 # fault codes of sphere_centers (0: a valid pose)
 CONE_DEGENERATE, CONE_SIGNS, CONE_SPLIT, CENTER_BEHIND = 1, 2, 3, 4
@@ -199,8 +200,10 @@ def sample_interior_pixels(conic: Conic, stride: int | None = None) -> np.ndarra
     if len(grid) == 0:
         return grid.reshape(0, 2)
     # distance to the silhouette via a dense boundary polyline, per axis so
-    # no (grid, boundary, 2) tensor is built
-    d2 = np.min(
-        (grid[:, :1] - boundary[:, 0]) ** 2 + (grid[:, 1:] - boundary[:, 1]) ** 2, axis=1
-    )
+    # no (grid, boundary, 2) tensor is built, and per block of grid points so
+    # no (grid, boundary) matrix is either
+    d2 = np.concatenate([
+        np.min((block[:, :1] - boundary[:, 0]) ** 2 + (block[:, 1:] - boundary[:, 1]) ** 2, axis=1)
+        for block in np.split(grid, range(RIM_BLOCK, len(grid), RIM_BLOCK))
+    ])
     return grid[np.sqrt(d2) > margin]

@@ -5,9 +5,12 @@ same sphere layout as the shipped presets; it renders in well under a
 second and exercises every pipeline stage. The "micro" scene is smaller
 still, for CLI round trips. ``random_layouts`` renders seeded random
 two-sphere layouts on the cppB rig for the robustness campaign.
+``lit_correspondences`` rebuilds exact correspondences from a scene truth,
+the reference the render and the decoder are checked against.
 """
 
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -118,6 +121,34 @@ def exact_observations(truth: SceneTruth):
             SphereObservation(conic=conic, cam_px=pix, proj_px=project_points(M, points))
         )
     return obs
+
+
+class LitCorrespondences(NamedTuple):
+    """One sphere's camera pixels, projector pixels and surface points."""
+
+    cam_px: np.ndarray  # (n, 2)
+    proj_px: np.ndarray  # (n, 2)
+    points: np.ndarray  # (n, 3)
+
+
+def lit_correspondences(truth: SceneTruth) -> list:
+    """Per sphere, exact correspondences rebuilt from the truth alone: the
+    interior pixel grid (``sample_interior_pixels``), lifted to the sphere,
+    kept where the surface faces the projector centre, projected through
+    the projector matrix."""
+    from twosphere import lift_pixel_to_sphere, project_sphere_to_conic, sample_interior_pixels
+
+    M = truth.proj_matrix
+    proj_center = M.center()
+    correspondences = []
+    for pose in truth.spheres:
+        pix = sample_interior_pixels(project_sphere_to_conic(pose, truth.camera))
+        points = lift_pixel_to_sphere(pix, truth.camera, pose)
+        normals = (points - pose.center) / pose.radius
+        lit = np.einsum("ni,ni->n", normals, proj_center - points) > 0
+        pix, points = pix[lit], points[lit]
+        correspondences.append(LitCorrespondences(pix, project_points(M, points), points))
+    return correspondences
 
 
 def exact_problem(truth: SceneTruth):

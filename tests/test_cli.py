@@ -179,16 +179,10 @@ BROKEN_BUNDLES = [
                  "contours/sphere0.csv: not rows of 2 numbers", id="contour_text_line"),
     pytest.param(append_line("contours/sphere1.csv", "1,2,3"),
                  "contours/sphere1.csv: not rows of 2 numbers", id="contour_odd_count"),
-    pytest.param(append_line("oracle/sphere0.csv", "1,2"),
-                 "oracle/sphere0.csv: not rows of 7 numbers", id="oracle_short_line"),
     pytest.param(add_column("contours/sphere0.csv"),
                  "contours/sphere0.csv: not rows of 2 numbers", id="contour_three_columns"),
-    pytest.param(lambda root: (root / "oracle" / "sphere0.csv").write_text(",".join("1" * 14)),
-                 "oracle/sphere0.csv: not rows of 7 numbers", id="oracle_fourteen_values"),
     pytest.param(append_line("contours/sphere0.csv", "inf,inf"),
                  "contours/sphere0.csv: not rows of 2 finite numbers", id="contour_inf"),
-    pytest.param(append_line("oracle/sphere1.csv", "1,2,3,4,nan,6,7"),
-                 "oracle/sphere1.csv: not rows of 7 finite numbers", id="oracle_nan"),
     pytest.param(lambda root: (root / "contours" / "sphere0.csv").write_text(""),
                  "contours/sphere0.csv: no points", id="contour_empty"),
     pytest.param(edit_manifest(lambda m: m["truth"]["projector_pose"].update(
@@ -241,7 +235,7 @@ class TestSimulate:
         assert manifest["truth"]["noise"]["seed"] == 3
         assert (micro_bundle_dir / "contours" / "sphere0.csv").exists()
         assert (micro_bundle_dir / "contours" / "sphere1.csv").exists()
-        assert (micro_bundle_dir / "oracle" / "sphere0.csv").exists()
+        assert not (micro_bundle_dir / "oracle").exists()
         assert len(list((micro_bundle_dir / "fringes").glob("*.f32"))) == 24
 
     def test_preset_manifest_records_reference_camera(self, tmp_path):
@@ -414,6 +408,27 @@ class TestCalibrate:
         assert len(errors) == 1 and "sphere 0's contour does not fit a real ellipse" in errors[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("points, reason", [
+        pytest.param([[100.0 + 10 * k, 120.0 + k] for k in range(5)],
+                     "conic fit needs at least 6 points, got 5", id="five_points"),
+        pytest.param([[100.0 + 10 * k, 120.0 + 5 * k] for k in range(8)],
+                     "conic coefficients are not uniquely determined", id="eight_collinear"),
+    ])
+    def test_contour_that_fixes_no_conic_exits_5(self, micro_bundle_dir, tmp_path, caplog,
+                                                 points, reason):
+        import shutil
+
+        broken = tmp_path / "unfit"
+        shutil.copytree(micro_bundle_dir, broken)
+        (broken / "contours" / "sphere1.csv").write_text(
+            "".join(f"{x},{y}\n" for x, y in points))
+        out = tmp_path / "c.json"
+        assert main(["--quiet", "calibrate", str(broken), "--out", str(out)]) == 5
+        assert error_lines(caplog) == [
+            f"degenerate geometry: sphere 1's contour cannot be fitted: {reason}"
+        ]
+        assert not out.exists()
+
     def test_coincident_contours_exit_5(self, micro_bundle_dir, tmp_path, caplog):
         import shutil
 
@@ -452,6 +467,24 @@ class TestCalibrate:
         # only the comparison with the truth may change
         assert got.pop("error_report") != want.pop("error_report")
         assert got == want
+
+    def test_oracle_directory_is_ignored(self, micro_bundle_dir, micro_calib, tmp_path,
+                                         capsys):
+        import shutil
+
+        # a bundle of an earlier version carried oracle/sphereN.csv; it is not read
+        old = tmp_path / "with_oracle"
+        shutil.copytree(micro_bundle_dir, old)
+        (old / "oracle").mkdir()
+        (old / "oracle" / "sphere0.csv").write_text("not,a,table\n1,nan\n")
+        out = tmp_path / "c.json"
+        capsys.readouterr()
+        assert main(["--quiet", "calibrate", str(old), "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert out.read_bytes() == micro_calib.read_bytes()
+        # calibrate prints the table evaluate prints for its result and the bundle's truth
+        assert main(["--quiet", "evaluate", str(out), str(old / "manifest.json")]) == 0
+        assert printed == capsys.readouterr().out
 
     def test_missing_bundle_exits_2(self, tmp_path):
         assert main(["--quiet", "calibrate", str(tmp_path / "nowhere")]) == 2

@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import lit_correspondences
+
 import twosphere.reconstruct as reconstruct
 from twosphere import (
     Intrinsics,
@@ -25,7 +27,7 @@ K_PROJ = Intrinsics(fx=1202.7, fy=1199.0, skew=-8.2, u0=390.7, v0=222.8)
 class TestTriangulate:
     def test_recovers_hidden_points(self, bundle_small):
         truth = bundle_small.truth
-        for corr in bundle_small.oracle:
+        for corr in lit_correspondences(truth):
             cam = corr.cam_px[:200]
             proj = corr.proj_px[:200]
             points = triangulate(cam, proj, truth.camera, truth.proj_matrix)

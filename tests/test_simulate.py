@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_micro_truth, make_small_truth, reprojection_residuals
+from conftest import (lit_correspondences, make_micro_truth, make_small_truth,
+                      reprojection_residuals)
 
 from twosphere import (
     Intrinsics,
@@ -13,6 +14,7 @@ from twosphere import (
     SceneTruth,
     SpherePose,
     fit_conic,
+    lift_pixel_to_sphere,
     preset,
     project_sphere_to_conic,
     render_scene,
@@ -149,9 +151,9 @@ class TestNoiseSpec:
 
 class TestRenderScene:
     def test_oracle_closure(self, bundle_small):
-        # every hidden correspondence satisfies the projector model exactly
+        # every correspondence rebuilt from the truth satisfies the projector model exactly
         M = bundle_small.truth.proj_matrix
-        for corr in bundle_small.oracle:
+        for corr in lit_correspondences(bundle_small.truth):
             res = reprojection_residuals(M, corr.proj_px, corr.points)
             assert np.max(res) < 1e-10
 
@@ -169,7 +171,7 @@ class TestRenderScene:
         proj_px, valid = decode_bundle(bundle_small)
         flat = bundle_small.flat_index
         w = bundle_small.truth.cam_w
-        for corr in bundle_small.oracle:
+        for corr in lit_correspondences(bundle_small.truth):
             want = corr.cam_px[:, 1].astype(int) * w + corr.cam_px[:, 0].astype(int)
             at = np.searchsorted(flat, want)
             assert np.all(at < len(flat)) and np.array_equal(flat[at], want)
@@ -177,9 +179,10 @@ class TestRenderScene:
             assert np.max(np.abs(proj_px[at] - corr.proj_px)) < 1e-6
 
     def test_stacks_hold_the_pattern_at_the_lit_pixels(self, bundle_small):
-        # noiseless: an oracle pixel holds the float32 pattern value at its
-        # exact projector coordinate; a pixel inside neither disc holds 0
+        # noiseless: a lit interior pixel holds the float32 pattern value at
+        # its exact projector coordinate; a pixel inside neither disc holds 0
         truth = bundle_small.truth
+        lit = lit_correspondences(truth)
         flat, w = bundle_small.flat_index, truth.cam_w
         outside = np.ones(len(flat), dtype=bool)
         for pose in truth.spheres:
@@ -188,14 +191,14 @@ class TestRenderScene:
         assert outside.any()
         ats = [
             np.searchsorted(flat, c.cam_px[:, 1].astype(int) * w + c.cam_px[:, 0].astype(int))
-            for c in bundle_small.oracle
+            for c in lit
         ]
         for cfg in (truth.fringe_vertical, truth.fringe_horizontal):
             axis = 0 if cfg.orientation == "vertical" else 1
             for freq, stack in zip(cfg.freqs, bundle_small.stack_list(cfg)):
                 for k, values in enumerate(stack):
                     assert not values[outside].any()
-                    for at, corr in zip(ats, bundle_small.oracle):
+                    for at, corr in zip(ats, lit):
                         coord = corr.proj_px[:, axis]
                         want = pattern_value(freq, k, cfg.n_steps, coord, cfg.coded_span)
                         np.testing.assert_array_equal(values[at], want.astype(np.float32))
@@ -271,11 +274,21 @@ class TestRenderScene:
             render_scene(bad)
 
     def test_lit_filter_faces_projector(self, bundle_small):
-        proj_center = bundle_small.truth.proj_matrix.center()
-        for corr, pose in zip(bundle_small.oracle, bundle_small.truth.spheres):
-            normals = (corr.points - pose.center) / pose.radius
-            facing = np.einsum("ni,ni->n", normals, proj_center[None, :] - corr.points)
-            assert np.all(facing > 0)
+        # noiseless: a disc pixel carries a pattern exactly when the surface
+        # point it sees faces the projector (the n_steps values of a lit
+        # pixel sum to n_steps / 2, so one of them is not 0)
+        truth = bundle_small.truth
+        proj_center = truth.proj_matrix.center()
+        signal = np.any([values != 0 for stack in bundle_small.stacks.values()
+                         for values in stack], axis=0)
+        for pose in truth.spheres:
+            conic = project_sphere_to_conic(pose, truth.camera)
+            disc = conic.normalized().evaluate(bundle_small.pixels) < 0
+            points = lift_pixel_to_sphere(bundle_small.pixels[disc], truth.camera, pose)
+            normals = (points - pose.center) / pose.radius
+            facing = np.einsum("ni,ni->n", normals, proj_center - points) > 0
+            assert facing.any() and not facing.all()
+            np.testing.assert_array_equal(signal[disc], facing)
 
 
 def cppb_truth(noise: NoiseSpec | None = None):
@@ -306,7 +319,7 @@ class TestIntensityNoise:
 
     def test_shared_phase_argument_gives_pattern_value_bitwise(self, bundle_small):
         # coded coordinates as the render passes them: a column of (n, 2)
-        coded = np.concatenate([c.proj_px for c in bundle_small.oracle])
+        coded = np.concatenate([c.proj_px for c in lit_correspondences(bundle_small.truth)])
         for axis, span in ((0, 854), (1, 480)):
             coord = coded[:, axis]
             for freq in (1, 8, 64, 7):
@@ -330,7 +343,7 @@ class TestIntensityNoise:
             during.append(threading.active_count())
             raise RuntimeError("lift failed")
 
-        monkeypatch.setattr(simulate, "lift_pixel_to_sphere", failing_lift)
+        monkeypatch.setattr(simulate, "lift_pixels", failing_lift)
         with pytest.raises(RuntimeError, match="lift failed"):
             render_scene(make_small_truth(NoiseSpec(0.5, 0.01, seed=3)))
         assert during == [before + 1]  # the worker was drawing when the lift raised
@@ -396,8 +409,7 @@ class TestBundleIO:
         for c1, c2 in zip(bundle.contours, again.contours):
             np.testing.assert_allclose(c1, c2, atol=1e-12)
         np.testing.assert_array_equal(again.pixels, bundle.pixels)
-        for corr1, corr2 in zip(bundle.oracle, again.oracle):
-            np.testing.assert_allclose(corr1.points, corr2.points, atol=1e-12)
+        assert sorted(p.name for p in out.iterdir()) == ["contours", "fringes", "manifest.json"]
         assert again.stacks.keys() == bundle.stacks.keys()
         for key, stack in bundle.stacks.items():
             assert len(again.stacks[key]) == len(stack) == t.n_steps

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,13 +8,14 @@ from twosphere import (
     Intrinsics,
     SpherePose,
     lift_pixel_to_sphere,
+    preset,
     project_sphere_to_conic,
     sample_interior_pixels,
     sphere_center_from_conic,
 )
 from twosphere.errors import BehindCamera, NotASphereImage, RayMissesSphere
-from twosphere.geometry import homogenize, sample_conic_points
-from twosphere.sphere import lift_pixels
+from twosphere.geometry import ellipse_parameters, homogenize, sample_conic_points
+from twosphere.sphere import RIM_BLOCK, RIM_MARGIN_FRAC, RIM_MARGIN_PX, lift_pixels
 
 K_IDENTITY = Intrinsics(fx=1.0, fy=1.0, skew=0.0, u0=0.0, v0=0.0)
 TABLE_CAMERA = Intrinsics(fx=3277.5, fy=3277.8, skew=-18.6, u0=1699.4, v0=1330.1)
@@ -239,3 +242,41 @@ class TestSampleInteriorPixels:
         pix = sample_interior_pixels(conic, stride=7)
         xs = np.unique(pix[:, 0])
         assert np.all(np.diff(xs) % 7 == 0)
+
+    def test_blocked_rim_distance_equals_the_one_matrix_minimum(self):
+        # cppB's sphere 0 at stride 4 keeps more than two blocks of grid points
+        truth = preset("cppB")
+        conic = project_sphere_to_conic(truth.spheres[0], truth.camera)
+        for stride in (None, 4):
+            pix = sample_interior_pixels(conic, stride)
+            np.testing.assert_array_equal(pix, interior_one_matrix(conic, stride))
+        assert len(pix) > 2 * RIM_BLOCK
+
+    def test_stride_1_on_cppb_peaks_under_50_mb(self):
+        # the rim distance of all ~100k grid points as one (grid, 256) matrix peaked at 423 MB
+        truth = preset("cppB")
+        conic = project_sphere_to_conic(truth.spheres[0], truth.camera)
+        tracemalloc.start()
+        try:
+            pix = sample_interior_pixels(conic, stride=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(pix) > 90_000
+        assert peak < 50e6
+
+
+def interior_one_matrix(conic: Conic, stride: int | None) -> np.ndarray:
+    """Reference for ``sample_interior_pixels``: the rim distance of every
+    interior grid point as the minimum over one (grid, boundary) matrix."""
+    _, a, b, _ = ellipse_parameters(conic)
+    margin = max(RIM_MARGIN_PX, RIM_MARGIN_FRAC * b)
+    stride = stride or max(1, int(round(2.0 * a / 24.0)))
+    boundary = sample_conic_points(conic, 256)
+    x_lo, y_lo = np.floor(boundary.min(axis=0)).astype(int)
+    x_hi, y_hi = np.ceil(boundary.max(axis=0)).astype(int)
+    xs, ys = np.arange(x_lo, x_hi + 1, stride), np.arange(y_lo, y_hi + 1, stride)
+    grid = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2).astype(float)
+    grid = grid[conic.normalized().evaluate(grid) < 0]
+    d2 = np.min((grid[:, :1] - boundary[:, 0]) ** 2 + (grid[:, 1:] - boundary[:, 1]) ** 2, axis=1)
+    return grid[np.sqrt(d2) > margin]
