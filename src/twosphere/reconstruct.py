@@ -7,13 +7,11 @@ import numpy as np
 from .errors import NearParallelRays
 from .geometry import Intrinsics, homogenize
 from .projector import ProjMatrix
-from .simulate import SceneBundle
+from .simulate import BLOCK_ROWS, SceneBundle
 
 __all__ = ["triangulate", "reconstruct_cloud", "write_ply"]
 
 PARALLEL_ANGLE_RAD = 1e-6
-# Rows of the stride grid that reconstruct_cloud decodes and triangulates at once.
-BLOCK_ROWS = 1 << 15
 
 
 # The (n, 3) products below use einsum, not BLAS: at a camera frame's worth of

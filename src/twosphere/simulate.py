@@ -40,6 +40,7 @@ __all__ = [
 
 CONTOUR_SAMPLES = 256
 BOX_PAD_PX = 8  # margin around each contour's bounding box in the signal pixel list
+BLOCK_ROWS = 1 << 15  # signal pixel rows the disc lift and reconstruct_cloud take at once
 MANIFEST_NAME = "manifest.json"
 IMAGE_FORMAT = "f32"  # the one fringe format: raw float32 frames (``imageio``)
 FRINGE_STEPS = 4  # default phase steps per pattern set
@@ -340,7 +341,7 @@ def project_sphere_to_conic(pose: SpherePose, K: Intrinsics) -> Conic:
 # ---------------------------------------------------------------------------
 
 def signal_pixels(contours, w: int, h: int) -> np.ndarray:
-    """(n, 2) integer (x, y) of the union of the contours' bounding boxes, each
+    """(n, 2) int32 (x, y) of the union of the contours' bounding boxes, each
     padded by ``BOX_PAD_PX`` and clipped to the w x h frame; row-major, unique."""
     flat = [np.zeros(0, dtype=np.int64)]
     for pts in contours:
@@ -353,14 +354,16 @@ def signal_pixels(contours, w: int, h: int) -> np.ndarray:
     # where np.unique (numpy 2.4) took ~100 ms
     flat = np.sort(np.concatenate(flat), kind="stable")
     flat = flat[np.diff(flat, prepend=-1) > 0]
-    return np.column_stack([flat % w, flat // w])
+    pixels = np.empty((len(flat), 2), dtype=np.int32)
+    np.divmod(flat, w, out=(pixels[:, 1], pixels[:, 0]))  # written as int32, no int64 pairs
+    return pixels
 
 
 @dataclass
 class SceneBundle:
     """Everything one simulated capture produces.
 
-    ``pixels`` is the signal pixel list (see ``signal_pixels``).
+    ``pixels`` is the signal pixel list (see ``signal_pixels``), int32.
     ``stacks[(orientation, freq)]`` holds the n_steps camera images for that
     pattern set, each the 1-D float32 array of the image's values at
     ``pixels``. ``truth`` is the scene that was rendered; calibration reads
@@ -370,13 +373,14 @@ class SceneBundle:
 
     truth: SceneTruth
     contours: list  # per sphere: (m, 2) contour points, noisy if configured
-    pixels: np.ndarray  # (n, 2) integer (x, y), row-major
+    pixels: np.ndarray  # (n, 2) int32 (x, y), row-major
     stacks: dict
 
     @property
     def flat_index(self) -> np.ndarray:
-        """Row-major frame index ``y * w + x`` of each pixel, ascending."""
-        return self.pixels[:, 1] * self.truth.cam_w + self.pixels[:, 0]
+        """Row-major frame index ``y * w + x`` of each pixel, ascending, in
+        int64: it passes 2**31 on a frame of that many pixels."""
+        return self.pixels[:, 1].astype(np.int64) * self.truth.cam_w + self.pixels[:, 0]
 
     def stack_list(self, cfg: FringeConfig) -> list:
         """Per-frequency stacks for one orientation, aligned with cfg.freqs."""
@@ -446,10 +450,10 @@ class SceneBundle:
             raise InvalidBundle(f"manifest truth {exc}") from exc
 
         contours = [_read_contour(path) for path in sorted((root / "contours").glob("sphere*.csv"))]
-        pixels = signal_pixels(contours, truth.cam_w, truth.cam_h)
-        flat = pixels[:, 1] * truth.cam_w + pixels[:, 0]
+        bundle = cls(truth=truth, contours=contours,
+                     pixels=signal_pixels(contours, truth.cam_w, truth.cam_h), stacks={})
+        flat = bundle.flat_index
 
-        stacks = {}
         for orientation in ("vertical", "horizontal"):
             for freq in truth.freqs:
                 stack = []
@@ -464,9 +468,8 @@ class SceneBundle:
                     if img.shape != (truth.cam_h, truth.cam_w):
                         raise DimensionMismatch(f"{path.name}: wrong frame size {img.shape}")
                     stack.append(img.ravel()[flat])
-                stacks[(orientation, freq)] = stack
-
-        return cls(truth=truth, contours=contours, pixels=pixels, stacks=stacks)
+                bundle.stacks[(orientation, freq)] = stack
+        return bundle
 
 
 def _read_contour(path: Path) -> np.ndarray:
@@ -533,22 +536,31 @@ def _pattern_steps(freq: int, n_steps: int, coord, span: int):
 
 
 def _lit_pixels(truth: SceneTruth, pose: SpherePose, conic: Conic, pixels: np.ndarray):
-    """(index into ``pixels``, coded projector (x, y)) of one sphere's lit
+    """(int32 index into ``pixels``, coded projector (x, y)) of one sphere's lit
     signal pixels: those inside its disc ``conic`` whose surface point faces
     the projector, each with the exact projector coordinate of that point.
-    One call per sphere, so no sphere's lifted points outlive its call."""
-    at = np.flatnonzero(conic.normalized().evaluate(pixels) < 0)
-    points, misses = lift_pixels(np.ascontiguousarray(pixels[at].T, dtype=float),  # (2, n)
-                                 truth.camera.inverse()[None], pose.center[None], pose.radius)
-    if misses[0]:
-        raise RayMissesSphere(f"{misses[0]} of {len(at)} rays miss the sphere")
-    lit = _faces_projector(points[0], pose, truth.proj_matrix.center())
-    # compress keeps the points C-contiguous, and with them einsum's order of
-    # summation; a lit point lies in front of the projector (render_scene
-    # checks that the sphere clears it), so none projects to infinity
-    points = np.compress(lit, points, axis=2)
-    coded, _ = project_stack(truth.proj_matrix.m[None], points)
-    return at[lit], coded[0].T
+    The pixels are taken ``BLOCK_ROWS`` at a time and every step is per
+    pixel, so the result does not depend on the block size and no
+    temporary outgrows one block. One call per sphere."""
+    conic, K_inv, proj = conic.normalized(), truth.camera.inverse()[None], truth.proj_matrix
+    lit_at, coded, misses, n_disc = [], [], 0, 0
+    for start in range(0, len(pixels), BLOCK_ROWS):
+        block = pixels[start:start + BLOCK_ROWS]
+        at = np.flatnonzero(conic.evaluate(block) < 0)
+        points, missed = lift_pixels(np.ascontiguousarray(block[at].T, dtype=float),  # (2, n)
+                                     K_inv, pose.center[None], pose.radius)
+        misses, n_disc = misses + missed[0], n_disc + len(at)
+        lit = _faces_projector(points[0], pose, proj.center())
+        # compress keeps the points C-contiguous, and with them einsum's order of
+        # summation; a lit point lies in front of the projector (render_scene
+        # checks that the sphere clears it), so none projects to infinity
+        points = np.compress(lit, points, axis=2)
+        projected, _ = project_stack(proj.m[None], points)
+        coded.append(projected[0])
+        lit_at.append((at[lit] + start).astype(np.int32))
+    if misses:
+        raise RayMissesSphere(f"{misses} of {n_disc} rays miss the sphere")
+    return np.concatenate(lit_at), np.concatenate(coded, axis=1).T
 
 
 def _fringe_stacks(truth: SceneTruth, n: int, lit_pixels: list, noise: list) -> dict:

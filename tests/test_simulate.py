@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,10 +21,13 @@ from twosphere import (
     render_scene,
     sphere_center_from_conic,
 )
-from twosphere.errors import BehindCamera, InvalidNoise, SphereOutOfView, SpheresOverlapInImage
-from twosphere.geometry import ellipse_parameters
+from twosphere.errors import (BehindCamera, InvalidNoise, RayMissesSphere, SphereOutOfView,
+                              SpheresOverlapInImage)
+from twosphere.geometry import ellipse_parameters, sample_conic_points
 from twosphere import simulate
 from twosphere.phase import pattern_value
+from twosphere.projector import project_stack
+from twosphere.sphere import lift_pixels
 
 
 class TestProjectSphereToConic:
@@ -350,6 +354,70 @@ class TestIntensityNoise:
         assert threading.active_count() == before
 
 
+def lit_one_pass(truth, pose, conic, pixels):
+    """Reference for ``simulate._lit_pixels``: the conic test, lift, facing
+    filter and projection of every signal pixel in one pass."""
+    at = np.flatnonzero(conic.normalized().evaluate(pixels) < 0)
+    points, misses = lift_pixels(np.ascontiguousarray(pixels[at].T, dtype=float),
+                                 truth.camera.inverse()[None], pose.center[None], pose.radius)
+    assert not misses[0]
+    lit = simulate._faces_projector(points[0], pose, truth.proj_matrix.center())
+    points = np.compress(lit, points, axis=2)
+    coded, _ = project_stack(truth.proj_matrix.m[None], points)
+    return at[lit], coded[0].T
+
+
+def render_inputs(truth):
+    """The exact conics and the signal pixels that a noiseless render lifts."""
+    conics = [project_sphere_to_conic(pose, truth.camera) for pose in truth.spheres]
+    boundaries = [sample_conic_points(c, simulate.CONTOUR_SAMPLES) for c in conics]
+    return conics, simulate.signal_pixels(boundaries, truth.cam_w, truth.cam_h)
+
+
+class TestLitPixels:
+    """The render lifts the discs ``BLOCK_ROWS`` signal pixels at a time."""
+
+    @pytest.mark.parametrize("make_truth, block_rows",
+                             [(cppb_truth, None), (make_small_truth, 1000)],
+                             ids=["cppB_default_block", "small_block_1000"])
+    def test_blocks_equal_the_one_pass_lift_bitwise(self, make_truth, block_rows, monkeypatch):
+        if block_rows:
+            monkeypatch.setattr(simulate, "BLOCK_ROWS", block_rows)
+        truth = make_truth()
+        conics, pixels = render_inputs(truth)
+        assert len(pixels) > 2 * simulate.BLOCK_ROWS  # the discs span several blocks
+        for pose, conic in zip(truth.spheres, conics):
+            at, coded = simulate._lit_pixels(truth, pose, conic, pixels)
+            want_at, want_coded = lit_one_pass(truth, pose, conic, pixels)
+            assert at.dtype == np.int32
+            np.testing.assert_array_equal(at, want_at)
+            assert coded.shape == want_coded.shape
+            assert coded.tobytes() == want_coded.tobytes()  # (n, 2) copies in C order
+
+    def test_a_miss_in_any_block_raises_with_the_disc_count(self, monkeypatch):
+        # a sphere smaller than its disc: the rays near the rim miss it
+        monkeypatch.setattr(simulate, "BLOCK_ROWS", 1000)
+        truth = make_small_truth()
+        conics, pixels = render_inputs(truth)
+        pose = truth.spheres[0]
+        shrunk = SpherePose(center=pose.center, radius=0.99 * pose.radius)
+        n_disc = np.count_nonzero(conics[0].normalized().evaluate(pixels) < 0)
+        with pytest.raises(RayMissesSphere, match=rf"^\d+ of {n_disc} rays miss the sphere$"):
+            simulate._lit_pixels(truth, shrunk, conics[0], pixels)
+
+    def test_noisy_cppb_render_peaks_under_9_2_mb_above_its_bundle(self):
+        # int64 pixel pairs and the one-pass lift of a whole disc peaked 10.1 MB above
+        truth = cppb_truth(NoiseSpec(0.5, 0.01, seed=3))
+        tracemalloc.start()
+        try:
+            bundle = render_scene(truth)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept >= sum(img.nbytes for stack in bundle.stacks.values() for img in stack)
+        assert peak - kept < 9.2e6
+
+
 class TestSignalPixels:
     def test_overlapping_boxes_hold_each_pixel_once(self, monkeypatch):
         import dataclasses
@@ -396,6 +464,13 @@ class TestSignalPixels:
         assert len(np.unique(cam_px, axis=0)) == len(cam_px)
         assert stats["surface_rmse"] < 1e-6
 
+    def test_flat_index_is_int64_and_exact_past_2_31(self):
+        truth = replace(preset("cppB"), cam_w=70_000)
+        pixels = np.array([[69_999, 40_000]], dtype=np.int32)
+        bundle = SceneBundle(truth=truth, contours=[], pixels=pixels, stacks={})
+        assert bundle.flat_index.dtype == np.int64
+        assert bundle.flat_index.tolist() == [2_800_069_999]
+
 
 class TestBundleIO:
     def test_save_load_round_trip(self, tmp_path):
@@ -409,6 +484,7 @@ class TestBundleIO:
         for c1, c2 in zip(bundle.contours, again.contours):
             np.testing.assert_allclose(c1, c2, atol=1e-12)
         np.testing.assert_array_equal(again.pixels, bundle.pixels)
+        assert bundle.pixels.dtype == again.pixels.dtype == np.int32
         assert sorted(p.name for p in out.iterdir()) == ["contours", "fringes", "manifest.json"]
         assert again.stacks.keys() == bundle.stacks.keys()
         for key, stack in bundle.stacks.items():
