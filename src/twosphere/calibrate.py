@@ -10,7 +10,8 @@ kernel, one loop over the spheres. ``calibrate`` minimizes it over the five
 intrinsics, then, unless ``mu`` is 0, descends once more with a pole-polar
 penalty appended: the conic pair's vanishing line and point must satisfy
 ``l ~ K^-T K^-1 v``. The focal scan, the Jacobian and the descent take any
-residual function ``fn(P) -> (vec, ok)`` of candidate rows.
+residual function ``fn(P) -> (vec, ok, ...)`` of candidate rows, and no
+candidate is evaluated twice in one ``calibrate``.
 """
 
 from __future__ import annotations
@@ -61,10 +62,11 @@ F_SCAN_HI = 5.0
 F_SCAN_SAMPLES = 40
 REL_STEP_TOL = 1e-8
 FD_REL_STEP = 1e-5  # central-difference step relative to max(|p_j|, 1)
-# Candidate rows per residual-kernel call. The 40-sample focal scan in one
-# call instead of four made a noisy cppB calibrate ~4 ms slower and raised
-# its traced peak from 3.3 to 11.6 MB.
-KERNEL_BATCH = 10
+# Candidate rows per residual-kernel call: a descent trial and its 10
+# central-difference probes. The 40-sample focal scan in one call instead of
+# four made a noisy cppB calibrate ~4 ms slower and raised its traced peak
+# from 3.3 to 11.6 MB.
+KERNEL_BATCH = 11
 
 
 @dataclass(frozen=True)
@@ -259,19 +261,29 @@ def _reprojection_norms(row: np.ndarray) -> tuple[np.ndarray, float]:
 
 def _batched(fn, P):
     """``fn`` over any number of candidate rows P (B, n), ``KERNEL_BATCH`` per
-    call. The solver's ``fn(P) -> (vec, ok)`` returns residual rows (B, m)
-    and a feasibility mask (B,) for at most that many rows."""
+    call. The solver's ``fn(P)`` returns residual rows (B, m) and a
+    feasibility mask (B,) for at most that many rows, then any further
+    per-row outputs, which the solver carries along unread."""
     parts = [fn(P[i : i + KERNEL_BATCH]) for i in range(0, len(P), KERNEL_BATCH)]
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
-def _jacobian(fn, p, r0):
-    """Central-difference Jacobian from the 2n probes; one-sided where a probe
-    is infeasible, zero where both are."""
+def _fd_steps(p):
+    return FD_REL_STEP * np.maximum(np.abs(p), 1.0)
+
+
+def _probes(p):
+    """The 2n central-difference probes around p: p + h_j e_j, then p - h_j e_j."""
+    h = _fd_steps(p)
+    return np.vstack([p + np.diag(h), p - np.diag(h)])
+
+
+def _jacobian(p, r0, vec, ok):
+    """Central-difference Jacobian at p (residual row r0) from the residual
+    rows and mask of its ``_probes``; one-sided where a probe is infeasible,
+    zero where both are."""
     n = len(p)
-    h = FD_REL_STEP * np.maximum(np.abs(p), 1.0)
-    vec, ok = _batched(fn, np.vstack([p + np.diag(h), p - np.diag(h)]))
-    rp, rm, h = vec[:n], vec[n:], h[:, None]
+    rp, rm, h = vec[:n], vec[n:], _fd_steps(p)[:, None]
     cols = np.where(
         (ok[:n] & ok[n:])[:, None],
         (rp - rm) / (2.0 * h),
@@ -280,25 +292,35 @@ def _jacobian(fn, p, r0):
     return cols.T
 
 
-def _levenberg_marquardt(fn, p0, max_iters):
+def _levenberg_marquardt(fn, p0, max_iters, at=None):
     """Damped least squares of ``fn``'s residuals from the start p0.
 
-    Raises InfeasibleCandidate when ``fn`` masks p0. Converged means a step,
-    accepted or not, shorter than ``REL_STEP_TOL * max(|p|, 1)``: the
-    descent ends there. Returns (p, history, iterations, converged).
+    ``at`` is ``fn``'s output at the rows [p0] or [p0, *_probes(p0)], when
+    the caller has evaluated them already; otherwise p0 is evaluated here,
+    and InfeasibleCandidate raised when ``fn`` masks it. Each trial is
+    evaluated in one call with the probes around it, which give the next
+    Jacobian if the trial is accepted. They are left out when the trial's
+    step meets the stop test or no further step is allowed, and a trial
+    equal to p is rejected unevaluated, so no candidate is evaluated twice.
+    Converged means a step, accepted or not, shorter than ``REL_STEP_TOL *
+    max(|p|, 1)``: the descent ends there. Returns (p, ``fn``'s output at
+    [p] or [p, *_probes(p)], history, iterations, converged).
     """
     p = np.asarray(p0, dtype=float).copy()
-    vec, ok = fn(p[None])
-    if not ok[0]:
-        raise InfeasibleCandidate("the descent's start is infeasible")
+    if at is None:
+        at = fn(p[None])
+        if not at[1][0]:
+            raise InfeasibleCandidate("the descent's start is infeasible")
+    vec, ok = at[:2]
     r = vec[0]
     F = float(r @ r)
     history = [F]
     lam = 1e-3
     converged = False
     iterations = 0
+    probes = (vec[1:], ok[1:]) if len(vec) > 1 else _batched(fn, _probes(p))[:2]
+    J = _jacobian(p, r, *probes)
     for _ in range(max_iters):
-        J = _jacobian(fn, p, r)
         jtj = J.T @ J
         grad = J.T @ r
         accepted = False
@@ -311,12 +333,15 @@ def _levenberg_marquardt(fn, p0, max_iters):
                 lam *= 10.0
                 continue
             trial = p + step
-            vec, ok = fn(trial[None])
-            if ok[0]:
-                r_trial = vec[0]
-                F_trial = float(r_trial @ r_trial)
-                if F_trial < F:
-                    p, r, F = trial, r_trial, F_trial
+            if trial.tobytes() != p.tobytes():  # p itself cannot lower F
+                stops = np.linalg.norm(step) < REL_STEP_TOL * max(np.linalg.norm(trial), 1.0)
+                probed = not stops and iterations + 1 < max_iters
+                out = _batched(fn, np.vstack([trial, _probes(trial)]) if probed else trial[None])
+                vec, ok = out[:2]
+                if ok[0] and (F_trial := float(vec[0] @ vec[0])) < F:
+                    p, at, r, F = trial, out, vec[0], F_trial
+                    if probed:
+                        J = _jacobian(p, r, vec[1:], ok[1:])
                     history.append(F)
                     lam = max(lam / 3.0, 1e-14)
                     accepted = True
@@ -331,11 +356,12 @@ def _levenberg_marquardt(fn, p0, max_iters):
             # longer moves p (what it gains in F is round-off): stationary
             converged = bool(small)
             break
-    return p, history, iterations, converged
+    return p, at, history, iterations, converged
 
 
-def _scan_start(fn, cam_w, cam_h) -> np.ndarray:
-    """Lowest feasible sample of the focal scan, the start of the descent.
+def _scan_start(fn, cam_w, cam_h):
+    """Lowest feasible sample of the focal scan, the start of the descent,
+    and ``fn``'s output at that one row.
 
     The focal length runs logarithmically over ``[F_SCAN_LO, F_SCAN_HI] *
     cam_w`` with the principal point at the image center and zero skew.
@@ -345,11 +371,13 @@ def _scan_start(fn, cam_w, cam_h) -> np.ndarray:
     samples = np.column_stack(
         [f, f, np.zeros_like(f), np.full_like(f, cam_w / 2.0), np.full_like(f, cam_h / 2.0)]
     )
-    vec, ok = _batched(fn, samples)
+    out = _batched(fn, samples)
+    vec, ok = out[:2]
     F = np.where(ok, np.einsum("ij,ij->i", vec, vec), np.inf)
     if not np.any(np.isfinite(F)):
         raise NoFeasibleStart("no feasible focal length in the scan range")
-    return samples[np.argmin(F)]
+    best = np.argmin(F)
+    return samples[best], tuple(a[best : best + 1] for a in out)
 
 
 def calibrate(
@@ -377,28 +405,32 @@ def calibrate(
     mu = 1e4 * sum(map(len, problem.observations)) if mu is None else float(mu)
     if not (np.isfinite(mu) and mu >= 0):
         raise ValueError(f"constraint weight must be finite and non-negative, got {mu}")
-    fn = lambda P: _residuals(P, problem)[:2]  # noqa: E731
-    params, history, iterations, converged = _levenberg_marquardt(
-        fn, _scan_start(fn, problem.cam_w, problem.cam_h), max_iters
-    )
+    fn = lambda P: _residuals(P, problem)  # noqa: E731
+    p0, at = _scan_start(fn, problem.cam_w, problem.cam_h)
+    params, at, history, iterations, converged = _levenberg_marquardt(fn, p0, max_iters, at)
     # a rough guess, such as a focal of the image width, can misrank the pairs
     line, point = constraint_pair(*(o.conic for o in problem.observations), Intrinsics(*params))
     if mu > 0:
 
-        def penalized(P):
-            vec, ok = fn(P)
+        def penalized(P, out=None):
+            """``fn``'s output at P (``out`` when evaluated already), each
+            feasible row with sqrt(mu) times the pair's pole-polar cross
+            product appended."""
+            vec, ok, M = fn(P) if out is None else out
             cross = np.full((len(P), 3), np.nan)
             cross[ok] = pole_polar_crosses(line, point, intrinsics_matrices(P[ok])[1])
-            return np.concatenate([vec, np.sqrt(mu) * cross], axis=1), ok
+            return np.concatenate([vec, np.sqrt(mu) * cross], axis=1), ok, M
 
-        params, history, iterations, converged = _levenberg_marquardt(
-            penalized, params, max_iters
+        # the penalized descent starts where the first ended, on its evaluated rows
+        rows = params[None] if len(at[0]) == 1 else np.vstack([params, _probes(params)])
+        params, at, history, iterations, converged = _levenberg_marquardt(
+            penalized, params, max_iters, penalized(rows, at)
         )
 
     K = Intrinsics(*params)
-    vec, _, M = _residuals(params, problem)
-    M = ProjMatrix(M[0])
-    norms, objective = _reprojection_norms(vec[0])
+    vec, _, M = (a[0] for a in at)
+    M = ProjMatrix(M)
+    norms, objective = _reprojection_norms(vec[: 2 * sum(map(len, problem.observations))])
     splits = np.cumsum([len(obs) for obs in problem.observations])[:-1]
     proj_K, rotation, translation = decompose(M)
     return CalibResult(

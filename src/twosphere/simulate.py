@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 CONTOUR_SAMPLES = 256
-BOX_PAD_PX = 8  # margin around each contour's bounding box in the signal pixel list
+BOX_PAD_PX = 8  # margin of the signal pixel list around each contour's points, in x and y
 BLOCK_ROWS = 1 << 15  # signal pixel rows the disc lift and reconstruct_cloud take at once
 MANIFEST_NAME = "manifest.json"
 IMAGE_FORMAT = "f32"  # the one fringe format: raw float32 frames (``imageio``)
@@ -340,30 +340,55 @@ def project_sphere_to_conic(pose: SpherePose, K: Intrinsics) -> Conic:
 # scene rendering
 # ---------------------------------------------------------------------------
 
-def signal_pixels(contours, w: int, h: int) -> np.ndarray:
-    """(n, 2) int32 (x, y) of the union of the contours' bounding boxes, each
-    padded by ``BOX_PAD_PX`` and clipped to the w x h frame; row-major, unique."""
-    flat = [np.zeros(0, dtype=np.int64)]
+def _padded_boxes(contours, w: int, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending, unique row-major frame indices (int64) of the union of
+    the contours' bounding boxes, each padded by ``BOX_PAD_PX`` and clipped
+    to the w x h frame, and a mask of those in a contour's padded row hull.
+
+    A row of a contour's box is in its hull from floor(min x) - ``BOX_PAD_PX``
+    to ceil(max x) + ``BOX_PAD_PX`` of the contour points whose y lies within
+    ``BOX_PAD_PX`` of the row; a row without such points is not.
+    """
+    keys = [np.zeros(0, dtype=np.int64)]
     for pts in contours:
-        x0 = max(0, int(np.floor(pts[:, 0].min())) - BOX_PAD_PX)
-        x1 = min(w, int(np.ceil(pts[:, 0].max())) + BOX_PAD_PX + 1)
-        y0 = max(0, int(np.floor(pts[:, 1].min())) - BOX_PAD_PX)
-        y1 = min(h, int(np.ceil(pts[:, 1].max())) + BOX_PAD_PX + 1)
-        flat.append((np.arange(y0, y1)[:, None] * w + np.arange(x0, x1)).ravel())
+        x, y = pts[:, 0], pts[:, 1]
+        cols = np.arange(max(0, int(np.floor(x.min())) - BOX_PAD_PX),
+                         min(w, int(np.ceil(x.max())) + BOX_PAD_PX + 1))
+        rows = np.arange(max(0, int(np.floor(y.min())) - BOX_PAD_PX),
+                         min(h, int(np.ceil(y.max())) + BOX_PAD_PX + 1))[:, None]
+        near = np.abs(rows - y) <= BOX_PAD_PX
+        lo = np.where(near, np.floor(x), np.inf).min(axis=1, keepdims=True) - BOX_PAD_PX
+        hi = np.where(near, np.ceil(x), -np.inf).max(axis=1, keepdims=True) + BOX_PAD_PX
+        # the key 2 * index + (outside the hull) sorts a pixel inside first
+        keys.append(((rows * w + cols) * 2 + ((cols < lo) | (cols > hi))).ravel())
     # a stable sort merges the boxes' sorted runs: ~1 ms on cppB on a 2-core VM,
     # where np.unique (numpy 2.4) took ~100 ms
-    flat = np.sort(np.concatenate(flat), kind="stable")
-    flat = flat[np.diff(flat, prepend=-1) > 0]
+    keys = np.sort(np.concatenate(keys), kind="stable")
+    keys = keys[np.diff(keys >> 1, prepend=-1) > 0]  # in a hull if any contour's is
+    return keys >> 1, (keys & 1) == 0
+
+
+def _pixel_pairs(flat: np.ndarray, w: int) -> np.ndarray:
+    """(n, 2) int32 (x, y) of row-major frame indices."""
     pixels = np.empty((len(flat), 2), dtype=np.int32)
     np.divmod(flat, w, out=(pixels[:, 1], pixels[:, 0]))  # written as int32, no int64 pairs
     return pixels
+
+
+def signal_pixels(contours, w: int, h: int) -> np.ndarray:
+    """(n, 2) int32 (x, y) of the union of the contours' padded row hulls
+    (see ``_padded_boxes``): each disc and a ring of about ``BOX_PAD_PX``
+    around it, in the w x h frame; row-major, unique."""
+    boxes, in_hull = _padded_boxes(contours, w, h)
+    return _pixel_pairs(boxes[in_hull], w)
 
 
 @dataclass
 class SceneBundle:
     """Everything one simulated capture produces.
 
-    ``pixels`` is the signal pixel list (see ``signal_pixels``), int32.
+    ``pixels`` is the signal pixel list (see ``signal_pixels``), int32:
+    each disc and a ring of about ``BOX_PAD_PX`` around it, row by row.
     ``stacks[(orientation, freq)]`` holds the n_steps camera images for that
     pattern set, each the 1-D float32 array of the image's values at
     ``pixels``. ``truth`` is the scene that was rendered; calibration reads
@@ -514,10 +539,19 @@ def _faces_projector(points: np.ndarray, pose: SpherePose, proj_center: np.ndarr
     return np.einsum("in,in->n", normals, proj_center[:, None] - points) > 0
 
 
-def _draw_noise(frame: np.ndarray, seed: int, index: int, sigma: float) -> np.ndarray:
-    """``frame``, filled in place with image ``index``'s float32 intensity noise."""
+def _draw_noise(stream: np.ndarray, in_hull: np.ndarray, seed: int, index: int,
+                sigma: float) -> np.ndarray:
+    """Image ``index``'s float32 intensity noise at the signal pixels.
+
+    The image's stream is drawn into ``stream``, one value per pixel of the
+    contours' padded bounding boxes, and the frame takes the values where
+    ``in_hull`` is True, the signal pixels among those. So a signal pixel's
+    noise does not depend on which box pixels the signal list leaves out.
+    ``stream`` is scratch space, rewritten by every call.
+    """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1, index]))
-    rng.standard_normal(dtype=np.float32, out=frame)
+    rng.standard_normal(dtype=np.float32, out=stream)
+    frame = stream[in_hull]
     frame *= sigma
     frame += 0.0  # -0.0 becomes +0.0, as in 0 + noise
     return frame
@@ -526,7 +560,8 @@ def _draw_noise(frame: np.ndarray, seed: int, index: int, sigma: float) -> np.nd
 def _pattern_steps(freq: int, n_steps: int, coord, span: int):
     """``pattern_value(freq, k, n_steps, coord, span)`` for k = 0 .. n_steps - 1,
     bit for bit, from one phase argument ``2 pi freq coord / span``."""
-    phase = 2.0 * np.pi * freq * np.ascontiguousarray(coord, dtype=float) / span
+    phase = 2.0 * np.pi * freq * np.ascontiguousarray(coord, dtype=float)
+    phase /= span  # in place: one array of the disc's size at a time
     for step in range(n_steps):
         value = phase - 2.0 * np.pi * step / n_steps
         np.cos(value, out=value)
@@ -567,24 +602,26 @@ def _fringe_stacks(truth: SceneTruth, n: int, lit_pixels: list, noise: list) -> 
     """The bundle's ``stacks`` of frames of ``n`` pixels: the pattern at each
     lit pixel's coded coordinate, 0 at every other pixel, plus the noise of
     image i (vertical then horizontal, frequency-major) once ``noise[i]`` has
-    drawn it; no noise when ``noise`` is empty."""
+    drawn it; no noise when ``noise`` is empty. A pattern set's steps are
+    filled one disc at a time, so one disc's phase argument is held at once."""
     stacks = {}
-    frames = []
+    image = 0
     for cfg in (truth.fringe_vertical, truth.fringe_horizontal):
         axis = 0 if cfg.orientation == "vertical" else 1
         for freq in cfg.freqs:
-            steps = [_pattern_steps(freq, cfg.n_steps, coded[:, axis], cfg.coded_span)
-                     for _, coded in lit_pixels]
-            for _ in range(cfg.n_steps):
-                values = [next(step) for step in steps]
-                frame = noise[len(frames)].result() if noise else np.zeros(n, dtype=np.float32)
-                for (at, _), value in zip(lit_pixels, values):
+            stack = []
+            for at, coded in lit_pixels:
+                steps = _pattern_steps(freq, cfg.n_steps, coded[:, axis], cfg.coded_span)
+                for k, value in enumerate(steps):
+                    if k == len(stack):  # the first disc takes each frame as it is drawn
+                        stack.append(noise[image + k].result() if noise
+                                     else np.zeros(n, dtype=np.float32))
                     if noise:  # the float32 pattern + noise, as a one-thread render adds
-                        frame[at] += value.astype(np.float32)
+                        stack[k][at] += value.astype(np.float32)
                     else:  # a write alone: reading the untouched zeros would fault them in
-                        frame[at] = value
-                frames.append(frame)
-            stacks[(cfg.orientation, freq)] = frames[-cfg.n_steps:]
+                        stack[k][at] = value
+            image += cfg.n_steps
+            stacks[(cfg.orientation, freq)] = stack
     return stacks
 
 
@@ -593,8 +630,8 @@ def render_scene(truth: SceneTruth) -> SceneBundle:
 
     Deterministic for a fixed seed: every noise stream derives from
     ``SeedSequence([seed, purpose, index])`` so render order cannot matter.
-    With intensity noise, one worker thread draws it; the thread is joined
-    before this returns or raises.
+    With intensity noise, one worker thread draws it (see ``_draw_noise``);
+    the thread is joined before this returns or raises.
 
     Raises SphereOutOfView / SpheresOverlapInImage on infeasible geometry.
     """
@@ -635,15 +672,21 @@ def render_scene(truth: SceneTruth) -> SceneBundle:
             pts = pts + normals * rng.normal(0.0, truth.noise.contour_sigma, (len(pts), 1))
         contours.append(pts)
 
-    pixels = signal_pixels(contours, truth.cam_w, truth.cam_h)
+    boxes, in_hull = _padded_boxes(contours, truth.cam_w, truth.cam_h)
+    pixels = _pixel_pairs(boxes[in_hull], truth.cam_w)  # = signal_pixels(contours, w, h)
+    del boxes  # before the frames are allocated
+    sigma = truth.noise.intensity_sigma
     # one worker draws each pattern image's noise (numpy draws without the
     # GIL) while this thread lifts the discs and computes the fringes
     pool = ThreadPoolExecutor(1)  # starts its thread on the first submit
     try:
-        sigma = truth.noise.intensity_sigma
         n_images = 2 * len(truth.freqs) * truth.n_steps  # both orientations
-        noise = [pool.submit(_draw_noise, np.empty(len(pixels), dtype=np.float32), seed, index,
-                             sigma) for index in range(n_images)] if sigma > 0 else []
+        # the streams run over the padded boxes (see _draw_noise); one scratch
+        # stream serves every draw, as the pool's one worker runs them in turn
+        stream = np.empty(len(in_hull), dtype=np.float32) if sigma > 0 else None
+        noise = [pool.submit(_draw_noise, stream, in_hull, seed, index, sigma)
+                 for index in range(n_images)] if sigma > 0 else []
+        del stream, in_hull  # the last draw frees them
         lit_pixels = [_lit_pixels(truth, pose, conic, pixels)
                       for pose, conic in zip(truth.spheres, conics)]
         stacks = _fringe_stacks(truth, len(pixels), lit_pixels, noise)

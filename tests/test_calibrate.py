@@ -33,8 +33,10 @@ from twosphere.calibrate import (
     F_SCAN_SAMPLES,
     FD_REL_STEP,
     KERNEL_BATCH,
+    _batched,
     _jacobian,
     _levenberg_marquardt,
+    _probes,
     _residuals,
     _scan_start,
 )
@@ -232,7 +234,8 @@ def reference_residuals(params, problem):
 
 
 def residual_fn(problem):
-    """The solver's ``fn(P) -> (vec, ok)`` over ``problem``, as ``calibrate`` passes it."""
+    """The solver's ``fn(P) -> (vec, ok)`` over ``problem``: what ``calibrate``
+    passes it, less the fitted projector matrices."""
     return lambda P: _residuals(P, problem)[:2]
 
 
@@ -249,7 +252,7 @@ def penalized_fn(problem, pair, mu):
 
 
 def scan_start(problem):
-    return _scan_start(residual_fn(problem), problem.cam_w, problem.cam_h)
+    return _scan_start(residual_fn(problem), problem.cam_w, problem.cam_h)[0]
 
 
 def scan_samples(problem):
@@ -331,13 +334,38 @@ class TestResidualKernel:
 
         monkeypatch.setattr(calibrate_module, "_residuals", counting)
         calibrate(build_problem(bundle_small_noisy))
-        assert KERNEL_BATCH == 10
+        assert KERNEL_BATCH == 11
         assert max(sizes) <= KERNEL_BATCH
-        assert sizes[:4] == [10, 10, 10, 10]  # the 40-sample focal scan
-        assert 10 in sizes[4:]  # the Jacobians
+        assert sizes[:4] == [11, 11, 11, 7]  # the 40-sample focal scan
+        assert sizes[4] == 10  # the start's probes
+        assert 11 in sizes[5:]  # a trial with its probes
         problem = build_problem(bundle_small_noisy)
         with pytest.raises(ValueError):
             kernel(np.tile(scan_start(problem), (KERNEL_BATCH + 1, 1)), problem)
+
+    @pytest.mark.parametrize("mu", [0.0, None], ids=["mu0", "default_mu"])
+    @pytest.mark.parametrize("scene", ["small_noisy", "cppB_intensity_0_1"])
+    def test_no_candidate_reaches_the_kernel_twice(self, scene, mu, request, monkeypatch):
+        # the scan's best row starts descent 1, descent 1's end (and its probes,
+        # when it ends on rejected trials) starts the penalized descent, and the
+        # result is read from the last evaluation; cppB at intensity sigma 0.1
+        # ends descent 1 on trials equal to p
+        if scene == "small_noisy":
+            problem = build_problem(request.getfixturevalue("bundle_small_noisy"))
+        else:
+            truth = preset("cppB").with_noise(NoiseSpec(intensity_sigma=0.1, seed=2))
+            problem = build_problem(render_scene(truth))
+        seen = []
+        kernel = calibrate_module._residuals
+
+        def recording(P, problem):
+            seen.extend(row.tobytes() for row in np.asarray(P, dtype=float).reshape(-1, 5))
+            return kernel(P, problem)
+
+        monkeypatch.setattr(calibrate_module, "_residuals", recording)
+        calibrate(problem, mu=mu)
+        assert len(seen) > F_SCAN_SAMPLES
+        assert len(set(seen)) == len(seen)
 
 
 def _with_proj_px(problem, proj_of_points):
@@ -577,7 +605,7 @@ class TestCalibrate:
         problem = exact_problem(truth_small)
         true = params_of(truth_small.camera)
         p0 = true * np.array([scale, scale * 0.97, 0.0, 1.1, 0.9])
-        p, _, iterations, converged = _levenberg_marquardt(residual_fn(problem), p0, 200)
+        p, _, _, iterations, converged = _levenberg_marquardt(residual_fn(problem), p0, 200)
         assert converged and iterations > 2
         rel = np.abs(p - true) / np.abs(true)
         assert np.all(rel[[0, 1, 3, 4]] < 1e-3)
@@ -682,13 +710,20 @@ class TestSolverCore:
         sizes = []
         fn = self.toy(sizes)
         p = np.full(6, 0.5)
-        J = _jacobian(fn, p, fn(p[None])[0][0])
-        assert sizes == [1, 10, 2]
+        J = _jacobian(p, fn(p[None])[0][0], *_batched(fn, _probes(p)))
+        assert sizes == [1, 11, 1]
         np.testing.assert_allclose(J, self.A, rtol=1e-6, atol=1e-8)
+        # a descent's trial goes with its twelve probes: 13 rows in two calls
+        sizes.clear()
+        _levenberg_marquardt(fn, p, 1)
+        assert sizes == [1, 11, 1, 1]  # the start, its probes, one trial alone (no next step)
+        sizes.clear()
+        _levenberg_marquardt(fn, p, 2)
+        assert sizes[:5] == [1, 11, 1, 11, 2]
 
     def test_descent_reaches_the_minimum(self):
         assert np.all(np.abs(self.minimum) < 10.0)
-        p, history, iterations, converged = _levenberg_marquardt(self.toy([]), np.zeros(6), 200)
+        p, _, history, iterations, converged = _levenberg_marquardt(self.toy([]), np.zeros(6), 200)
         assert converged and iterations >= 1
         np.testing.assert_allclose(p, self.minimum, rtol=1e-7, atol=1e-9)
         r = self.A @ self.minimum - self.b

@@ -3,7 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from twosphere import fit_conic, phase, pipeline, run_calibration, sample_interior_pixels
+from conftest import make_micro_truth, make_small_truth, random_layouts
+
+from twosphere import (NoiseSpec, fit_conic, phase, pipeline, preset, render_scene,
+                       run_calibration, sample_interior_pixels)
 from twosphere.errors import TwosphereError
 from twosphere.pipeline import assemble_observations, decode_bundle
 
@@ -74,3 +77,46 @@ class TestSphereCount:
                                               contours=bundle_small_noisy.contours[1:]))
         assert both[1].cam_px.tobytes() == alone[0].cam_px.tobytes()
         assert both[1].proj_px.tobytes() == alone[0].proj_px.tobytes()
+
+
+class TestSamplesAreSignalPixels:
+    """``assemble_observations`` drops a sample it does not find in
+    ``bundle.pixels``; the row hulls hold every sample it draws."""
+
+    @staticmethod
+    def drawn_and_decoded(bundle, monkeypatch):
+        drawn, decoded = [], []
+        sample, decode = pipeline.sample_interior_pixels, pipeline.decode_bundle
+
+        def recording_sample(*args, **kwargs):
+            pixels = sample(*args, **kwargs)
+            drawn.append(len(pixels))
+            return pixels
+
+        def recording_decode(bundle, at):
+            decoded.append(len(at))
+            return decode(bundle, at)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "sample_interior_pixels", recording_sample)
+            patch.setattr(pipeline, "decode_bundle", recording_decode)
+            assemble_observations(bundle)
+        return sum(drawn), decoded
+
+    def test_random_layouts_drop_no_sample(self, monkeypatch):
+        for i, bundle in enumerate(random_layouts(24)):
+            drawn, decoded = self.drawn_and_decoded(bundle, monkeypatch)
+            assert decoded == [drawn], f"layout {i}"
+
+    @pytest.mark.parametrize("make_truth", [
+        lambda noise: preset("cppA").with_noise(noise),
+        lambda noise: preset("cppB").with_noise(noise),
+        make_small_truth,
+        make_micro_truth,
+    ], ids=["cppA", "cppB", "small", "micro"])
+    def test_noisy_presets_drop_no_sample(self, make_truth, monkeypatch):
+        # the contours alone fix the list and the samples: no intensity noise needed
+        for seed in (0, 1, 2):
+            bundle = render_scene(make_truth(NoiseSpec(0.5, 0.0, seed)))
+            drawn, decoded = self.drawn_and_decoded(bundle, monkeypatch)
+            assert decoded == [drawn], f"seed {seed}"

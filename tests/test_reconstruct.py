@@ -167,6 +167,46 @@ class TestReconstructCloud:
             }
 
 
+def outside_both_silhouettes(truth, cam_px):
+    """True where a camera pixel lies outside both true silhouettes."""
+    from twosphere import project_sphere_to_conic
+
+    pixels = np.asarray(cam_px, dtype=float)
+    outside = np.ones(len(pixels), dtype=bool)
+    for pose in truth.spheres:
+        outside &= project_sphere_to_conic(pose, truth.camera).normalized().evaluate(pixels) >= 0
+    return outside
+
+
+class TestBackgroundInTheCloud:
+    """Signal pixels outside both silhouettes that pass the modulation test
+    enter a stride-1 cloud. cppB, no contour noise, true K and M: the row
+    hull holds 22,641 such pixels (the padded boxes held 76,998). Of them,
+    none decode valid at intensity sigma 0.01, 53 / 68 / 63 at 0.05 and
+    5,104 / 5,072 / 5,075 at 0.1 (noise seeds 1 / 2 / 3); the boxes let
+    181-215 and ~17.2k through."""
+
+    @pytest.mark.parametrize("sigma, bound", [(0.01, 0), (0.05, 100), (0.1, 6000)])
+    def test_background_points_within_bound(self, sigma, bound, monkeypatch):
+        from twosphere import NoiseSpec
+
+        seen = []
+        ray_geometry = reconstruct._ray_geometry
+
+        def record(cam_px, *args):
+            seen.append(np.asarray(cam_px))
+            return ray_geometry(cam_px, *args)
+
+        monkeypatch.setattr(reconstruct, "_ray_geometry", record)
+        for seed in (1, 2, 3):
+            bundle = render_scene(preset("cppB").with_noise(NoiseSpec(0.0, sigma, seed)))
+            assert np.count_nonzero(outside_both_silhouettes(bundle.truth, bundle.pixels)) == 22_641
+            seen.clear()
+            reconstruct_cloud(bundle, bundle.truth.camera, bundle.truth.proj_matrix, stride=1)
+            background = np.count_nonzero(outside_both_silhouettes(bundle.truth, np.vstack(seen)))
+            assert background <= bound, f"seed {seed}: {background} background points"
+
+
 class TestPly:
     # float32 rounding forms: underflow to 0, a signed zero, values off the float32 grid
     PTS = np.array([[1e-300, 1e20, -2.5e-7], [-0.0, 1.0 / 3.0, 123456789.0]])

@@ -299,27 +299,48 @@ def cppb_truth(noise: NoiseSpec | None = None):
     return preset("cppB").with_noise(noise or NoiseSpec())
 
 
+def padded_boxes(contours, w, h):
+    """Reference: the ascending row-major frame indices of the union of the
+    contours' bounding boxes, each padded by ``BOX_PAD_PX`` and clipped to
+    the frame. The signal list was this union; the noise streams still run
+    over it."""
+    pad = simulate.BOX_PAD_PX
+    flat = set()
+    for pts in contours:
+        (x0, y0) = np.maximum(np.floor(pts.min(axis=0)).astype(int) - pad, 0)
+        (x1, y1) = np.minimum(np.ceil(pts.max(axis=0)).astype(int) + pad + 1, (w, h))
+        flat.update((np.arange(y0, y1)[:, None] * w + np.arange(x0, x1)).ravel().tolist())
+    return np.array(sorted(flat), dtype=np.int64)
+
+
 class TestIntensityNoise:
     """One worker thread draws each frame's noise while the render synthesises
-    the fringes; the bytes are those of ``pattern + noise`` in float32."""
+    the fringes; the bytes are those of ``pattern + noise`` in float32. Image
+    i's stream ``SeedSequence([seed, 1, i])`` runs over the padded boxes, and
+    each signal pixel takes the value at its place among them."""
 
     @pytest.mark.parametrize("make_truth", [make_small_truth, cppb_truth], ids=["small", "cppB"])
     def test_frame_is_noiseless_frame_plus_its_own_stream(self, make_truth):
         sigma, seed = 0.01, 5
         clean = render_scene(make_truth())
         noisy = render_scene(make_truth(NoiseSpec(0.0, sigma, seed)))
+        truth = clean.truth
+        boxes = padded_boxes(noisy.contours, truth.cam_w, truth.cam_h)
+        at = np.searchsorted(boxes, noisy.flat_index)
+        assert np.array_equal(boxes[at], noisy.flat_index)  # the signal list lies in the boxes
+        assert len(boxes) > len(at)
         index = 0
-        for cfg in (clean.truth.fringe_vertical, clean.truth.fringe_horizontal):
+        for cfg in (truth.fringe_vertical, truth.fringe_horizontal):
             for frames, noisy_frames in zip(clean.stack_list(cfg), noisy.stack_list(cfg)):
                 for frame, noisy_frame in zip(frames, noisy_frames):
                     rng = np.random.default_rng(np.random.SeedSequence([seed, 1, index]))
-                    noise = rng.standard_normal(len(frame), dtype=np.float32)
+                    noise = rng.standard_normal(len(boxes), dtype=np.float32)[at]
                     noise *= sigma
                     want = frame.copy()
                     want += noise
                     assert noisy_frame.tobytes() == want.tobytes(), f"frame {index}"
                     index += 1
-        assert index == 2 * len(clean.truth.freqs) * clean.truth.n_steps
+        assert index == 2 * len(truth.freqs) * truth.n_steps
 
     def test_shared_phase_argument_gives_pattern_value_bitwise(self, bundle_small):
         # coded coordinates as the render passes them: a column of (n, 2)
@@ -406,7 +427,9 @@ class TestLitPixels:
             simulate._lit_pixels(truth, shrunk, conics[0], pixels)
 
     def test_noisy_cppb_render_peaks_under_9_2_mb_above_its_bundle(self):
-        # int64 pixel pairs and the one-pass lift of a whole disc peaked 10.1 MB above
+        # int64 pixel pairs and the one-pass lift of a whole disc peaked 10.1 MB
+        # above; an int64 index of the signal pixels among the boxes, held with
+        # the noise stream through the fringe stage, peaked 11.1 MB above
         truth = cppb_truth(NoiseSpec(0.5, 0.01, seed=3))
         tracemalloc.start()
         try:
@@ -464,6 +487,29 @@ class TestSignalPixels:
         assert len(np.unique(cam_px, axis=0)) == len(cam_px)
         assert stats["surface_rmse"] < 1e-6
 
+    def test_exact_cppb_holds_its_discs_and_a_ring(self):
+        # 266,166 pixels in the padded boxes; 189,168 inside the two discs
+        _, pixels = render_inputs(cppb_truth())
+        assert len(pixels) == 211_809
+
+    @pytest.mark.parametrize("contour_sigma", [0.5, 2.0])
+    @pytest.mark.parametrize("make_truth", [make_small_truth, cppb_truth], ids=["small", "cppB"])
+    def test_holds_every_silhouette_pixel_within_the_boxes(self, make_truth, contour_sigma):
+        for seed in (0, 1):
+            bundle = render_scene(make_truth(NoiseSpec(contour_sigma, 0.0, seed)))
+            truth, flat = bundle.truth, bundle.flat_index
+            w, h = truth.cam_w, truth.cam_h
+            boxes = padded_boxes(bundle.contours, w, h)
+            assert np.all(np.isin(flat, boxes)) and len(flat) < len(boxes)
+            for pose in truth.spheres:
+                conic = project_sphere_to_conic(pose, truth.camera)
+                # the exact silhouette's box, with a margin, holds every disc pixel
+                near = padded_boxes([sample_conic_points(conic, 1024)], w, h)
+                xy = np.column_stack([near % w, near // w]).astype(float)
+                disc = near[conic.normalized().evaluate(xy) < 0]
+                missing = disc[~np.isin(disc, flat)]
+                assert len(disc) > 1000 and not len(missing), (seed, pose, missing[:5])
+
     def test_flat_index_is_int64_and_exact_past_2_31(self):
         truth = replace(preset("cppB"), cam_w=70_000)
         pixels = np.array([[69_999, 40_000]], dtype=np.int32)
@@ -492,6 +538,18 @@ class TestBundleIO:
             for i1, i2 in zip(stack, again.stacks[key]):
                 assert i2.dtype == np.float32
                 np.testing.assert_array_equal(i1, i2)
+
+    def test_noisy_bundle_saved_loaded_and_saved_again_is_byte_identical(self, tmp_path):
+        # load rebuilds the signal list from the %.17g contours: the same list
+        bundle = render_scene(make_small_truth(NoiseSpec(0.5, 0.01, seed=7)))
+        bundle.save(tmp_path / "first")
+        SceneBundle.load(tmp_path / "first").save(tmp_path / "second")
+        files = sorted(p.relative_to(tmp_path / "first") for p in (tmp_path / "first").rglob("*")
+                       if p.is_file())
+        assert len(files) == 2 + 2 * 3 * 4 * 2 + 1  # contours, fringes with sidecars, manifest
+        for rel in files:
+            first, second = (tmp_path / side / rel for side in ("first", "second"))
+            assert first.read_bytes() == second.read_bytes(), rel
 
     def test_saved_frames_hold_stacks_at_pixels_and_zero_elsewhere(self, tmp_path):
         from twosphere.imageio import read_float32
