@@ -297,11 +297,13 @@ def _levenberg_marquardt(fn, p0, max_iters, at=None):
 
     ``at`` is ``fn``'s output at the rows [p0] or [p0, *_probes(p0)], when
     the caller has evaluated them already; otherwise p0 is evaluated here,
-    and InfeasibleCandidate raised when ``fn`` masks it. Each trial is
-    evaluated in one call with the probes around it, which give the next
-    Jacobian if the trial is accepted. They are left out when the trial's
-    step meets the stop test or no further step is allowed, and a trial
-    equal to p is rejected unevaluated, so no candidate is evaluated twice.
+    and InfeasibleCandidate raised when ``fn`` masks it. A step's first
+    trial is evaluated in one call with the probes around it, which give the
+    next Jacobian if the trial is accepted; a retry after a rejection goes
+    alone, and its probes follow in one call if it is accepted. The probes
+    are left out when the trial's step meets the stop test or no further step
+    is allowed, and a trial equal to p is rejected unevaluated, so no
+    candidate is evaluated twice.
     Converged means a step, accepted or not, shorter than ``REL_STEP_TOL *
     max(|p|, 1)``: the descent ends there. Returns (p, ``fn``'s output at
     [p] or [p, *_probes(p)], history, iterations, converged).
@@ -323,7 +325,7 @@ def _levenberg_marquardt(fn, p0, max_iters, at=None):
     for _ in range(max_iters):
         jtj = J.T @ J
         grad = J.T @ r
-        accepted = False
+        accepted = retry = False
         step = None
         for _ in range(40):
             damped = jtj + lam * np.diag(np.maximum(np.diag(jtj), 1e-12))
@@ -336,9 +338,14 @@ def _levenberg_marquardt(fn, p0, max_iters, at=None):
             if trial.tobytes() != p.tobytes():  # p itself cannot lower F
                 stops = np.linalg.norm(step) < REL_STEP_TOL * max(np.linalg.norm(trial), 1.0)
                 probed = not stops and iterations + 1 < max_iters
-                out = _batched(fn, np.vstack([trial, _probes(trial)]) if probed else trial[None])
+                with_probes = probed and not retry
+                rows = np.vstack([trial, _probes(trial)]) if with_probes else trial[None]
+                out = _batched(fn, rows)
                 vec, ok = out[:2]
                 if ok[0] and (F_trial := float(vec[0] @ vec[0])) < F:
+                    if probed and not with_probes:  # an accepted retry's probes follow it
+                        out = tuple(map(np.concatenate, zip(out, _batched(fn, _probes(trial)))))
+                        vec, ok = out[:2]
                     p, at, r, F = trial, out, vec[0], F_trial
                     if probed:
                         J = _jacobian(p, r, vec[1:], ok[1:])
@@ -348,6 +355,7 @@ def _levenberg_marquardt(fn, p0, max_iters, at=None):
                     iterations += 1
                     break
             lam *= 10.0
+            retry = True
         small = step is not None and np.linalg.norm(step) < REL_STEP_TOL * max(
             np.linalg.norm(p), 1.0
         )

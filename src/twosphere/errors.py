@@ -41,8 +41,9 @@ class RayMissesSphere(TwosphereError):
 # --- phase codec ---
 
 class DimensionMismatch(TwosphereError):
-    """Images in a stack do not share one shape, or not the camera frame's, or
-    a raster file holds a different number of values than its sidecar states."""
+    """Images in a stack do not share one shape, or not the camera frame's; a
+    raster file holds a different number of values than its sidecar states;
+    or a bundle's fringes are not one row per image and one column per pixel."""
 
 
 class OutOfRange(TwosphereError):
@@ -91,9 +92,11 @@ class SpheresOverlapInImage(TwosphereError):
 
 class InvalidBundle(TwosphereError):
     """A bundle file is malformed: the manifest is not a JSON object of
-    ``format_version`` 1, names a fringe format other than float32 or holds a
-    scene truth that fails its config checks; a fringe sidecar lacks its width
-    and height; or a contour CSV is not rows of exactly 2 numbers."""
+    ``format_version`` 2, names a fringe format other than float32 or holds a
+    scene truth that fails its config checks; the pixel list is not whole
+    (x, y) pairs inside the frame in strictly row-major order; the fringe
+    sidecar lacks its width and height; or a contour CSV is not rows of
+    exactly 2 numbers."""
 
 
 class InvalidConfig(TwosphereError):

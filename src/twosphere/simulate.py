@@ -42,7 +42,10 @@ CONTOUR_SAMPLES = 256
 BOX_PAD_PX = 8  # margin of the signal pixel list around each contour's points, in x and y
 BLOCK_ROWS = 1 << 15  # signal pixel rows the disc lift and reconstruct_cloud take at once
 MANIFEST_NAME = "manifest.json"
-IMAGE_FORMAT = "f32"  # the one fringe format: raw float32 frames (``imageio``)
+PIXELS_NAME = "pixels.i32"  # the signal pixel list, raw int32 (x, y) pairs
+FRINGES_NAME = "fringes.f32"  # the fringe images, one row per image (``imageio``)
+FORMAT_VERSION = 2  # the one bundle layout read: manifest, contours, pixels, fringes
+IMAGE_FORMAT = "f32"  # the one fringe format: raw float32 (``imageio``)
 FRINGE_STEPS = 4  # default phase steps per pattern set
 FRINGE_FREQS = (1, 8, 64)  # default fringe counts per frame, coarse to fine
 ROTATION_TOL = 1e-9  # largest |R^T R - I| entry and |det R - 1| of a projector rotation
@@ -414,17 +417,18 @@ class SceneBundle:
     # -- persistence ---------------------------------------------------
 
     def save(self, out_dir) -> None:
-        """Write the bundle directory (manifest, contours, fringes).
+        """Write the bundle directory: the manifest, the contours, the pixel
+        list and the fringe images, exactly what the bundle holds.
 
-        Fringe files are full float32 frames, 0 outside ``pixels``. Only the
-        band of rows from the first to the last row of ``pixels`` is written;
-        the rows outside it are file holes, which read as the same zeros.
+        ``pixels.i32`` is ``pixels`` as raw little-endian int32 (x, y) pairs.
+        ``fringes.f32`` (``imageio``) holds one row per image, vertical then
+        horizontal, frequency-major, step-minor, each row the image's values
+        at ``pixels``; the rows are written one after another, not stacked.
         """
         out = Path(out_dir)
         (out / "contours").mkdir(parents=True, exist_ok=True)
-        (out / "fringes").mkdir(exist_ok=True)
         manifest = {
-            "format_version": 1,
+            "format_version": FORMAT_VERSION,
             "image_format": IMAGE_FORMAT,
             "truth": self.truth.to_config(),
         }
@@ -433,33 +437,31 @@ class SceneBundle:
             f.write("\n")
         for i, pts in enumerate(self.contours):
             np.savetxt(out / "contours" / f"sphere{i}.csv", pts, fmt="%.17g", delimiter=",")
-        w, h = self.truth.cam_w, self.truth.cam_h
-        ys = self.pixels[:, 1]  # row-major, so the band is rows ys[0] .. ys[-1]
-        top, end = (int(ys[0]), int(ys[-1]) + 1) if len(ys) else (0, 0)
-        band = np.zeros((end - top, w), dtype=np.float32)
-        at = self.flat_index - top * w
-        for (orientation, freq), stack in sorted(self.stacks.items()):
-            for k, values in enumerate(stack):
-                band.reshape(-1)[at] = values  # one buffer; only ``at`` is rewritten
-                imageio.write_float32(_fringe_path(out, orientation, freq, k), band, top, h)
+        self.pixels.astype("<i4", copy=False).tofile(out / PIXELS_NAME)
+        imageio.write_float32(out / FRINGES_NAME, [
+            img for cfg in (self.truth.fringe_vertical, self.truth.fringe_horizontal)
+            for stack in self.stack_list(cfg) for img in stack])
 
     @staticmethod
     def checked_manifest(manifest) -> dict:
-        """``manifest``; InvalidBundle unless it is a JSON object of format version 1."""
+        """``manifest``; InvalidBundle unless it is a JSON object of format
+        version ``FORMAT_VERSION``."""
         if not isinstance(manifest, dict):
             raise InvalidBundle(f"{MANIFEST_NAME} is not a JSON object")
         version = manifest.get("format_version")
-        if not (_is_integer(version) and version == 1):
-            raise InvalidBundle(f"format_version {version!r}: only 1 is read")
+        if not (_is_integer(version) and version == FORMAT_VERSION):
+            raise InvalidBundle(f"format_version {version!r}: only {FORMAT_VERSION} is read")
         return manifest
 
     @classmethod
     def load(cls, bundle_dir) -> "SceneBundle":
         """Read a bundle directory that ``save`` wrote.
 
-        Each fringe file is mapped, not read, and only its values at the
-        signal pixels are gathered, so ``stacks`` hold plain arrays and no
-        file stays open. Any other entry of the directory is ignored.
+        The fringe images are read in one piece, and each image in ``stacks``
+        is a row of that one array. The pixel list must hold whole (x, y)
+        pairs inside the frame, strictly in row-major order, and the fringe
+        array one row per image and one column per pixel. Any other entry of
+        the directory is ignored.
         """
         root = Path(bundle_dir)
         manifest_path = root / MANIFEST_NAME
@@ -475,26 +477,36 @@ class SceneBundle:
             raise InvalidBundle(f"manifest truth {exc}") from exc
 
         contours = [_read_contour(path) for path in sorted((root / "contours").glob("sphere*.csv"))]
-        bundle = cls(truth=truth, contours=contours,
-                     pixels=signal_pixels(contours, truth.cam_w, truth.cam_h), stacks={})
-        flat = bundle.flat_index
+        pixels = _read_pixels(root / PIXELS_NAME, truth)
+        try:
+            fringes = imageio.read_float32(root / FRINGES_NAME)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidBundle(
+                f"{FRINGES_NAME}.json: no integer width and height ({exc!r})") from exc
+        shape = (2 * len(truth.freqs) * truth.n_steps, len(pixels))
+        if fringes.shape != shape:
+            raise DimensionMismatch(f"{FRINGES_NAME}: {fringes.shape[0]} images of "
+                                    f"{fringes.shape[1]} pixels, not {shape[0]} of {shape[1]}")
+        rows = iter(fringes)  # in the order save wrote them
+        stacks = {(cfg.orientation, freq): [next(rows) for _ in range(cfg.n_steps)]
+                  for cfg in (truth.fringe_vertical, truth.fringe_horizontal)
+                  for freq in cfg.freqs}
+        return cls(truth=truth, contours=contours, pixels=pixels, stacks=stacks)
 
-        for orientation in ("vertical", "horizontal"):
-            for freq in truth.freqs:
-                stack = []
-                for k in range(truth.n_steps):
-                    path = _fringe_path(root, orientation, freq, k)
-                    try:
-                        img = imageio.read_float32(path)
-                    except (KeyError, TypeError, ValueError) as exc:
-                        raise InvalidBundle(
-                            f"{path.name}.json: no integer width and height ({exc!r})"
-                        ) from exc
-                    if img.shape != (truth.cam_h, truth.cam_w):
-                        raise DimensionMismatch(f"{path.name}: wrong frame size {img.shape}")
-                    stack.append(img.ravel()[flat])
-                bundle.stacks[(orientation, freq)] = stack
-        return bundle
+
+def _read_pixels(path: Path, truth: SceneTruth) -> np.ndarray:
+    """The (n, 2) int32 pixel list that ``save`` wrote to ``path``;
+    InvalidBundle unless it holds whole (x, y) pairs inside the truth's frame,
+    strictly in row-major order."""
+    size = path.stat().st_size
+    if size % 8:
+        raise InvalidBundle(f"{path.name}: {size} bytes, not whole (x, y) pairs")
+    pixels = np.fromfile(path, dtype="<i4").reshape(-1, 2)
+    if not np.all((pixels >= 0) & (pixels < [truth.cam_w, truth.cam_h])):
+        raise InvalidBundle(f"{path.name}: a pixel outside the {truth.cam_w}x{truth.cam_h} frame")
+    if np.any(np.diff(pixels[:, 1].astype(np.int64) * truth.cam_w + pixels[:, 0]) <= 0):
+        raise InvalidBundle(f"{path.name}: pixels not strictly in row-major order")
+    return pixels
 
 
 def _read_contour(path: Path) -> np.ndarray:
@@ -515,11 +527,6 @@ def _read_contour(path: Path) -> np.ndarray:
     if not len(rows):
         raise InvalidBundle(f"{name}: no points")
     return rows
-
-
-def _fringe_path(root: Path, orientation: str, freq: int, step: int) -> Path:
-    """A bundle's fringe file for one pattern image, e.g. ``fringes/v_f064_s2.f32``."""
-    return root / "fringes" / f"{orientation[0]}_f{freq:03d}_s{step}.f32"
 
 
 def _check_in_frame(points: np.ndarray, w: int, h: int, what: str) -> None:

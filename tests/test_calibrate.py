@@ -277,6 +277,13 @@ def cppB_noisy_problem():
     return build_problem(render_scene(truth))
 
 
+@pytest.fixture(scope="module")
+def cppB_outlier_problem():
+    """cppB at intensity sigma 0.1: fringe-order outliers, many rejected trials."""
+    truth = preset("cppB").with_noise(NoiseSpec(intensity_sigma=0.1, seed=2))
+    return build_problem(render_scene(truth))
+
+
 class TestResidualKernel:
     """The batched kernel against a step-by-step single-candidate reference."""
 
@@ -353,8 +360,7 @@ class TestResidualKernel:
         if scene == "small_noisy":
             problem = build_problem(request.getfixturevalue("bundle_small_noisy"))
         else:
-            truth = preset("cppB").with_noise(NoiseSpec(intensity_sigma=0.1, seed=2))
-            problem = build_problem(render_scene(truth))
+            problem = request.getfixturevalue("cppB_outlier_problem")
         seen = []
         kernel = calibrate_module._residuals
 
@@ -366,6 +372,29 @@ class TestResidualKernel:
         calibrate(problem, mu=mu)
         assert len(seen) > F_SCAN_SAMPLES
         assert len(set(seen)) == len(seen)
+
+    # rows sent when every trial carried its probes: 851 at mu = 0, 1,380 at the default
+    @pytest.mark.parametrize("mu, rows_with_probes", [(0.0, 851), (None, 1380)],
+                             ids=["mu0", "default_mu"])
+    def test_a_retry_goes_alone(self, cppB_outlier_problem, mu, rows_with_probes, monkeypatch):
+        calls = []
+        kernel = calibrate_module._residuals
+
+        def recording(P, problem):
+            calls.append(np.asarray(P, dtype=float).reshape(-1, 5))
+            return kernel(P, problem)
+
+        monkeypatch.setattr(calibrate_module, "_residuals", recording)
+        calibrate(cppB_outlier_problem, mu=mu)
+        assert sum(map(len, calls)) < rows_with_probes
+        followed = 0
+        for before, call in zip(calls[4:], calls[5:]):  # after the scan
+            if len(call) == 2 * 5:  # probes alone: those of the lone trial just accepted
+                assert len(before) == 1 and call.tobytes() == _probes(before[0]).tobytes()
+                followed += 1
+            elif len(call) == KERNEL_BATCH:  # a first trial with its probes
+                assert call[1:].tobytes() == _probes(call[0]).tobytes()
+        assert followed > 0
 
 
 def _with_proj_px(problem, proj_of_points):

@@ -3,12 +3,14 @@ import json
 import logging
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import MICRO_CONFIG
 
 from twosphere.cli import main
 from twosphere.errors import BehindCamera, InvalidConfig
+from twosphere.imageio import read_float32, write_float32
 from twosphere.simulate import SceneTruth
 
 
@@ -117,8 +119,39 @@ def micro_calib(micro_bundle_dir, tmp_path_factory):
 
 
 def cut_fringe(root):
-    path = root / "fringes" / "v_f064_s2.f32"
+    path = root / "fringes.f32"
     path.write_bytes(path.read_bytes()[:1000])
+
+
+def edit_pixels(edit):
+    """Rewrite ``pixels.i32`` as ``edit`` of its (n, 2) int32 list."""
+    def apply(root):
+        path = root / "pixels.i32"
+        pixels = np.fromfile(path, dtype="<i4").reshape(-1, 2)
+        np.asarray(edit(pixels), dtype="<i4").tofile(path)
+    return apply
+
+
+def edit_fringes(edit):
+    """Rewrite ``fringes.f32`` (and its sidecar) as ``edit`` of its rows."""
+    def apply(root):
+        write_float32(root / "fringes.f32", edit(read_float32(root / "fringes.f32")))
+    return apply
+
+
+def make_v1(root):
+    """The bundle in the layout of format version 1: a manifest of that
+    version, 24 full 320 x 240 fringe frames under ``fringes/`` and no pixel
+    list."""
+    edit_manifest(lambda m: m.update(format_version=1))(root)
+    for name in ("pixels.i32", "fringes.f32", "fringes.f32.json"):
+        (root / name).unlink()
+    (root / "fringes").mkdir()
+    for orientation in "vh":
+        for freq in (1, 8, 64):
+            for k in range(4):
+                write_float32(root / "fringes" / f"{orientation}_f{freq:03d}_s{k}.f32",
+                              np.zeros((240, 320), np.float32))
 
 
 def edit_json(name, edit):
@@ -167,14 +200,14 @@ BROKEN_BUNDLES = [
                  "image_format 'pgm16'", id="manifest_names_pgm16"),
     pytest.param(lambda root: (root / "manifest.json").write_text("[1, 2]"),
                  "manifest.json is not a JSON object", id="manifest_is_a_list"),
-    pytest.param(edit_json("fringes/v_f064_s2.f32.json", lambda m: m.pop("width")),
-                 "v_f064_s2.f32.json: no integer width and height", id="sidecar_without_width"),
-    pytest.param(edit_json("fringes/v_f064_s2.f32.json", lambda m: m.update(width=320.7)),
-                 "v_f064_s2.f32.json: no integer width and height", id="sidecar_fractional_width"),
-    pytest.param(edit_json("fringes/v_f064_s2.f32.json", lambda m: m.update(width="320")),
-                 "v_f064_s2.f32.json: no integer width and height", id="sidecar_text_width"),
-    pytest.param(edit_json("fringes/v_f064_s2.f32.json", lambda m: m.update(height=True)),
-                 "v_f064_s2.f32.json: no integer width and height", id="sidecar_true_height"),
+    pytest.param(edit_json("fringes.f32.json", lambda m: m.pop("width")),
+                 "fringes.f32.json: no integer width and height", id="sidecar_without_width"),
+    pytest.param(edit_json("fringes.f32.json", lambda m: m.update(width=320.7)),
+                 "fringes.f32.json: no integer width and height", id="sidecar_fractional_width"),
+    pytest.param(edit_json("fringes.f32.json", lambda m: m.update(width="320")),
+                 "fringes.f32.json: no integer width and height", id="sidecar_text_width"),
+    pytest.param(edit_json("fringes.f32.json", lambda m: m.update(height=True)),
+                 "fringes.f32.json: no integer width and height", id="sidecar_true_height"),
     pytest.param(append_line("contours/sphere0.csv", "a,b"),
                  "contours/sphere0.csv: not rows of 2 numbers", id="contour_text_line"),
     pytest.param(append_line("contours/sphere1.csv", "1,2,3"),
@@ -190,9 +223,30 @@ BROKEN_BUNDLES = [
                  "manifest truth projector_pose.rotation: must be a rotation",
                  id="manifest_with_scaled_rotation"),
     pytest.param(edit_manifest(lambda m: m.update(format_version=99)),
-                 "format_version 99: only 1 is read", id="manifest_version_99"),
-    pytest.param(edit_manifest(lambda m: m.update(format_version=2)),
-                 "format_version 2: only 1 is read", id="manifest_version_2"),
+                 "format_version 99: only 2 is read", id="manifest_version_99"),
+    # the version as text, not the integer 2
+    pytest.param(edit_manifest(lambda m: m.update(format_version="2")),
+                 "format_version '2': only 2 is read", id="manifest_version_2"),
+    pytest.param(make_v1, "format_version 1: only 2 is read", id="v1_bundle"),
+    pytest.param(edit_json("fringes.f32.json", lambda m: m.pop("height")),
+                 "fringes.f32.json: no integer width and height", id="sidecar_without_height"),
+    pytest.param(edit_fringes(lambda rows: rows[:-1]),
+                 "fringes.f32: 23 images of", id="fringes_one_image_short"),
+    pytest.param(edit_fringes(lambda rows: rows[:, 1:]),
+                 "fringes.f32: 24 images of", id="fringes_one_pixel_short"),
+    pytest.param(lambda root: (root / "pixels.i32").unlink(), "pixels.i32",
+                 id="pixels_missing"),
+    pytest.param(edit_pixels(lambda px: np.append(px.ravel(), 7)),
+                 "bytes, not whole (x, y) pairs", id="pixels_odd_size"),
+    # a pixel after the last, then one before the first: still in row-major order
+    pytest.param(edit_pixels(lambda px: np.vstack([px, [[320, px[-1, 1]]]])),
+                 "pixels.i32: a pixel outside the 320x240 frame", id="pixels_past_the_width"),
+    pytest.param(edit_pixels(lambda px: np.vstack([[[0, -1]], px])),
+                 "pixels.i32: a pixel outside the 320x240 frame", id="pixels_negative_y"),
+    pytest.param(edit_pixels(lambda px: px[[1, 0, *range(2, len(px))]]),
+                 "pixels.i32: pixels not strictly in row-major order", id="pixels_swapped"),
+    pytest.param(edit_pixels(lambda px: px[[0, 0, *range(2, len(px))]]),
+                 "pixels.i32: pixels not strictly in row-major order", id="pixels_repeated"),
 ]
 
 
@@ -235,8 +289,13 @@ class TestSimulate:
         assert manifest["truth"]["noise"]["seed"] == 3
         assert (micro_bundle_dir / "contours" / "sphere0.csv").exists()
         assert (micro_bundle_dir / "contours" / "sphere1.csv").exists()
-        assert not (micro_bundle_dir / "oracle").exists()
-        assert len(list((micro_bundle_dir / "fringes").glob("*.f32"))) == 24
+        assert manifest["format_version"] == 2
+        assert sorted(p.name for p in micro_bundle_dir.iterdir()) == [
+            "contours", "fringes.f32", "fringes.f32.json", "manifest.json", "pixels.i32"]
+        n = (micro_bundle_dir / "pixels.i32").stat().st_size // 8
+        assert (micro_bundle_dir / "fringes.f32").stat().st_size == 4 * 24 * n
+        assert json.loads((micro_bundle_dir / "fringes.f32.json").read_text()) == {
+            "dtype": "float32", "height": 24, "width": n}
 
     def test_preset_manifest_records_reference_camera(self, tmp_path):
         out = tmp_path / "p"
@@ -504,13 +563,10 @@ class TestCalibrate:
     def test_fringe_frame_of_wrong_size_exits_2(self, micro_bundle_dir, tmp_path):
         import shutil
 
-        import numpy as np
-
-        from twosphere.imageio import write_float32
-
-        broken = tmp_path / "small_frame"
+        broken = tmp_path / "full_frames"
         shutil.copytree(micro_bundle_dir, broken)
-        write_float32(broken / "fringes" / "v_f064_s2.f32", np.zeros((120, 160), np.float32))
+        # 24 full 320 x 240 camera frames, not the images' values at the pixel list
+        write_float32(broken / "fringes.f32", np.zeros((24, 320 * 240), np.float32))
         out = ["--out-ply", str(tmp_path / "c.ply"), "--out-stats", str(tmp_path / "s.json")]
         assert main(["--quiet", "calibrate", str(broken), "--out", str(tmp_path / "c.json")]) == 2
         # the bundle is loaded first, so its error decides the exit code
@@ -655,7 +711,7 @@ class TestReconstructAndEvaluate:
         assert len(errors) == 1 and errors[0].startswith("cannot load inputs: ")
         assert reason in errors[0]
 
-    @pytest.mark.parametrize("version", [2, 99, "1", None])
+    @pytest.mark.parametrize("version", [1, 99, "2", None])
     def test_evaluate_manifest_of_another_version_exits_2(self, micro_bundle_dir, micro_calib,
                                                          tmp_path, caplog, capsys, version):
         # the manifest's version is checked as SceneBundle.load checks it
@@ -666,7 +722,7 @@ class TestReconstructAndEvaluate:
         assert main(["--quiet", "evaluate", str(micro_calib), str(bad)]) == 2
         assert capsys.readouterr().out == ""
         assert error_lines(caplog) == [
-            f"cannot load inputs: format_version {version!r}: only 1 is read"]
+            f"cannot load inputs: format_version {version!r}: only 2 is read"]
 
     def test_evaluate_schema_mismatch_exits_2(self, micro_calib, tmp_path):
         bad = tmp_path / "junk.json"

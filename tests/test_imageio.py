@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -22,25 +24,40 @@ class TestFloat32:
         with pytest.raises(DimensionMismatch):
             imageio.read_float32(path)
 
-    @pytest.mark.parametrize("top, rows", [(0, 3), (4, 3), (7, 3), (5, 0)],
-                             ids=["top", "middle", "bottom", "empty"])
-    def test_band_write_equals_full_frame_write(self, tmp_path, top, rows):
-        band = np.random.default_rng(3).normal(size=(rows, 5)).astype(np.float32)
-        frame = np.zeros((10, 5), dtype=np.float32)
-        frame[top:top + rows] = band
-        imageio.write_float32(tmp_path / "full.f32", frame)
-        imageio.write_float32(tmp_path / "band.f32", band, top, 10)
-        for suffix in ("", ".json"):
-            assert ((tmp_path / f"band.f32{suffix}").read_bytes()
-                    == (tmp_path / f"full.f32{suffix}").read_bytes())
-        np.testing.assert_array_equal(imageio.read_float32(tmp_path / "band.f32"), frame)
+    @pytest.mark.parametrize("height, width", [(3, 5), (1, 5), (4, 0), (0, 0)],
+                             ids=["rows", "one_row", "empty_rows", "no_rows"])
+    def test_rows_written_in_turn_equal_one_write(self, tmp_path, height, width):
+        array = np.random.default_rng(3).normal(size=(height, width))
+        imageio.write_float32(tmp_path / "rows.f32", [row.copy() for row in array])
+        (tmp_path / "array.f32").write_bytes(array.astype("<f4").tobytes())
+        assert (tmp_path / "rows.f32").read_bytes() == (tmp_path / "array.f32").read_bytes()
+        meta = json.loads((tmp_path / "rows.f32.json").read_text())
+        assert meta == {"width": width, "height": height, "dtype": "float32"}
+        np.testing.assert_array_equal(imageio.read_float32(tmp_path / "rows.f32"),
+                                      array.astype(np.float32))
 
-    @pytest.mark.parametrize("top, rows", [(8, 3), (0, 11), (-1, 2)])
-    def test_band_outside_frame_raises(self, tmp_path, top, rows):
+    @pytest.mark.parametrize("rows", [[np.ones(3), np.ones(4)], [np.ones((2, 2))],
+                                      [np.ones(2), np.float32(1.0)]],
+                             ids=["unequal_rows", "2d_row", "scalar_row"])
+    def test_rows_of_other_shapes_raise(self, tmp_path, rows):
         with pytest.raises(ValueError):
-            imageio.write_float32(tmp_path / "b.f32", np.ones((rows, 5), np.float32), top, 10)
+            imageio.write_float32(tmp_path / "b.f32", rows)
 
-    def test_read_returns_read_only_map(self, tmp_path):
+    def test_read_returns_one_in_memory_array(self, tmp_path):
         imageio.write_float32(tmp_path / "m.f32", np.ones((4, 2), dtype=np.float32))
         img = imageio.read_float32(tmp_path / "m.f32")
-        assert isinstance(img, np.memmap) and not img.flags.writeable
+        (tmp_path / "m.f32").unlink()
+        assert type(img) is np.ndarray and img.flags.c_contiguous and img.flags.writeable
+        assert img.shape == (4, 2) and img.dtype == np.float32
+        assert all(row.base is img.base for row in img)  # each row a view of one buffer
+
+    @pytest.mark.parametrize("meta", [{"height": 7}, {"width": 3.0, "height": 7},
+                                      {"width": "3", "height": 7}, {"width": 3, "height": True},
+                                      {"width": -3, "height": -7}],
+                             ids=["no_width", "fractional", "text", "true", "negative"])
+    def test_sidecar_without_integer_shape_raises(self, tmp_path, meta):
+        path = tmp_path / "s.f32"
+        imageio.write_float32(path, np.ones((7, 3), dtype=np.float32))
+        (tmp_path / "s.f32.json").write_text(json.dumps({**meta, "dtype": "float32"}))
+        with pytest.raises((KeyError, ValueError)):
+            imageio.read_float32(path)

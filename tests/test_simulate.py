@@ -518,6 +518,19 @@ class TestSignalPixels:
         assert bundle.flat_index.tolist() == [2_800_069_999]
 
 
+SCENES = {"cppA": lambda noise: preset("cppA").with_noise(noise),
+          "cppB": lambda noise: preset("cppB").with_noise(noise),
+          "small": make_small_truth, "micro": make_micro_truth}
+
+
+def image_rows(bundle):
+    """The bundle's images in the order ``fringes.f32`` stores them: vertical
+    then horizontal, frequency-major, step-minor."""
+    t = bundle.truth
+    return [img for orientation in ("vertical", "horizontal") for freq in t.freqs
+            for img in bundle.stacks[(orientation, freq)]]
+
+
 class TestBundleIO:
     def test_save_load_round_trip(self, tmp_path):
         t = make_micro_truth(NoiseSpec(contour_sigma=0.2, intensity_sigma=0.005, seed=5))
@@ -531,52 +544,70 @@ class TestBundleIO:
             np.testing.assert_allclose(c1, c2, atol=1e-12)
         np.testing.assert_array_equal(again.pixels, bundle.pixels)
         assert bundle.pixels.dtype == again.pixels.dtype == np.int32
-        assert sorted(p.name for p in out.iterdir()) == ["contours", "fringes", "manifest.json"]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "contours", "fringes.f32", "fringes.f32.json", "manifest.json", "pixels.i32"]
         assert again.stacks.keys() == bundle.stacks.keys()
         for key, stack in bundle.stacks.items():
             assert len(again.stacks[key]) == len(stack) == t.n_steps
             for i1, i2 in zip(stack, again.stacks[key]):
                 assert i2.dtype == np.float32
                 np.testing.assert_array_equal(i1, i2)
+        # each loaded image is a row of one buffer
+        assert len({id(img.base) for img in image_rows(again)}) == 1
 
     def test_noisy_bundle_saved_loaded_and_saved_again_is_byte_identical(self, tmp_path):
-        # load rebuilds the signal list from the %.17g contours: the same list
         bundle = render_scene(make_small_truth(NoiseSpec(0.5, 0.01, seed=7)))
         bundle.save(tmp_path / "first")
         SceneBundle.load(tmp_path / "first").save(tmp_path / "second")
         files = sorted(p.relative_to(tmp_path / "first") for p in (tmp_path / "first").rglob("*")
                        if p.is_file())
-        assert len(files) == 2 + 2 * 3 * 4 * 2 + 1  # contours, fringes with sidecars, manifest
+        assert len(files) == 2 + 1 + 2 + 1  # contours, pixels, fringes with sidecar, manifest
         for rel in files:
             first, second = (tmp_path / side / rel for side in ("first", "second"))
             assert first.read_bytes() == second.read_bytes(), rel
 
-    def test_saved_frames_hold_stacks_at_pixels_and_zero_elsewhere(self, tmp_path):
+    def test_saved_fringes_hold_the_stacks_in_image_order(self, tmp_path):
         from twosphere.imageio import read_float32
 
         t = make_micro_truth(NoiseSpec(contour_sigma=0.2, intensity_sigma=0.01, seed=5))
         bundle = render_scene(t)
         bundle.save(tmp_path / "bundle")
-        flat = bundle.flat_index
-        outside = np.ones(t.cam_w * t.cam_h, dtype=bool)
-        outside[flat] = False
-        assert outside.any()
-        for (orientation, freq), stack in bundle.stacks.items():
-            for k, values in enumerate(stack):
-                name = f"{orientation[0]}_f{freq:03d}_s{k}.f32"
-                frame = read_float32(tmp_path / "bundle" / "fringes" / name)
-                assert frame.shape == (t.cam_h, t.cam_w)
-                np.testing.assert_array_equal(frame.ravel()[flat], values)
-                assert not frame.ravel()[outside].any()
+        assert (tmp_path / "bundle" / "pixels.i32").read_bytes() == bundle.pixels.tobytes()
+        fringes = read_float32(tmp_path / "bundle" / "fringes.f32")
+        assert fringes.shape == (2 * 3 * 4, len(bundle.pixels))
+        for row, values in zip(fringes, image_rows(bundle), strict=True):
+            assert row.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("scene", SCENES)
+    def test_saved_bundle_is_signal_sized(self, tmp_path, scene):
+        for noise in [NoiseSpec()] + [NoiseSpec(0.5, 0.01, seed) for seed in range(3)]:
+            bundle = render_scene(SCENES[scene](noise))
+            out = tmp_path / f"seed{noise.seed}"
+            bundle.save(out)
+            t, n = bundle.truth, len(bundle.pixels)
+            images = 2 * len(t.freqs) * t.n_steps
+            sizes = {p.relative_to(out).as_posix(): p.stat().st_size
+                     for p in out.rglob("*") if p.is_file()}
+            assert sizes["fringes.f32"] == 4 * images * n
+            assert sizes["pixels.i32"] == 8 * n
+            # contours, manifest and sidecar: ~20 kB; no file is a float32 frame
+            assert sum(sizes.values()) < 4 * images * n + 8 * n + 64_000, sizes
+            assert 4 * t.cam_w * t.cam_h not in sizes.values()
+            again = SceneBundle.load(out)
+            assert again.pixels.tobytes() == bundle.pixels.tobytes()
+            assert ([img.tobytes() for img in image_rows(again)]
+                    == [img.tobytes() for img in image_rows(bundle)])
 
     def test_save_without_signal_pixels(self, tmp_path):
         bundle = render_scene(make_micro_truth())
         bundle.pixels = bundle.pixels[:0]
         bundle.stacks = {key: [v[:0] for v in stack] for key, stack in bundle.stacks.items()}
         bundle.save(tmp_path / "bundle")
-        t = bundle.truth
-        for path in (tmp_path / "bundle" / "fringes").glob("*.f32"):
-            assert path.read_bytes() == bytes(4 * t.cam_w * t.cam_h)
+        for name in ("pixels.i32", "fringes.f32"):
+            assert (tmp_path / "bundle" / name).read_bytes() == b""
+        again = SceneBundle.load(tmp_path / "bundle")
+        assert again.pixels.shape == (0, 2)
+        assert [img.shape for img in image_rows(again)] == [(0,)] * 24
 
     def test_loaded_stacks_outlive_the_bundle_files(self, tmp_path):
         import shutil
