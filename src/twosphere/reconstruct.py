@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NearParallelRays
-from .geometry import Intrinsics, homogenize
+from .geometry import Intrinsics
 from .projector import ProjMatrix
 from .simulate import BLOCK_ROWS, SceneBundle
 
@@ -14,31 +14,51 @@ __all__ = ["triangulate", "reconstruct_cloud", "write_ply"]
 PARALLEL_ANGLE_RAD = 1e-6
 
 
-# The (n, 3) products below use einsum, not BLAS: at a camera frame's worth of
-# rays a BLAS call starts a second thread, which keeps spinning after it returns.
+# Rays and points are held coordinate-major, as three 1-D arrays, in
+# elementwise arithmetic. No BLAS product: at a camera frame's worth of rays a
+# BLAS call starts a second thread, which keeps spinning after it returns.
+# Every 3-term sum is taken as (x0*y0 + x2*y2) + x1*y1, the order in which
+# numpy's einsum (2.4, x86-64) sums a row of three for "ni,ni->n", "ni,i->n"
+# and "ij,nj->ni", so the points keep the bytes of the row-major einsum
+# triangulation that tests/test_reconstruct.py keeps as a reference.
+
+def _dot3(u, v):
+    """(u[0] v[0] + u[2] v[2]) + u[1] v[1], summed in place. Each coordinate
+    is a 1-D array or a scalar; u[0] or v[0] is an array."""
+    out = u[0] * v[0]
+    out += u[2] * v[2]
+    out += u[1] * v[1]
+    return out
+
 
 def _ray_geometry(cam_px, proj_px, K_C: Intrinsics, M_P: ProjMatrix):
-    """Camera and projector ray directions of each pixel pair, and the projector centre."""
-    cam = homogenize(np.atleast_2d(np.asarray(cam_px, dtype=float)))
-    proj = homogenize(np.atleast_2d(np.asarray(proj_px, dtype=float)))
-    d_cam = np.einsum("ij,nj->ni", K_C.inverse(), cam)
-    d_prj = np.einsum("ij,nj->ni", np.linalg.inv(M_P.left), proj)
+    """Camera and projector ray directions of each pixel pair, each as its
+    three coordinates, and the projector centre."""
+
+    def directions(px, inverse):
+        px = np.atleast_2d(np.asarray(px, dtype=float))
+        homogeneous = (px[:, 0], px[:, 1], 1.0)
+        return [_dot3(row, homogeneous) for row in inverse]
+
+    d_cam = directions(cam_px, K_C.inverse())
+    d_prj = directions(proj_px, np.linalg.inv(M_P.left))
     return d_cam, d_prj, M_P.center()
 
 
 def _midpoints(d_cam, d_prj, origin):
-    """Midpoint of the common perpendicular; camera ray starts at the origin."""
-    a = np.einsum("ni,ni->n", d_cam, d_cam)
-    b = np.einsum("ni,ni->n", d_cam, d_prj)
-    c = np.einsum("ni,ni->n", d_prj, d_prj)
-    d = np.einsum("ni,i->n", d_cam, -origin)
-    e = np.einsum("ni,i->n", d_prj, -origin)
+    """Midpoint of the common perpendicular, as its three coordinates; the
+    camera ray starts at the origin."""
+    a = _dot3(d_cam, d_cam)
+    b = _dot3(d_cam, d_prj)
+    c = _dot3(d_prj, d_prj)
+    d = _dot3(d_cam, -origin)
+    e = _dot3(d_prj, -origin)
     denom = a * c - b * b  # = a c sin^2 of the ray angle
     ok = denom > PARALLEL_ANGLE_RAD**2 * a * c
-    denom = np.where(ok, denom, 1.0)
+    denom[~ok] = 1.0
     s = (b * e - c * d) / denom
     t = (a * e - b * d) / denom
-    points = 0.5 * (s[:, None] * d_cam + origin[None, :] + t[:, None] * d_prj)
+    points = [0.5 * (s * u + o + t * v) for u, o, v in zip(d_cam, origin, d_prj)]
     return points, ok
 
 
@@ -53,6 +73,7 @@ def triangulate(cam_px, proj_px, K_C: Intrinsics, M_P: ProjMatrix) -> np.ndarray
     points, ok = _midpoints(d_cam, d_prj, origin)
     if not np.all(ok):
         raise NearParallelRays(f"{int(np.count_nonzero(~ok))} ray pairs are near parallel")
+    points = np.stack(points, axis=1)
     return points[0] if single else points
 
 
@@ -89,20 +110,20 @@ def reconstruct_cloud(
         # a slice decodes the stride-1 grid without gathering a copy of the stacks
         at = slice(start, stop) if grid is None else grid[start:stop]
         proj_px, valid = decode_bundle(bundle, at)
-        cam_px = bundle.pixels[at][valid].astype(float)
+        # np.compress gathers rows several times faster than a boolean index
+        cam_px = np.compress(valid, bundle.pixels[at], axis=0).astype(float)
         valid_pixels += len(cam_px)
         if len(cam_px) == 0:
             continue
-        d_cam, d_prj, origin = _ray_geometry(cam_px, proj_px[valid], K_C, M_P)
+        proj_px = np.compress(valid, proj_px, axis=0)
+        d_cam, d_prj, origin = _ray_geometry(cam_px, proj_px, K_C, M_P)
         points, ok = _midpoints(d_cam, d_prj, origin)
-        points = points[ok]
-        skipped += int(np.count_nonzero(~ok))
-        per_sphere = [
-            np.abs(np.linalg.norm(points - s.center[None, :], axis=1) - s.radius)
-            for s in bundle.truth.spheres
-        ]
-        point_blocks.append(points)
-        error_blocks.append(np.min(np.column_stack(per_sphere), axis=1))
+        del d_cam, d_prj
+        if not np.all(ok):
+            points = [coord[ok] for coord in points]
+            skipped += int(np.count_nonzero(~ok))
+        error_blocks.append(_surface_error(points, bundle.truth.spheres))
+        point_blocks.append(np.stack(points, axis=1))
 
     points = np.concatenate(point_blocks) if point_blocks else np.zeros((0, 3))
     stats: dict = {
@@ -120,6 +141,17 @@ def reconstruct_cloud(
     stats["surface_mean"] = float(np.mean(errors))
     stats["surface_max"] = float(np.max(errors))
     return points, errors, stats
+
+
+def _surface_error(points, spheres):
+    """Distance of each point (three coordinates) to the nearest sphere
+    surface, summed in the order of ``np.linalg.norm(axis=1)``."""
+    nearest = None
+    for sphere in spheres:
+        q = [coord - c for coord, c in zip(points, sphere.center)]
+        error = np.abs(np.sqrt((q[0] * q[0] + q[1] * q[1]) + q[2] * q[2]) - sphere.radius)
+        nearest = error if nearest is None else np.minimum(nearest, error, out=nearest)
+    return nearest
 
 
 def write_ply(path, points: np.ndarray, errors: np.ndarray | None = None) -> None:

@@ -18,6 +18,8 @@ from twosphere import (
     write_ply,
 )
 from twosphere.errors import NearParallelRays
+from twosphere.geometry import homogenize
+from twosphere.pipeline import decode_bundle
 from twosphere.projector import compose
 from twosphere.simulate import rotation_about_y
 
@@ -165,6 +167,78 @@ class TestReconstructCloud:
                 "surface_mean": None,
                 "surface_max": None,
             }
+
+
+def einsum_ray_geometry(cam_px, proj_px, K_C, M_P):
+    """Row-major reference of ``reconstruct._ray_geometry``: (n, 3) rays by einsum."""
+    d_cam = np.einsum("ij,nj->ni", K_C.inverse(), homogenize(cam_px))
+    d_prj = np.einsum("ij,nj->ni", np.linalg.inv(M_P.left), homogenize(proj_px))
+    return d_cam, d_prj, M_P.center()
+
+
+def einsum_midpoints(d_cam, d_prj, origin):
+    """Row-major reference of ``reconstruct._midpoints``: (n, 3) points."""
+    a = np.einsum("ni,ni->n", d_cam, d_cam)
+    b = np.einsum("ni,ni->n", d_cam, d_prj)
+    c = np.einsum("ni,ni->n", d_prj, d_prj)
+    d = np.einsum("ni,i->n", d_cam, -origin)
+    e = np.einsum("ni,i->n", d_prj, -origin)
+    denom = a * c - b * b
+    ok = denom > reconstruct.PARALLEL_ANGLE_RAD**2 * a * c
+    denom = np.where(ok, denom, 1.0)
+    s = (b * e - c * d) / denom
+    t = (a * e - b * d) / denom
+    return 0.5 * (s[:, None] * d_cam + origin[None, :] + t[:, None] * d_prj), ok
+
+
+@pytest.fixture(scope="module", params=[None, (0.5, 0.01, 3), (0.0, 0.1, 2)],
+                ids=["noiseless", "contour_0.5_seed3", "intensity_0.1_seed2"])
+def cppb_calibrated(request):
+    from twosphere import NoiseSpec
+
+    truth = preset("cppB")
+    if request.param is not None:
+        truth = truth.with_noise(NoiseSpec(*request.param))
+    bundle = render_scene(truth)
+    result, _ = run_calibration(bundle)
+    return bundle, result
+
+
+class TestEinsumReference:
+    """The coordinate-major cloud against the row-major einsum triangulation
+    it replaced, over the whole decode at once. Each 3-term sum keeps
+    einsum's order, so on numpy 2.4 on x86-64 the bytes are equal. Another
+    host's einsum may sum in another order, and the midpoint amplifies that
+    rounding: summing (0 + 1) + 2 instead moves the points by up to 2.4e-13
+    lu (~260 ulp of their largest coordinate), and at intensity noise 0.1,
+    whose background points reach 156 lu, by up to 1.6e-9 lu. The bound, 1e-9
+    of the cloud's largest coordinate, allows that and no wrong ray or sign."""
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("calibration", ["true", "calibrated"])
+    def test_matches_einsum_triangulation(self, cppb_calibrated, calibration, stride):
+        bundle, result = cppb_calibrated
+        truth = bundle.truth
+        K_C, M_P = ((truth.camera, truth.proj_matrix) if calibration == "true"
+                    else (result.camera, result.proj_matrix))
+        proj_px, valid = decode_bundle(bundle)
+        xs, ys = bundle.pixels.T
+        valid &= (xs % stride == 0) & (ys % stride == 0)
+        cam_px = bundle.pixels[valid].astype(float)
+        expected, ok = einsum_midpoints(*einsum_ray_geometry(cam_px, proj_px[valid], K_C, M_P))
+        expected = expected[ok]
+        expected_errors = np.min(
+            [np.abs(np.linalg.norm(expected - s.center, axis=1) - s.radius) for s in truth.spheres],
+            axis=0,
+        )
+
+        points, errors, stats = reconstruct_cloud(bundle, K_C, M_P, stride=stride)
+        assert (stats["valid_pixels"], stats["points"]) == (len(cam_px), len(expected))
+        assert stats["skipped_parallel"] == np.count_nonzero(~ok)
+        atol = 1e-9 * np.abs(expected).max()
+        np.testing.assert_allclose(points, expected, rtol=0, atol=atol)
+        np.testing.assert_allclose(errors, expected_errors, rtol=0, atol=atol)
+        assert stats["surface_max"] == pytest.approx(float(expected_errors.max()), abs=atol)
 
 
 def outside_both_silhouettes(truth, cam_px):

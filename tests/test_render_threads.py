@@ -106,7 +106,7 @@ def blas_products(function) -> list[int]:
 def test_render_and_triangulation_cores_take_no_blas_product():
     from twosphere import projector, reconstruct, sphere
 
-    cores = (sphere.lift_pixels, projector.project_stack, reconstruct._ray_geometry,
-             reconstruct._midpoints)
+    cores = (sphere.lift_pixels, projector.project_stack, reconstruct._dot3,
+             reconstruct._ray_geometry, reconstruct._midpoints, reconstruct._surface_error)
     found = {core.__qualname__: blas_products(core) for core in cores}
     assert not any(found.values()), f"BLAS products at source lines {found}"
