@@ -106,9 +106,7 @@ def cmd_calibrate(args) -> int:
         return EXIT_INPUT
 
     try:
-        result, _ = run_calibration(
-            bundle, stride=args.stride, mu=args.mu, max_iters=args.max_iters
-        )
+        result, _ = run_calibration(bundle, stride=args.stride, mu=args.mu)
     except (DegenerateConic, CoincidentConics) as exc:
         log.error("degenerate geometry: %s", exc)
         return EXIT_DEGENERATE
@@ -218,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument(
         "--mu", type=_at_least(float, 0.0), default=None, help="constraint weight (0 disables)"
     )
-    p_cal.add_argument("--max-iters", type=_at_least(int, 1), default=200)
     p_cal.add_argument(
         "--stride", type=_at_least(int, 1), default=None, help="correspondence grid stride, px"
     )

@@ -47,10 +47,11 @@ def assemble_observations(
     """Fitted conic plus pixel correspondences for every sphere in the bundle.
 
     ``stride`` is the sampling grid step in pixels; None gives ~24 samples
-    across each silhouette. All spheres' samples are decoded in one call.
+    across each silhouette. A sample is kept when its (x, y) is in
+    ``bundle.pixels``. All spheres' samples are decoded in one call.
     """
     flat = bundle.flat_index
-    w, h = bundle.truth.cam_w, bundle.truth.cam_h
+    w = bundle.truth.cam_w
     conics = []
     for i, contour in enumerate(bundle.contours):
         try:
@@ -62,13 +63,11 @@ def assemble_observations(
         if not conic.is_real_ellipse:
             raise DegenerateConic(f"sphere {i}'s contour does not fit a real ellipse")
         pix = sample_interior_pixels(conic, stride=stride)
-        # off-frame pixels would alias to other rows of the flat index
-        pix = pix[
-            (pix[:, 0] >= 0) & (pix[:, 0] < w) & (pix[:, 1] >= 0) & (pix[:, 1] < h)
-        ]
-        want = pix[:, 1].astype(int) * w + pix[:, 0].astype(int)
-        at = np.minimum(np.searchsorted(flat, want), len(flat) - 1)
-        ok = flat[at] == want
+        # an off-frame sample can alias another pixel's flat index: match (x, y)
+        x, y = pix.T.astype(np.int64)
+        at = np.searchsorted(flat, y * w + x)
+        ok = at < len(flat)
+        ok[ok] = (bundle.pixels[at[ok]] == pix[ok]).all(axis=1)
         samples.append(pix[ok])
         rows.append(at[ok])
     # the empty start lets a bundle without contours reach IscProblem, which names the count
@@ -90,14 +89,11 @@ def build_problem(bundle: SceneBundle, stride: int | None = None) -> IscProblem:
 
 
 def run_calibration(
-    bundle: SceneBundle,
-    stride: int | None = None,
-    mu: float | None = None,
-    max_iters: int = 200,
+    bundle: SceneBundle, stride: int | None = None, mu: float | None = None
 ) -> tuple[CalibResult, IscProblem]:
-    """Full pipeline: decode, assemble, optimize."""
+    """Full pipeline: decode, assemble, optimize (``calibrate`` at ``mu``)."""
     problem = build_problem(bundle, stride)
-    result = calibrate(problem, max_iters, mu=mu)
+    result = calibrate(problem, mu=mu)
     log.info(
         "calibration %s after %d iterations, objective %.6g",
         "converged" if result.converged else "stopped",

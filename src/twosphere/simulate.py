@@ -150,21 +150,12 @@ class NoiseSpec:
             "seed": self.seed,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "NoiseSpec":
-        """Inverse of ``to_dict``; InvalidNoise names each field that fails."""
-        read = _Fields(d, "noise")
-        spec = _read_noise(read, "")
-        if read.problems:
-            raise InvalidNoise(*read.problems)
-        return spec
 
-
-def _read_noise(read: _Fields, prefix: str) -> NoiseSpec | None:
-    """A noise section from the fields ``<prefix><key>``, each optional."""
-    sigmas = [read(prefix + key, NUMBER, NON_NEGATIVE, default=0.0)
+def _read_noise(read: _Fields) -> NoiseSpec | None:
+    """A config's noise section, each field optional."""
+    sigmas = [read(f"noise.{key}", NUMBER, NON_NEGATIVE, default=0.0)
               for key in ("contour_sigma_px", "intensity_sigma")]
-    seed = read(prefix + "seed", INTEGER, NON_NEGATIVE, default=0)  # an integer, not truncated
+    seed = read("noise.seed", INTEGER, NON_NEGATIVE, default=0)  # an integer, not truncated
     return None if None in (*sigmas, seed) else NoiseSpec(*map(float, sigmas), seed)
 
 
@@ -261,7 +252,7 @@ class SceneTruth:
         integers = (lambda f: isinstance(f, list) and all(map(_is_integer, f)),
                     "must be a list of integers")
         freqs = read("fringe.frequencies_cpf", integers, LADDER, default=list(FRINGE_FREQS))
-        noise = _read_noise(read, "noise.")
+        noise = _read_noise(read)
         if read.problems:
             noise_only = all(p.startswith("noise") for p in read.problems)
             raise (InvalidNoise if noise_only else InvalidConfig)(*read.problems)

@@ -601,15 +601,9 @@ class TestCalibrate:
         result = calibrate(exact_problem(preset("cppB")), mu=0.0)
         assert result.constraint_residual < 1e-6
 
-    def test_stride_and_max_iters_reach_the_search(self, bundle_small):
-        result, coarse = run_calibration(bundle_small, stride=8, max_iters=1)
+    def test_stride_reaches_the_search(self, bundle_small):
+        _, coarse = run_calibration(bundle_small, stride=8)
         assert n_correspondences(coarse) < n_correspondences(build_problem(bundle_small, stride=4))
-        assert result.iterations <= 1
-
-    @pytest.mark.parametrize("max_iters", [0, -3])
-    def test_max_iters_below_one_rejected(self, truth_small, max_iters):
-        with pytest.raises(ValueError):
-            calibrate(exact_problem(truth_small), max_iters)
 
     def test_deterministic_repeat(self, truth_small):
         problem = exact_problem(truth_small)

@@ -6,12 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import MICRO_CONFIG
+from conftest import MICRO_CONFIG, make_micro_truth
 
 from twosphere.cli import main
 from twosphere.errors import BehindCamera, InvalidConfig
 from twosphere.imageio import read_float32, write_float32
-from twosphere.simulate import SceneTruth
+from twosphere.simulate import SceneTruth, render_scene
 
 
 def write_config(tmp_path, overrides=None, name="scene.json"):
@@ -115,6 +115,17 @@ def micro_bundle_dir(tmp_path_factory):
 def micro_calib(micro_bundle_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("calib") / "calib.json"
     assert main(["--quiet", "calibrate", str(micro_bundle_dir), "--out", str(out)]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def empty_signal_dir(tmp_path_factory):
+    """A micro bundle saved with an empty signal pixel list."""
+    bundle = render_scene(make_micro_truth())
+    bundle.pixels = bundle.pixels[:0]
+    bundle.stacks = {key: [v[:0] for v in stack] for key, stack in bundle.stacks.items()}
+    out = tmp_path_factory.mktemp("empty") / "bundle"
+    bundle.save(out)
     return out
 
 
@@ -395,11 +406,11 @@ class TestCalibrate:
         payload = json.loads(out.read_text())
         assert payload["constraint_checked"] is False
 
-    def test_max_iters_flag_caps_iterations(self, micro_bundle_dir, tmp_path):
-        out = tmp_path / "calib1.json"
-        assert main(["--quiet", "calibrate", str(micro_bundle_dir), "--max-iters", "1",
-                     "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["iterations"] <= 1
+    def test_empty_signal_list_exits_4(self, empty_signal_dir, caplog):
+        assert main(["--quiet", "calibrate", str(empty_signal_dir)]) == 4
+        errors = error_lines(caplog)
+        assert len(errors) == 1 and "sphere 0 has 0 valid correspondences" in errors[0]
+        assert not (empty_signal_dir / "calib.json").exists()
 
     def test_stride_flag_thins_correspondences(self, micro_bundle_dir, tmp_path, caplog):
         def correspondences(extra):
@@ -595,11 +606,7 @@ class TestCalibrate:
         errors = error_lines(caplog)
         assert len(errors) == 1 and reason in errors[0]
 
-    @pytest.mark.parametrize(
-        "flag",
-        [["--stride", "0"], ["--stride", "-2"], ["--mu", "-1"], ["--max-iters", "0"],
-         ["--max-iters", "-3"]],
-    )
+    @pytest.mark.parametrize("flag", [["--stride", "0"], ["--stride", "-2"], ["--mu", "-1"]])
     def test_bad_numeric_flag_exits_2(self, micro_bundle_dir, tmp_path, flag):
         # the parser rejects the value before any work starts
         with pytest.raises(SystemExit) as exc:
@@ -641,6 +648,17 @@ class TestReconstructAndEvaluate:
         assert len(rows) == stats["points"] == len(points) > 500
         assert rows[:, :3].tobytes() == points.astype(np.float32).tobytes()
         assert rows[:, 3].tobytes() == errors.astype(np.float32).tobytes()
+
+    def test_reconstruct_of_an_empty_signal_list_has_no_points(self, empty_signal_dir,
+                                                               micro_calib, tmp_path):
+        ply, stats_path = tmp_path / "cloud.ply", tmp_path / "stats.json"
+        assert main(["--quiet", "reconstruct", str(empty_signal_dir), str(micro_calib),
+                     "--out-ply", str(ply), "--out-stats", str(stats_path)]) == 0
+        header = ply.read_bytes().split(b"end_header\n")[0].decode("ascii")
+        assert header.splitlines()[2] == "element vertex 0"
+        stats = json.loads(stats_path.read_text())
+        assert stats["points"] == 0
+        assert [stats[f"surface_{k}"] for k in ("rmse", "mean", "max")] == [None] * 3
 
     def test_reconstruct_missing_calib_exits_2(self, micro_bundle_dir, tmp_path):
         assert main(["--quiet", "reconstruct", str(micro_bundle_dir),

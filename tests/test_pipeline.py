@@ -120,3 +120,21 @@ class TestSamplesAreSignalPixels:
             bundle = render_scene(make_truth(NoiseSpec(0.5, 0.0, seed)))
             drawn, decoded = self.drawn_and_decoded(bundle, monkeypatch)
             assert decoded == [drawn], f"seed {seed}"
+
+    def test_an_off_frame_sample_that_aliases_a_pixel_is_dropped(self, bundle_small_noisy,
+                                                                  monkeypatch):
+        # (x0 + w, y0 - 1) has the row-major index of the signal pixel (x0, y0)
+        w = bundle_small_noisy.truth.cam_w
+        sample = pipeline.sample_interior_pixels
+
+        def aliasing_sample(*args, **kwargs):
+            pixels = sample(*args, **kwargs)
+            x0, y0 = pixels[pixels[:, 1] >= 1][0]
+            return np.vstack([pixels, [x0 + w, y0 - 1]])
+
+        expected = assemble_observations(bundle_small_noisy)
+        monkeypatch.setattr(pipeline, "sample_interior_pixels", aliasing_sample)
+        observed = assemble_observations(bundle_small_noisy)
+        for got, want in zip(observed, expected, strict=True):
+            assert got.cam_px.tobytes() == want.cam_px.tobytes()
+            assert got.proj_px.tobytes() == want.proj_px.tobytes()

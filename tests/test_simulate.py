@@ -150,7 +150,7 @@ class TestNoiseSpec:
 
     def test_accepts_zero_and_numpy_scalars(self):
         spec = NoiseSpec(np.float64(0.5), 0, seed=np.int64(3))
-        assert NoiseSpec.from_dict(spec.to_dict()) == spec
+        assert SceneTruth.from_config(make_micro_truth(spec).to_config()).noise == spec
 
 
 class TestRenderScene:
