@@ -95,8 +95,8 @@ class InvalidBundle(TwosphereError):
     ``format_version`` 2, names a fringe format other than float32 or holds a
     scene truth that fails its config checks; the pixel list is not whole
     (x, y) pairs inside the frame in strictly row-major order; the fringe
-    sidecar lacks its width and height; or a contour CSV is not rows of
-    exactly 2 numbers."""
+    sidecar lacks its width and height; a fringe value is not finite; or a
+    contour CSV is not rows of exactly 2 finite numbers."""
 
 
 class InvalidConfig(TwosphereError):

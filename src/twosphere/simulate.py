@@ -451,8 +451,8 @@ class SceneBundle:
         The fringe images are read in one piece, and each image in ``stacks``
         is a row of that one array. The pixel list must hold whole (x, y)
         pairs inside the frame, strictly in row-major order, and the fringe
-        array one row per image and one column per pixel. Any other entry of
-        the directory is ignored.
+        array one row per image and one column per pixel, every value finite
+        (see ``decode_wrapped``). Any other entry of the directory is ignored.
         """
         root = Path(bundle_dir)
         manifest_path = root / MANIFEST_NAME
@@ -478,6 +478,8 @@ class SceneBundle:
         if fringes.shape != shape:
             raise DimensionMismatch(f"{FRINGES_NAME}: {fringes.shape[0]} images of "
                                     f"{fringes.shape[1]} pixels, not {shape[0]} of {shape[1]}")
+        if not all(np.isfinite(row).all() for row in fringes):  # one row's mask at a time
+            raise InvalidBundle(f"{FRINGES_NAME}: a value that is not finite")
         rows = iter(fringes)  # in the order save wrote them
         stacks = {(cfg.orientation, freq): [next(rows) for _ in range(cfg.n_steps)]
                   for cfg in (truth.fringe_vertical, truth.fringe_horizontal)
@@ -493,7 +495,9 @@ def _read_pixels(path: Path, truth: SceneTruth) -> np.ndarray:
     if size % 8:
         raise InvalidBundle(f"{path.name}: {size} bytes, not whole (x, y) pairs")
     pixels = np.fromfile(path, dtype="<i4").reshape(-1, 2)
-    if not np.all((pixels >= 0) & (pixels < [truth.cam_w, truth.cam_h])):
+    # min and max of the int32 columns; comparing with [w, h] would cast every value to int64
+    if len(pixels) and (pixels.min() < 0 or pixels[:, 0].max() >= truth.cam_w
+                        or pixels[:, 1].max() >= truth.cam_h):
         raise InvalidBundle(f"{path.name}: a pixel outside the {truth.cam_w}x{truth.cam_h} frame")
     if np.any(np.diff(pixels[:, 1].astype(np.int64) * truth.cam_w + pixels[:, 0]) <= 0):
         raise InvalidBundle(f"{path.name}: pixels not strictly in row-major order")
@@ -601,23 +605,31 @@ def _fringe_stacks(truth: SceneTruth, n: int, lit_pixels: list, noise: list) -> 
     lit pixel's coded coordinate, 0 at every other pixel, plus the noise of
     image i (vertical then horizontal, frequency-major) once ``noise[i]`` has
     drawn it; no noise when ``noise`` is empty. A pattern set's steps are
-    filled one disc at a time, so one disc's phase argument is held at once."""
+    filled one disc at a time, so one disc's phase argument is held at once.
+    Each disc's lit pixels are one boolean mask over the ``n`` pixels, made
+    once: a masked fill costs about a third of an index scatter, and takes
+    the same values in the same ascending order."""
+    discs = []  # (lit mask over the n pixels, coded coordinates) per disc
+    for at, coded in lit_pixels:
+        mask = np.zeros(n, dtype=bool)
+        mask[at] = True
+        discs.append((mask, coded))
     stacks = {}
     image = 0
     for cfg in (truth.fringe_vertical, truth.fringe_horizontal):
         axis = 0 if cfg.orientation == "vertical" else 1
         for freq in cfg.freqs:
             stack = []
-            for at, coded in lit_pixels:
+            for mask, coded in discs:
                 steps = _pattern_steps(freq, cfg.n_steps, coded[:, axis], cfg.coded_span)
                 for k, value in enumerate(steps):
                     if k == len(stack):  # the first disc takes each frame as it is drawn
                         stack.append(noise[image + k].result() if noise
                                      else np.zeros(n, dtype=np.float32))
                     if noise:  # the float32 pattern + noise, as a one-thread render adds
-                        stack[k][at] += value.astype(np.float32)
+                        stack[k][mask] += value.astype(np.float32)
                     else:  # a write alone: reading the untouched zeros would fault them in
-                        stack[k][at] = value
+                        stack[k][mask] = value
             image += cfg.n_steps
             stacks[(cfg.orientation, freq)] = stack
     return stacks

@@ -150,6 +150,15 @@ def edit_fringes(edit):
     return apply
 
 
+def set_fringe(image, value):
+    """``edit_fringes`` setting one value of row ``image``, at the middle pixel
+    of the list, inside a disc of the micro scene."""
+    def edit(rows):
+        rows[image, rows.shape[1] // 2] = value
+        return rows
+    return edit_fringes(edit)
+
+
 def make_v1(root):
     """The bundle in the layout of format version 1: a manifest of that
     version, 24 full 320 x 240 fringe frames under ``fringes/`` and no pixel
@@ -245,6 +254,11 @@ BROKEN_BUNDLES = [
                  "fringes.f32: 23 images of", id="fringes_one_image_short"),
     pytest.param(edit_fringes(lambda rows: rows[:, 1:]),
                  "fringes.f32: 24 images of", id="fringes_one_pixel_short"),
+    # step 1 of a 4-step stack: an inf there decoded to phase pi/4 and modulation inf
+    pytest.param(set_fringe(1, np.inf), "fringes.f32: a value that is not finite",
+                 id="fringe_inf"),
+    pytest.param(set_fringe(13, NAN), "fringes.f32: a value that is not finite",
+                 id="fringe_nan"),
     pytest.param(lambda root: (root / "pixels.i32").unlink(), "pixels.i32",
                  id="pixels_missing"),
     pytest.param(edit_pixels(lambda px: np.append(px.ravel(), 7)),
@@ -254,6 +268,10 @@ BROKEN_BUNDLES = [
                  "pixels.i32: a pixel outside the 320x240 frame", id="pixels_past_the_width"),
     pytest.param(edit_pixels(lambda px: np.vstack([[[0, -1]], px])),
                  "pixels.i32: a pixel outside the 320x240 frame", id="pixels_negative_y"),
+    pytest.param(edit_pixels(lambda px: np.vstack([px, [[0, 240]]])),
+                 "pixels.i32: a pixel outside the 320x240 frame", id="pixels_past_the_height"),
+    pytest.param(edit_pixels(lambda px: np.vstack([[[-1, px[0, 1]]], px])),
+                 "pixels.i32: a pixel outside the 320x240 frame", id="pixels_negative_x"),
     pytest.param(edit_pixels(lambda px: px[[1, 0, *range(2, len(px))]]),
                  "pixels.i32: pixels not strictly in row-major order", id="pixels_swapped"),
     pytest.param(edit_pixels(lambda px: px[[0, 0, *range(2, len(px))]]),

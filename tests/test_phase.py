@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
 
+from conftest import make_small_truth
+
 from twosphere import (
     FringeConfig,
+    NoiseSpec,
     decode_wrapped,
     phase_to_proj_coord,
+    preset,
+    render_scene,
     unwrap_ladder,
 )
 from twosphere.errors import DimensionMismatch, OutOfRange
 from twosphere.phase import (
+    DEFAULT_MIN_MODULATION,
     _wrap_in_place,
     decode_phase,
     pattern_value,
@@ -126,6 +132,61 @@ class TestDecodeWrapped:
     def test_needs_three_images(self):
         with pytest.raises(DimensionMismatch):
             decode_wrapped([np.zeros((2, 2)), np.zeros((2, 2))])
+
+
+def reference_decode_wrapped(stack):
+    """Reference for ``decode_wrapped``: its body with the modulation taken by
+    ``np.hypot``."""
+    images = [np.asarray(img) for img in stack]
+    n = len(images)
+    deltas = 2.0 * np.pi * np.arange(n) / n
+    sin_sum, cos_sum, term = (np.zeros(images[0].shape) for _ in range(3))
+    for img, d in zip(images, deltas):
+        sin_sum += np.multiply(img, np.sin(d), out=term)
+        cos_sum += np.multiply(img, np.cos(d), out=term)
+    phase = _wrap_in_place(np.arctan2(sin_sum, cos_sum))
+    modulation = (2.0 / n) * np.hypot(sin_sum, cos_sum)
+    return phase, modulation
+
+
+def assert_decodes_as_reference(stacks, cfg) -> float:
+    """The phase of each stack bitwise, its modulation within 2 ulp and the
+    ``decode_phase`` mask exactly as the reference gives them; returns the
+    smallest |modulation - threshold| / threshold of the reference."""
+    modulations = []
+    for stack in stacks:
+        phase, modulation = decode_wrapped(stack)
+        want_phase, want_modulation = reference_decode_wrapped(stack)
+        assert phase.tobytes() == want_phase.tobytes()
+        assert np.all(np.abs(modulation - want_modulation) <= 2 * np.spacing(want_modulation))
+        modulations.append(want_modulation)
+    _, mask = decode_phase(stacks, cfg)
+    assert np.array_equal(mask, np.minimum.reduce(modulations) >= DEFAULT_MIN_MODULATION)
+    return min(np.abs(m - DEFAULT_MIN_MODULATION).min() for m in modulations) / DEFAULT_MIN_MODULATION
+
+
+class TestDecodeAsReference:
+    """The modulation is a square root, not ``np.hypot``; the phase and the
+    valid mask stay those of the ``hypot`` decode."""
+
+    @pytest.mark.parametrize("n_steps", [3, 4, 5])
+    def test_random_float32_stacks(self, n_steps):
+        rng = np.random.default_rng(n_steps)
+        cfg = FringeConfig(n_steps, (1, 8), 64, 4, "vertical")
+        stacks = [[rng.uniform(0.0, 1.0, 50_000).astype(np.float32) for _ in range(n_steps)]
+                  for _ in cfg.freqs]
+        assert_decodes_as_reference(stacks, cfg)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("sigma", [0.01, 0.05, 0.1, 0.15])
+    @pytest.mark.parametrize("make_truth", [make_small_truth, preset("cppB").with_noise],
+                             ids=["small", "cppB"])
+    def test_noisy_scenes_keep_their_distance_from_the_threshold(self, make_truth, sigma, seed):
+        # a scene whose modulation came this near the threshold could flip a
+        # pixel of the mask, and must fail here rather than change an output
+        bundle = render_scene(make_truth(NoiseSpec(0.5, sigma, seed)))
+        for cfg in (bundle.truth.fringe_vertical, bundle.truth.fringe_horizontal):
+            assert assert_decodes_as_reference(bundle.stack_list(cfg), cfg) > 1e-12
 
 
 class TestUnwrap:

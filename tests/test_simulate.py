@@ -1,5 +1,6 @@
 import threading
 import tracemalloc
+from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
@@ -439,6 +440,84 @@ class TestLitPixels:
             tracemalloc.stop()
         assert kept >= sum(img.nbytes for stack in bundle.stacks.values() for img in stack)
         assert peak - kept < 9.2e6
+
+
+def index_fill(truth, n, lit_pixels, noise):
+    """Reference for ``simulate._fringe_stacks``: each disc's float64 pattern
+    values scattered into the float32 frames through its int32 index."""
+    stacks = {}
+    image = 0
+    for cfg in (truth.fringe_vertical, truth.fringe_horizontal):
+        axis = 0 if cfg.orientation == "vertical" else 1
+        for freq in cfg.freqs:
+            stack = []
+            for at, coded in lit_pixels:
+                steps = simulate._pattern_steps(freq, cfg.n_steps, coded[:, axis], cfg.coded_span)
+                for k, value in enumerate(steps):
+                    if k == len(stack):
+                        stack.append(noise[image + k].result() if noise
+                                     else np.zeros(n, dtype=np.float32))
+                    if noise:
+                        stack[k][at] += value.astype(np.float32)
+                    else:
+                        stack[k][at] = value
+            image += cfg.n_steps
+            stacks[(cfg.orientation, freq)] = stack
+    return stacks
+
+
+def resolved(frames):
+    """Done futures of copies of ``frames``, as ``_fringe_stacks`` takes noise."""
+    futures = [Future() for _ in frames]
+    for future, frame in zip(futures, frames):
+        future.set_result(frame.copy())
+    return futures
+
+
+def assert_same_stacks(got, want):
+    assert list(got) == list(want)
+    for key in want:
+        assert len(got[key]) == len(want[key])
+        for frame, want_frame in zip(got[key], want[key]):
+            assert frame.dtype == want_frame.dtype == np.float32
+            assert frame.tobytes() == want_frame.tobytes(), key
+
+
+class TestFringeStacks:
+    """Each disc's lit pixels fill the frames through one boolean mask."""
+
+    @pytest.mark.parametrize("noise", [None, NoiseSpec(0.5, 0.01, seed=3)],
+                             ids=["noiseless", "noisy"])
+    @pytest.mark.parametrize("make_truth", [make_small_truth, cppb_truth], ids=["small", "cppB"])
+    def test_mask_fill_equals_the_index_fill_bitwise(self, make_truth, noise, monkeypatch):
+        fill, filled = simulate._fringe_stacks, []
+
+        def both(truth, n, lit_pixels, noise):
+            frames = [future.result().copy() for future in noise]  # before the fill adds
+            stacks = fill(truth, n, lit_pixels, noise)
+            assert_same_stacks(stacks, index_fill(truth, n, lit_pixels, resolved(frames)))
+            filled.append(len(frames))
+            return stacks
+
+        monkeypatch.setattr(simulate, "_fringe_stacks", both)
+        render_scene(make_truth(noise))
+        assert filled == [24 if noise else 0]
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
+    @pytest.mark.parametrize("empty", [0, 1], ids=["first_disc", "second_disc"])
+    def test_a_disc_without_lit_pixels(self, empty, noisy):
+        truth = make_small_truth()
+        conics, pixels = render_inputs(truth)
+        lit = [simulate._lit_pixels(truth, pose, conic, pixels)
+               for pose, conic in zip(truth.spheres, conics)]
+        lit[empty] = (lit[empty][0][:0], lit[empty][1][:0])
+        rng = np.random.default_rng(7)
+        frames = [rng.standard_normal(len(pixels), dtype=np.float32) for _ in range(24 * noisy)]
+        stacks = simulate._fringe_stacks(truth, len(pixels), lit, resolved(frames))
+        assert_same_stacks(stacks, index_fill(truth, len(pixels), lit, resolved(frames)))
+        if not noisy:  # the empty disc's pixels stay 0
+            disc = conics[empty].normalized().evaluate(pixels) < 0
+            assert all(not frame[disc].any() for stack in stacks.values() for frame in stack)
 
 
 class TestSignalPixels:
