@@ -40,14 +40,8 @@ from .projector import (
     project_points,
 )
 from .reconstruct import reconstruct_cloud, triangulate, write_ply
-from .simulate import (
-    NoiseSpec,
-    SceneBundle,
-    SceneTruth,
-    preset,
-    project_sphere_to_conic,
-    render_scene,
-)
+from .scene import NoiseSpec, SceneBundle, SceneTruth
+from .simulate import preset, project_sphere_to_conic, render_scene
 from .sphere import (
     SpherePose,
     lift_pixel_to_sphere,

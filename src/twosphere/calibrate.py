@@ -39,7 +39,7 @@ from .projector import (
     normalize_points,
     project_stack,
 )
-from .simulate import INTEGER, MATRIX33, NUMBER, VECTOR3, _Fields, _is_vector, _read_intrinsics
+from .scene import INTEGER, MATRIX33, NUMBER, VECTOR3, _Fields, _is_vector, _read_intrinsics
 from .sphere import lift_pixels, sphere_centers
 
 # The single-candidate forms of the kernel's stages stay importable here:

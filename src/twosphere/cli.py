@@ -20,7 +20,8 @@ from .calibrate import CalibResult, evaluate_against_truth, format_error_report
 from .errors import CoincidentConics, DegenerateConic, InvalidConfig, TwosphereError
 from .pipeline import run_calibration
 from .reconstruct import reconstruct_cloud, write_ply
-from .simulate import PRESET_NAMES, SceneBundle, SceneTruth, preset, render_scene
+from .scene import SceneBundle, SceneTruth
+from .simulate import PRESET_NAMES, preset, render_scene
 
 log = logging.getLogger("twosphere")
 
@@ -63,6 +64,15 @@ def _load_truth(args) -> SceneTruth:
     return truth.with_noise(replace(truth.noise, **given))
 
 
+def _unwritable(path) -> str | None:
+    """Why no file can be written at ``path``: a missing directory, or a
+    directory in its place; None when the write can be tried."""
+    path = Path(path)
+    if not path.parent.is_dir():
+        return f"no directory {path.parent}"
+    return f"{path} is a directory" if path.is_dir() else None
+
+
 def _has_two_spheres(bundle: SceneBundle) -> bool:
     """True when the bundle holds two sphere contours; else log the error."""
     if len(bundle.contours) == 2:
@@ -101,8 +111,9 @@ def cmd_calibrate(args) -> int:
     if not _has_two_spheres(bundle):
         return EXIT_DEGENERATE
     out_path = Path(args.out) if args.out else Path(args.bundle) / "calib.json"
-    if not out_path.parent.is_dir():  # found before the search, not after it
-        log.error("cannot write calibration: no directory %s", out_path.parent)
+    problem = _unwritable(out_path)
+    if problem:  # found before the search, not after it
+        log.error("cannot write calibration: %s", problem)
         return EXIT_INPUT
 
     try:
@@ -140,6 +151,10 @@ def cmd_reconstruct(args) -> int:
         return EXIT_INPUT
     if not _has_two_spheres(bundle):
         return EXIT_DEGENERATE
+    problem = _unwritable(args.out_ply) or _unwritable(args.out_stats)
+    if problem:  # found before the cloud is triangulated, not after it
+        log.error("cannot write outputs: %s", problem)
+        return EXIT_INPUT
     points, errors, stats = reconstruct_cloud(
         bundle, calib.camera, calib.proj_matrix, stride=args.stride
     )

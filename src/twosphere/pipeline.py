@@ -16,7 +16,7 @@ from .calibrate import CalibResult, IscProblem, SphereObservation, calibrate
 from .errors import DegenerateConic, TooFewPoints
 from .geometry import fit_conic
 from .phase import decode_phase, phase_to_proj_coord
-from .simulate import SceneBundle
+from .scene import SceneBundle
 from .sphere import sample_interior_pixels
 
 __all__ = ["decode_bundle", "assemble_observations", "build_problem", "run_calibration"]

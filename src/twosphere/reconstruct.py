@@ -7,7 +7,7 @@ import numpy as np
 from .errors import NearParallelRays
 from .geometry import Intrinsics
 from .projector import ProjMatrix
-from .simulate import BLOCK_ROWS, SceneBundle
+from .scene import BLOCK_ROWS, SceneBundle
 
 __all__ = ["triangulate", "reconstruct_cloud", "write_ply"]
 

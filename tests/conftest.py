@@ -18,7 +18,7 @@ import pytest
 from twosphere import (Intrinsics, NoiseSpec, SceneTruth, SpherePose, preset, project_points,
                        render_scene)
 from twosphere.errors import TwosphereError
-from twosphere.simulate import rotation_about_y
+from twosphere.scene import rotation_about_y
 
 ROT = rotation_about_y(15.0)
 TRANS = -ROT @ np.array([1.0, 0.0, 0.0])
@@ -179,8 +179,8 @@ def cppb_disc():
     """cppB's sphere 0 as ``render_scene`` lifts it: the truth, the pose and
     the ~100k signal pixels inside the sphere's silhouette."""
     from twosphere.geometry import sample_conic_points
-    from twosphere.simulate import (CONTOUR_SAMPLES, preset, project_sphere_to_conic,
-                                    signal_pixels)
+    from twosphere.scene import signal_pixels
+    from twosphere.simulate import CONTOUR_SAMPLES, preset, project_sphere_to_conic
 
     truth = preset("cppB")
     pose = truth.spheres[0]

@@ -54,7 +54,7 @@ from twosphere.errors import (
     TwosphereError,
 )
 from twosphere.geometry import homogenize, pole_polar_cross
-from twosphere.simulate import rotation_about_y
+from twosphere.scene import rotation_about_y
 
 calibrate_module = importlib.import_module("twosphere.calibrate")
 

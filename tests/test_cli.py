@@ -11,7 +11,8 @@ from conftest import MICRO_CONFIG, make_micro_truth
 from twosphere.cli import main
 from twosphere.errors import BehindCamera, InvalidConfig
 from twosphere.imageio import read_float32, write_float32
-from twosphere.simulate import SceneTruth, render_scene
+from twosphere.scene import SceneTruth
+from twosphere.simulate import render_scene
 
 
 def write_config(tmp_path, overrides=None, name="scene.json"):
@@ -532,7 +533,7 @@ class TestCalibrate:
     def test_calibration_does_not_read_the_answer(self, micro_bundle_dir, micro_calib, tmp_path):
         import shutil
 
-        from twosphere.simulate import rotation_about_y
+        from twosphere.scene import rotation_about_y
 
         other = tmp_path / "other_truth"
         shutil.copytree(micro_bundle_dir, other)
@@ -767,13 +768,18 @@ class TestReconstructAndEvaluate:
 
 
 class TestUnwritableOutput:
-    @pytest.mark.parametrize("case", ["simulate", "calibrate", "reconstruct", "reconstruct_stats"])
+    @pytest.mark.parametrize("case", ["simulate", "calibrate", "calibrate_into_dir", "reconstruct",
+                                      "reconstruct_stats", "reconstruct_into_dir"])
     def test_unwritable_output_exits_2(self, micro_bundle_dir, micro_calib, tmp_path, caplog,
                                        monkeypatch, case):
         def no_search(*args, **kwargs):
-            raise AssertionError("calibrate searched before it checked its output directory")
+            raise AssertionError("calibrate searched before it checked its output path")
+
+        def no_cloud(*args, **kwargs):
+            raise AssertionError("reconstruct triangulated before it checked its output paths")
 
         monkeypatch.setattr("twosphere.cli.run_calibration", no_search)
+        monkeypatch.setattr("twosphere.cli.reconstruct_cloud", no_cloud)
         blocker = tmp_path / "a_file"
         blocker.write_text("")
         missing = tmp_path / "missing_dir"
@@ -782,16 +788,39 @@ class TestUnwritableOutput:
             # the bundle directory would have to be made inside a regular file
             "simulate": ["--config", str(write_config(tmp_path)), "--out", str(blocker / "b")],
             "calibrate": [str(micro_bundle_dir), "--out", str(missing / "c.json")],
+            "calibrate_into_dir": [str(micro_bundle_dir), "--out", str(tmp_path)],
             "reconstruct": [str(micro_bundle_dir), str(micro_calib),
                             "--out-ply", str(missing / "c.ply"),
                             "--out-stats", str(tmp_path / "s.json")],
-            # the PLY is written, then the stats fail: the PLY must not be left behind
+            # a writable PLY path does not hide an unwritable stats path: no PLY is written
             "reconstruct_stats": [str(micro_bundle_dir), str(micro_calib),
                                   "--out-ply", str(tmp_path / "c.ply"),
                                   "--out-stats", str(missing / "s.json")],
+            "reconstruct_into_dir": [str(micro_bundle_dir), str(micro_calib),
+                                     "--out-ply", str(tmp_path / "c.ply"),
+                                     "--out-stats", str(tmp_path)],
         }[case]
         assert main(["--quiet", command, *argv]) == 2
         errors = error_lines(caplog)
         assert len(errors) == 1 and errors[0].startswith("cannot write")
         assert not missing.exists()
         assert not (tmp_path / "c.ply").exists() and not (tmp_path / "s.json").exists()
+
+    def test_stats_failing_after_the_ply_leave_no_ply(self, micro_bundle_dir, micro_calib,
+                                                      tmp_path, caplog, monkeypatch):
+        # the stats' directory goes away between the check and the write
+        from twosphere.reconstruct import write_ply
+
+        out = tmp_path / "out"
+        out.mkdir()
+
+        def write_then_remove_out(path, points, errors):
+            write_ply(path, points, errors)
+            out.rmdir()
+
+        monkeypatch.setattr("twosphere.cli.write_ply", write_then_remove_out)
+        assert main(["--quiet", "reconstruct", str(micro_bundle_dir), str(micro_calib),
+                     "--out-ply", str(tmp_path / "c.ply"), "--out-stats", str(out / "s.json")]) == 2
+        errors = error_lines(caplog)
+        assert len(errors) == 1 and errors[0].startswith("cannot write outputs: ")
+        assert not (tmp_path / "c.ply").exists()

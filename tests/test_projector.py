@@ -24,7 +24,7 @@ from twosphere.projector import (
     normalize_points,
     project_stack,
 )
-from twosphere.simulate import rotation_about_y
+from twosphere.scene import rotation_about_y
 
 K_PROJ = Intrinsics(fx=1202.7, fy=1199.0, skew=-8.2, u0=390.7, v0=222.8)
 

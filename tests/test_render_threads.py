@@ -35,7 +35,8 @@ import time
 
 from twosphere.pipeline import run_calibration
 from twosphere.reconstruct import reconstruct_cloud
-from twosphere.simulate import NoiseSpec, preset, render_scene
+from twosphere.scene import NoiseSpec
+from twosphere.simulate import preset, render_scene
 
 truth = preset("cppB")
 bundle = render_scene(truth.with_noise(NoiseSpec(0.5, 0.01, seed=0)))

@@ -22,10 +22,10 @@ from twosphere import (
     render_scene,
     sphere_center_from_conic,
 )
-from twosphere.errors import (BehindCamera, InvalidNoise, RayMissesSphere, SphereOutOfView,
-                              SpheresOverlapInImage)
+from twosphere.errors import (BehindCamera, InvalidBundle, InvalidNoise, RayMissesSphere,
+                              SphereOutOfView, SpheresOverlapInImage)
 from twosphere.geometry import ellipse_parameters, sample_conic_points
-from twosphere import simulate
+from twosphere import scene, simulate
 from twosphere.phase import pattern_value
 from twosphere.projector import project_stack
 from twosphere.sphere import lift_pixels
@@ -92,7 +92,7 @@ class TestPresets:
 
     def test_config_round_trip(self):
         t = preset("cppB")
-        from twosphere.simulate import SceneTruth
+        from twosphere.scene import SceneTruth
 
         again = SceneTruth.from_config(t.to_config())
         assert again.camera == t.camera
@@ -305,7 +305,7 @@ def padded_boxes(contours, w, h):
     contours' bounding boxes, each padded by ``BOX_PAD_PX`` and clipped to
     the frame. The signal list was this union; the noise streams still run
     over it."""
-    pad = simulate.BOX_PAD_PX
+    pad = scene.BOX_PAD_PX
     flat = set()
     for pts in contours:
         (x0, y0) = np.maximum(np.floor(pts.min(axis=0)).astype(int) - pad, 0)
@@ -393,7 +393,7 @@ def render_inputs(truth):
     """The exact conics and the signal pixels that a noiseless render lifts."""
     conics = [project_sphere_to_conic(pose, truth.camera) for pose in truth.spheres]
     boundaries = [sample_conic_points(c, simulate.CONTOUR_SAMPLES) for c in conics]
-    return conics, simulate.signal_pixels(boundaries, truth.cam_w, truth.cam_h)
+    return conics, scene.signal_pixels(boundaries, truth.cam_w, truth.cam_h)
 
 
 class TestLitPixels:
@@ -525,7 +525,7 @@ class TestSignalPixels:
         import dataclasses
 
         from twosphere import reconstruct
-        from twosphere.simulate import BOX_PAD_PX
+        from twosphere.scene import BOX_PAD_PX
 
         # diagonal neighbours: the bounding boxes overlap, the silhouettes do not
         truth = dataclasses.replace(
@@ -595,6 +595,23 @@ class TestSignalPixels:
         bundle = SceneBundle(truth=truth, contours=[], pixels=pixels, stacks={})
         assert bundle.flat_index.dtype == np.int64
         assert bundle.flat_index.tolist() == [2_800_069_999]
+
+    @pytest.mark.parametrize("pixels, ordered", [
+        ([(69_999, 0), (0, 1), (0, 39_999), (69_999, 39_999)], True),
+        ([(1, 7), (0, 7)], False),  # x swapped within a row
+        ([(3, 7), (3, 7)], False),  # a duplicate
+        ([(5, 8), (6, 7)], False),  # back a row, further right
+    ])
+    def test_pixel_order_is_checked_past_2_31(self, tmp_path, pixels, ordered):
+        # a 70,000 x 40,000 frame: its row-major index passes 2**31
+        truth = replace(preset("cppB"), cam_w=70_000, cam_h=40_000)
+        path = tmp_path / "pixels.i32"
+        np.array(pixels, dtype="<i4").tofile(path)
+        if ordered:
+            assert scene._read_pixels(path, truth).tolist() == [list(p) for p in pixels]
+        else:
+            with pytest.raises(InvalidBundle, match="not strictly in row-major order"):
+                scene._read_pixels(path, truth)
 
 
 SCENES = {"cppA": lambda noise: preset("cppA").with_noise(noise),
