@@ -293,8 +293,8 @@ def _jacobian(p, r0, vec, ok):
     return cols.T
 
 
-def _levenberg_marquardt(fn, p0, max_iters, at=None):
-    """Damped least squares of ``fn``'s residuals from the start p0.
+def _levenberg_marquardt(fn, p0, at=None):
+    """Damped least squares of ``fn``'s residuals from p0, at most ``MAX_ITERS`` steps.
 
     ``at`` is ``fn``'s output at the rows [p0] or [p0, *_probes(p0)], when
     the caller has evaluated them already; otherwise p0 is evaluated here,
@@ -323,7 +323,7 @@ def _levenberg_marquardt(fn, p0, max_iters, at=None):
     iterations = 0
     probes = (vec[1:], ok[1:]) if len(vec) > 1 else _batched(fn, _probes(p))[:2]
     J = _jacobian(p, r, *probes)
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         jtj = J.T @ J
         grad = J.T @ r
         accepted = retry = False
@@ -338,7 +338,7 @@ def _levenberg_marquardt(fn, p0, max_iters, at=None):
             trial = p + step
             if trial.tobytes() != p.tobytes():  # p itself cannot lower F
                 stops = np.linalg.norm(step) < REL_STEP_TOL * max(np.linalg.norm(trial), 1.0)
-                probed = not stops and iterations + 1 < max_iters
+                probed = not stops and iterations + 1 < MAX_ITERS
                 with_probes = probed and not retry
                 rows = np.vstack([trial, _probes(trial)]) if with_probes else trial[None]
                 out = _batched(fn, rows)
@@ -411,7 +411,7 @@ def calibrate(problem: IscProblem, *, mu: float | None = None) -> CalibResult:
         raise ValueError(f"constraint weight must be finite and non-negative, got {mu}")
     fn = lambda P: _residuals(P, problem)  # noqa: E731
     p0, at = _scan_start(fn, problem.cam_w, problem.cam_h)
-    params, at, history, iterations, converged = _levenberg_marquardt(fn, p0, MAX_ITERS, at)
+    params, at, history, iterations, converged = _levenberg_marquardt(fn, p0, at)
     # a rough guess, such as a focal of the image width, can misrank the pairs
     line, point = constraint_pair(*(o.conic for o in problem.observations), Intrinsics(*params))
     if mu > 0:
@@ -428,7 +428,7 @@ def calibrate(problem: IscProblem, *, mu: float | None = None) -> CalibResult:
         # the penalized descent starts where the first ended, on its evaluated rows
         rows = params[None] if len(at[0]) == 1 else np.vstack([params, _probes(params)])
         params, at, history, iterations, converged = _levenberg_marquardt(
-            penalized, params, MAX_ITERS, penalized(rows, at)
+            penalized, params, penalized(rows, at)
         )
 
     K = Intrinsics(*params)

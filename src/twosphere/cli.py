@@ -87,6 +87,11 @@ def _has_two_spheres(bundle: SceneBundle) -> bool:
 
 def cmd_simulate(args) -> int:
     truth = _load_truth(args)
+    out = Path(args.out)  # save makes a missing directory, not one inside a file
+    existing = next((path for path in (out, *out.parents) if path.exists()), out)
+    if not existing.is_dir():  # found before the render, not after it
+        log.error("cannot write bundle: %s is not a directory", existing)
+        return EXIT_INPUT
     try:
         bundle = render_scene(truth)
     except TwosphereError as exc:
@@ -179,7 +184,8 @@ def cmd_evaluate(args) -> int:
     try:
         calib = CalibResult.from_json_dict(json.loads(Path(args.calib).read_text()))
         document = json.loads(Path(args.truth).read_text())
-        if "truth" in document:  # a bundle manifest, version-checked as SceneBundle.load does
+        if isinstance(document, dict) and "truth" in document:
+            # a bundle manifest, version-checked as SceneBundle.load does
             document = SceneBundle.checked_manifest(document)["truth"]
         truth = SceneTruth.from_config(document)
     except InvalidConfig as exc:

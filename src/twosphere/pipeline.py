@@ -33,8 +33,8 @@ def decode_bundle(
     pattern set. Only those rows are decoded; the decode is per pixel, so the
     result equals the full decode indexed at ``at``."""
     proj_px, valid = [], True
-    for cfg in (bundle.truth.fringe_vertical, bundle.truth.fringe_horizontal):
-        stacks = [[img[at] for img in stack] for stack in bundle.stack_list(cfg)]
+    for cfg in bundle.truth.fringe_configs:
+        stacks = [[img[at] for img in bundle.stacks[(cfg.orientation, f)]] for f in cfg.freqs]
         phase, mask = decode_phase(stacks, cfg)
         proj_px.append(phase_to_proj_coord(phase, cfg.top_freq, cfg.coded_span))
         valid = valid & mask

@@ -153,7 +153,8 @@ def rotation_about_y(angle_deg: float) -> np.ndarray:
 class SceneTruth:
     """Ground truth of one synthetic scene (camera frame is the world frame).
     ValueError unless it holds two spheres, a rotation and a fringe ladder
-    from 1 cycle per frame up."""
+    from 1 cycle per frame up, and its pattern sets pass ``FringeConfig``'s
+    checks (at least 3 steps, a positive projector frame)."""
 
     camera: Intrinsics
     cam_w: int
@@ -167,6 +168,8 @@ class SceneTruth:
     n_steps: int = FRINGE_STEPS
     freqs: tuple[int, ...] = FRINGE_FREQS
     noise: NoiseSpec = field(default_factory=NoiseSpec)
+    # the pattern sets in bundle order: vertical (codes x), then horizontal (codes y)
+    fringe_configs: tuple[FringeConfig, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rotation", np.asarray(self.rotation, dtype=float).reshape(3, 3))
@@ -176,18 +179,13 @@ class SceneTruth:
                                       ("freqs", LADDER)):
             if not valid(getattr(self, name)):
                 raise ValueError(f"{name} {phrase}, got {getattr(self, name)}")
+        object.__setattr__(self, "fringe_configs", tuple(
+            FringeConfig(self.n_steps, self.freqs, self.proj_w, self.proj_h, orientation)
+            for orientation in ("vertical", "horizontal")))
 
     @property
     def proj_matrix(self) -> ProjMatrix:
         return compose(self.proj_intrinsics, self.rotation, self.translation)
-
-    @property
-    def fringe_vertical(self) -> FringeConfig:
-        return FringeConfig(self.n_steps, self.freqs, self.proj_w, self.proj_h, "vertical")
-
-    @property
-    def fringe_horizontal(self) -> FringeConfig:
-        return FringeConfig(self.n_steps, self.freqs, self.proj_w, self.proj_h, "horizontal")
 
     def with_noise(self, noise: NoiseSpec) -> "SceneTruth":
         return replace(self, noise=noise)
@@ -323,10 +321,6 @@ class SceneBundle:
         int64: it passes 2**31 on a frame of that many pixels."""
         return self.pixels[:, 1].astype(np.int64) * self.truth.cam_w + self.pixels[:, 0]
 
-    def stack_list(self, cfg: FringeConfig) -> list:
-        """Per-frequency stacks for one orientation, aligned with cfg.freqs."""
-        return [self.stacks[(cfg.orientation, f)] for f in cfg.freqs]
-
     # -- persistence ---------------------------------------------------
 
     def save(self, out_dir) -> None:
@@ -334,9 +328,9 @@ class SceneBundle:
         list and the fringe images, exactly what the bundle holds.
 
         ``pixels.i32`` is ``pixels`` as raw little-endian int32 (x, y) pairs.
-        ``fringes.f32`` (``imageio``) holds one row per image, vertical then
-        horizontal, frequency-major, step-minor, each row the image's values
-        at ``pixels``; the rows are written one after another, not stacked.
+        ``fringes.f32`` (``imageio``) holds one row per image in bundle order
+        (``truth.fringe_configs``, frequency-major, step-minor), each the
+        image's values at ``pixels``; the rows are written one after another, not stacked.
         """
         out = Path(out_dir)
         (out / "contours").mkdir(parents=True, exist_ok=True)
@@ -352,8 +346,8 @@ class SceneBundle:
             np.savetxt(out / "contours" / f"sphere{i}.csv", pts, fmt="%.17g", delimiter=",")
         self.pixels.astype("<i4", copy=False).tofile(out / PIXELS_NAME)
         imageio.write_float32(out / FRINGES_NAME, [
-            img for cfg in (self.truth.fringe_vertical, self.truth.fringe_horizontal)
-            for stack in self.stack_list(cfg) for img in stack])
+            img for cfg in self.truth.fringe_configs for freq in cfg.freqs
+            for img in self.stacks[(cfg.orientation, freq)]])
 
     @staticmethod
     def checked_manifest(manifest) -> dict:
@@ -404,8 +398,7 @@ class SceneBundle:
             raise InvalidBundle(f"{FRINGES_NAME}: a value that is not finite")
         rows = iter(fringes)  # in the order save wrote them
         stacks = {(cfg.orientation, freq): [next(rows) for _ in range(cfg.n_steps)]
-                  for cfg in (truth.fringe_vertical, truth.fringe_horizontal)
-                  for freq in cfg.freqs}
+                  for cfg in truth.fringe_configs for freq in cfg.freqs}
         return cls(truth=truth, contours=contours, pixels=pixels, stacks=stacks)
 
 

@@ -5,6 +5,7 @@ the physical rig would produce, so every estimation stage can be checked."""
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -159,38 +160,38 @@ def _lit_pixels(truth: SceneTruth, pose: SpherePose, conic: Conic, pixels: np.nd
     return np.concatenate(lit_at), np.concatenate(coded, axis=1).T
 
 
-def _fringe_stacks(truth: SceneTruth, n: int, lit_pixels: list, noise: list) -> dict:
+def _fringe_stacks(truth: SceneTruth, n: int, lit_pixels: list, noise) -> dict:
     """The bundle's ``stacks`` of frames of ``n`` pixels: the pattern at each
-    lit pixel's coded coordinate, 0 at every other pixel, plus the noise of
-    image i (vertical then horizontal, frequency-major) once ``noise[i]`` has
-    drawn it; no noise when ``noise`` is empty. A pattern set's steps are
-    filled one disc at a time, so one disc's phase argument is held at once.
-    Each disc's lit pixels are one boolean mask over the ``n`` pixels, made
-    once: a masked fill costs about a third of an index scatter, and takes
-    the same values in the same ascending order."""
+    lit pixel's coded coordinate, 0 at every other pixel, plus the frames that
+    ``noise`` yields in bundle order (``truth.fringe_configs``) unless it is
+    None. A pattern set's steps are filled one disc at a time, so one disc's
+    phase argument is held at once; the first disc takes each frame after it
+    computes the step, overlapping that frame's noise draw. Each disc's lit
+    pixels are one boolean mask over the ``n`` pixels, made once: a masked
+    fill costs about a third of an index scatter, and takes the same values
+    in the same ascending order."""
     discs = []  # (lit mask over the n pixels, coded coordinates) per disc
     for at, coded in lit_pixels:
         mask = np.zeros(n, dtype=bool)
         mask[at] = True
         discs.append((mask, coded))
     stacks = {}
-    image = 0
-    for cfg in (truth.fringe_vertical, truth.fringe_horizontal):
+    for cfg in truth.fringe_configs:
         axis = 0 if cfg.orientation == "vertical" else 1
         for freq in cfg.freqs:
-            stack = []
+            frames = (np.zeros(n, dtype=np.float32) if noise is None else next(noise)
+                      for _ in range(cfg.n_steps))
             for mask, coded in discs:
-                steps = _pattern_steps(freq, cfg.n_steps, coded[:, axis], cfg.coded_span)
-                for k, value in enumerate(steps):
-                    if k == len(stack):  # the first disc takes each frame as it is drawn
-                        stack.append(noise[image + k].result() if noise
-                                     else np.zeros(n, dtype=np.float32))
-                    if noise:  # the float32 pattern + noise, as a one-thread render adds
-                        stack[k][mask] += value.astype(np.float32)
-                    else:  # a write alone: reading the untouched zeros would fault them in
-                        stack[k][mask] = value
-            image += cfg.n_steps
-            stacks[(cfg.orientation, freq)] = stack
+                filled = []
+                for value in _pattern_steps(freq, cfg.n_steps, coded[:, axis], cfg.coded_span):
+                    frame = next(frames)  # not through zip, which would hold the last step's values
+                    if noise is None:  # a write alone: reading untouched zeros would fault them in
+                        frame[mask] = value
+                    else:  # the float32 pattern + noise, as a one-thread render adds
+                        frame[mask] += value.astype(np.float32)
+                    filled.append(frame)
+                frames = iter(filled)
+            stacks[(cfg.orientation, freq)] = filled
     return stacks
 
 
@@ -250,11 +251,11 @@ def render_scene(truth: SceneTruth) -> SceneBundle:
     pool = ThreadPoolExecutor(1)  # starts its thread on the first submit
     try:
         n_images = 2 * len(truth.freqs) * truth.n_steps  # both orientations
-        # the streams run over the padded boxes (see _draw_noise); one scratch
-        # stream serves every draw, as the pool's one worker runs them in turn
+        # the streams run over the padded boxes (see _draw_noise); one scratch stream
+        # serves every draw, as the pool's one worker runs them in turn, in bundle order
         stream = np.empty(len(in_hull), dtype=np.float32) if sigma > 0 else None
-        noise = [pool.submit(_draw_noise, stream, in_hull, seed, index, sigma)
-                 for index in range(n_images)] if sigma > 0 else []
+        noise = pool.map(partial(_draw_noise, stream, in_hull, seed, sigma=sigma),
+                         range(n_images)) if sigma > 0 else None
         del stream, in_hull  # the last draw frees them
         lit_pixels = [_lit_pixels(truth, pose, conic, pixels)
                       for pose, conic in zip(truth.spheres, conics)]

@@ -152,10 +152,10 @@ def lift_pixels(
     sum runs along contiguous rows; with them comes the (B,) count of rays
     that miss. A member with misses has meaningless points.
 
-    Every product is an einsum, not BLAS: the render lifts whole discs
-    through this core, and on some hosts a frame-sized BLAS product,
-    stacked or 2-D, starts a second OpenBLAS thread that keeps spinning
-    after it returns.
+    Every product is an einsum, not BLAS: the render lifts its discs through
+    this core, ``scene.BLOCK_ROWS`` signal pixels at a time, and on some
+    hosts a large BLAS product, stacked or 2-D, starts a second OpenBLAS
+    thread that keeps spinning after it returns.
     """
     B, n = len(K_inv), px.shape[1]
     dirs = np.einsum("kj,jn->kn", K_inv[:, :, :2].reshape(3 * B, 2), px).reshape(B, 3, n)

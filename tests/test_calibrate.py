@@ -444,7 +444,8 @@ INFEASIBLE = [
 class TestInfeasibleCandidates:
     @pytest.mark.parametrize("make, candidate, reason", [c[1:] for c in INFEASIBLE],
                              ids=[c[0] for c in INFEASIBLE])
-    def test_masked_in_batch_raised_alone(self, truth_small, make, candidate, reason):
+    def test_masked_in_batch_raised_alone(self, truth_small, make, candidate, reason,
+                                          monkeypatch):
         base = exact_problem(truth_small)
         problem = make(base)
         with pytest.raises(reason):
@@ -456,8 +457,9 @@ class TestInfeasibleCandidates:
         assert np.all(np.isnan(vec[0])) and np.all(np.isnan(M[0]))
         if feasible:
             assert ok[1]
+        monkeypatch.setattr(calibrate_module, "MAX_ITERS", 1)
         with pytest.raises(InfeasibleCandidate):
-            _levenberg_marquardt(residual_fn(problem), np.array(candidate), 1)
+            _levenberg_marquardt(residual_fn(problem), np.array(candidate))
         if np.all(np.isfinite(candidate)) and candidate[0] > 0 and candidate[1] > 0:
             with pytest.raises(InfeasibleCandidate):
                 isc_objective(Intrinsics(*candidate), problem)
@@ -621,14 +623,15 @@ class TestCalibrate:
         assert result.iterations <= 2
 
     @pytest.mark.parametrize("scale", [1.5, 0.6], ids=["focal_high", "focal_low"])
-    def test_far_start_reaches_criterion_one(self, truth_small, scale):
+    def test_far_start_reaches_criterion_one(self, truth_small, scale, monkeypatch):
         # the step stop does not end a descent that is still far away: from
         # focal lengths 50 % high or 40 % low and an offset principal point,
         # the descent reaches criterion-1 accuracy (0.1 %)
         problem = exact_problem(truth_small)
         true = params_of(truth_small.camera)
         p0 = true * np.array([scale, scale * 0.97, 0.0, 1.1, 0.9])
-        p, _, _, iterations, converged = _levenberg_marquardt(residual_fn(problem), p0, 200)
+        monkeypatch.setattr(calibrate_module, "MAX_ITERS", 200)
+        p, _, _, iterations, converged = _levenberg_marquardt(residual_fn(problem), p0)
         assert converged and iterations > 2
         rel = np.abs(p - true) / np.abs(true)
         assert np.all(rel[[0, 1, 3, 4]] < 1e-3)
@@ -696,7 +699,7 @@ class TestSingleStart:
         return [np.array([f, f, 0.0, cx, cy]) for f in focals]
 
     @pytest.mark.parametrize("mu", [0.0, None], ids=["mu0", "default_mu"])
-    def test_former_starts_reach_the_same_camera(self, bundle_small_noisy, mu):
+    def test_former_starts_reach_the_same_camera(self, bundle_small_noisy, mu, monkeypatch):
         problem = build_problem(bundle_small_noisy)
         expected = params_of(calibrate(problem, mu=mu).camera)
         fn = residual_fn(problem)
@@ -707,8 +710,9 @@ class TestSingleStart:
             fn = penalized_fn(problem, pair, 1e4 * n_correspondences(problem))
         starts = self.former_starts(problem, fn)
         assert len(starts) >= 2
+        monkeypatch.setattr(calibrate_module, "MAX_ITERS", 200)
         for p0 in starts:
-            got = _levenberg_marquardt(fn, p0, 200)[0]
+            got = _levenberg_marquardt(fn, p0)[0]
             np.testing.assert_allclose(got, expected, rtol=1e-5)
 
 
@@ -729,7 +733,7 @@ class TestSolverCore:
             return np.where(ok[:, None], P @ self.A.T - self.b, np.nan), ok
         return fn
 
-    def test_jacobian_splits_twelve_probes(self):
+    def test_jacobian_splits_twelve_probes(self, monkeypatch):
         sizes = []
         fn = self.toy(sizes)
         p = np.full(6, 0.5)
@@ -738,23 +742,27 @@ class TestSolverCore:
         np.testing.assert_allclose(J, self.A, rtol=1e-6, atol=1e-8)
         # a descent's trial goes with its twelve probes: 13 rows in two calls
         sizes.clear()
-        _levenberg_marquardt(fn, p, 1)
+        monkeypatch.setattr(calibrate_module, "MAX_ITERS", 1)
+        _levenberg_marquardt(fn, p)
         assert sizes == [1, 11, 1, 1]  # the start, its probes, one trial alone (no next step)
         sizes.clear()
-        _levenberg_marquardt(fn, p, 2)
+        monkeypatch.setattr(calibrate_module, "MAX_ITERS", 2)
+        _levenberg_marquardt(fn, p)
         assert sizes[:5] == [1, 11, 1, 11, 2]
 
-    def test_descent_reaches_the_minimum(self):
+    def test_descent_reaches_the_minimum(self, monkeypatch):
         assert np.all(np.abs(self.minimum) < 10.0)
-        p, _, history, iterations, converged = _levenberg_marquardt(self.toy([]), np.zeros(6), 200)
+        monkeypatch.setattr(calibrate_module, "MAX_ITERS", 200)
+        p, _, history, iterations, converged = _levenberg_marquardt(self.toy([]), np.zeros(6))
         assert converged and iterations >= 1
         np.testing.assert_allclose(p, self.minimum, rtol=1e-7, atol=1e-9)
         r = self.A @ self.minimum - self.b
         assert history[-1] == pytest.approx(r @ r, rel=1e-12)
 
-    def test_infeasible_start_raises(self):
+    def test_infeasible_start_raises(self, monkeypatch):
+        monkeypatch.setattr(calibrate_module, "MAX_ITERS", 200)
         with pytest.raises(InfeasibleCandidate):
-            _levenberg_marquardt(self.toy([]), np.full(6, 20.0), 200)
+            _levenberg_marquardt(self.toy([]), np.full(6, 20.0))
 
 
 class TestEvaluate:

@@ -761,6 +761,16 @@ class TestReconstructAndEvaluate:
         assert error_lines(caplog) == [
             f"cannot load inputs: format_version {version!r}: only 2 is read"]
 
+    @pytest.mark.parametrize("document", [5, "truth", [1, 2]], ids=["number", "string", "list"])
+    def test_evaluate_truth_that_is_not_an_object_exits_2(self, micro_calib, tmp_path, caplog,
+                                                          capsys, document):
+        # only a JSON object with a "truth" key is read as a bundle manifest
+        bad = tmp_path / "truth.json"
+        bad.write_text(json.dumps(document))
+        assert main(["--quiet", "evaluate", str(micro_calib), str(bad)]) == 2
+        assert capsys.readouterr().out == ""
+        assert error_lines(caplog) == ["truth config: must be an object"]
+
     def test_evaluate_schema_mismatch_exits_2(self, micro_calib, tmp_path):
         bad = tmp_path / "junk.json"
         bad.write_text(json.dumps({"truth": {"camera": {}}}))
@@ -768,16 +778,21 @@ class TestReconstructAndEvaluate:
 
 
 class TestUnwritableOutput:
-    @pytest.mark.parametrize("case", ["simulate", "calibrate", "calibrate_into_dir", "reconstruct",
-                                      "reconstruct_stats", "reconstruct_into_dir"])
+    @pytest.mark.parametrize("case", ["simulate", "simulate_onto_file", "calibrate",
+                                      "calibrate_into_dir", "reconstruct", "reconstruct_stats",
+                                      "reconstruct_into_dir"])
     def test_unwritable_output_exits_2(self, micro_bundle_dir, micro_calib, tmp_path, caplog,
                                        monkeypatch, case):
+        def no_render(*args, **kwargs):
+            raise AssertionError("simulate rendered before it checked its output path")
+
         def no_search(*args, **kwargs):
             raise AssertionError("calibrate searched before it checked its output path")
 
         def no_cloud(*args, **kwargs):
             raise AssertionError("reconstruct triangulated before it checked its output paths")
 
+        monkeypatch.setattr("twosphere.cli.render_scene", no_render)
         monkeypatch.setattr("twosphere.cli.run_calibration", no_search)
         monkeypatch.setattr("twosphere.cli.reconstruct_cloud", no_cloud)
         blocker = tmp_path / "a_file"
@@ -787,6 +802,7 @@ class TestUnwritableOutput:
         argv = {
             # the bundle directory would have to be made inside a regular file
             "simulate": ["--config", str(write_config(tmp_path)), "--out", str(blocker / "b")],
+            "simulate_onto_file": ["--config", str(write_config(tmp_path)), "--out", str(blocker)],
             "calibrate": [str(micro_bundle_dir), "--out", str(missing / "c.json")],
             "calibrate_into_dir": [str(micro_bundle_dir), "--out", str(tmp_path)],
             "reconstruct": [str(micro_bundle_dir), str(micro_calib),
@@ -803,7 +819,7 @@ class TestUnwritableOutput:
         assert main(["--quiet", command, *argv]) == 2
         errors = error_lines(caplog)
         assert len(errors) == 1 and errors[0].startswith("cannot write")
-        assert not missing.exists()
+        assert not missing.exists() and blocker.read_text() == ""
         assert not (tmp_path / "c.ply").exists() and not (tmp_path / "s.json").exists()
 
     def test_stats_failing_after_the_ply_leave_no_ply(self, micro_bundle_dir, micro_calib,

@@ -1,12 +1,18 @@
 import ast
 import importlib
 import importlib.util
+import json
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from conftest import make_small_truth
+
 import twosphere
+from twosphere import NoiseSpec, SceneBundle, assemble_observations
+from twosphere.cli import main
 
 MODULES = [twosphere] + [
     importlib.import_module(f"twosphere.{info.name}")
@@ -85,3 +91,35 @@ def test_every_name_the_benchmark_reads_resolves():
         except (ImportError, AttributeError):
             unresolved.append(name)
     assert unresolved == []
+
+
+def test_the_benchmark_hooks_read_what_the_program_gives(tmp_path):
+    # the tracer's count hooks read program attributes (bundle.stacks,
+    # problem.obs1.conic, result.iterations, the cloud's stats): run the
+    # small scene's CLI chain under it and compare each count with its source
+    tracing = perfbench_module("tracing")
+    config = tmp_path / "scene.json"
+    config.write_text(json.dumps(make_small_truth(NoiseSpec(0.5, 0.01, seed=3)).to_config()))
+    bundle, stats = tmp_path / "run", tmp_path / "stats.json"
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        tracer.start_op(0)
+        for argv in (["simulate", "--config", str(config), "--out", str(bundle)],
+                     ["calibrate", str(bundle)],
+                     ["reconstruct", str(bundle), str(bundle / "calib.json"),
+                      "--out-ply", str(tmp_path / "cloud.ply"), "--out-stats", str(stats)]):
+            assert main(["--quiet", *argv]) == 0
+        tracer.finish_op()
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    layers = tracing.per_op_layers(tracer)[0]
+    loaded = SceneBundle.load(bundle)
+    observations = assemble_observations(loaded)
+    calib = json.loads((bundle / "calib.json").read_text())
+    assert layers["simulate.stack_mb"] == 24 * len(loaded.pixels) * 4 / 1e6
+    assert layers["pipeline.correspondences"] == sum(map(len, observations))
+    assert layers["calibrate.lm_iters"] == calib["iterations"]
+    assert layers["reconstruct.points"] == json.loads(stats.read_text())["points"]
+    assert np.array_equal(tracer.first_conic.matrix, observations[0].conic.matrix)

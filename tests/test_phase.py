@@ -185,8 +185,9 @@ class TestDecodeAsReference:
         # a scene whose modulation came this near the threshold could flip a
         # pixel of the mask, and must fail here rather than change an output
         bundle = render_scene(make_truth(NoiseSpec(0.5, sigma, seed)))
-        for cfg in (bundle.truth.fringe_vertical, bundle.truth.fringe_horizontal):
-            assert assert_decodes_as_reference(bundle.stack_list(cfg), cfg) > 1e-12
+        for cfg in bundle.truth.fringe_configs:
+            stacks = [bundle.stacks[(cfg.orientation, freq)] for freq in cfg.freqs]
+            assert assert_decodes_as_reference(stacks, cfg) > 1e-12
 
 
 class TestUnwrap:

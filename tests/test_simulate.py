@@ -1,6 +1,5 @@
 import threading
 import tracemalloc
-from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
@@ -112,6 +111,9 @@ class TestSceneRules:
         pytest.param({"rotation": 1.5 * R}, id="rotation_scaled"),
         pytest.param({"rotation": np.diag([1.0, 1.0, -1.0]) @ R}, id="rotation_reflected"),
         pytest.param({"spheres": make_micro_truth().spheres[:1]}, id="one_sphere"),
+        # the pattern sets' own checks, found before a render lifts the discs
+        pytest.param({"n_steps": 2}, id="two_steps"),
+        pytest.param({"proj_w": 0}, id="no_projector_columns"),
     ])
     def test_rejected_at_construction(self, changes):
         with pytest.raises(ValueError):
@@ -198,10 +200,10 @@ class TestRenderScene:
             np.searchsorted(flat, c.cam_px[:, 1].astype(int) * w + c.cam_px[:, 0].astype(int))
             for c in lit
         ]
-        for cfg in (truth.fringe_vertical, truth.fringe_horizontal):
+        for cfg in truth.fringe_configs:
             axis = 0 if cfg.orientation == "vertical" else 1
-            for freq, stack in zip(cfg.freqs, bundle_small.stack_list(cfg)):
-                for k, values in enumerate(stack):
+            for freq in cfg.freqs:
+                for k, values in enumerate(bundle_small.stacks[(cfg.orientation, freq)]):
                     assert not values[outside].any()
                     for at, corr in zip(ats, lit):
                         coord = corr.proj_px[:, axis]
@@ -331,9 +333,10 @@ class TestIntensityNoise:
         assert np.array_equal(boxes[at], noisy.flat_index)  # the signal list lies in the boxes
         assert len(boxes) > len(at)
         index = 0
-        for cfg in (truth.fringe_vertical, truth.fringe_horizontal):
-            for frames, noisy_frames in zip(clean.stack_list(cfg), noisy.stack_list(cfg)):
-                for frame, noisy_frame in zip(frames, noisy_frames):
+        for cfg in truth.fringe_configs:
+            for freq in cfg.freqs:
+                key = (cfg.orientation, freq)
+                for frame, noisy_frame in zip(clean.stacks[key], noisy.stacks[key]):
                     rng = np.random.default_rng(np.random.SeedSequence([seed, 1, index]))
                     noise = rng.standard_normal(len(boxes), dtype=np.float32)[at]
                     noise *= sigma
@@ -446,32 +449,26 @@ def index_fill(truth, n, lit_pixels, noise):
     """Reference for ``simulate._fringe_stacks``: each disc's float64 pattern
     values scattered into the float32 frames through its int32 index."""
     stacks = {}
-    image = 0
-    for cfg in (truth.fringe_vertical, truth.fringe_horizontal):
+    for cfg in truth.fringe_configs:
         axis = 0 if cfg.orientation == "vertical" else 1
         for freq in cfg.freqs:
-            stack = []
+            stack = [np.zeros(n, dtype=np.float32) if noise is None else next(noise)
+                     for _ in range(cfg.n_steps)]
             for at, coded in lit_pixels:
                 steps = simulate._pattern_steps(freq, cfg.n_steps, coded[:, axis], cfg.coded_span)
                 for k, value in enumerate(steps):
-                    if k == len(stack):
-                        stack.append(noise[image + k].result() if noise
-                                     else np.zeros(n, dtype=np.float32))
-                    if noise:
-                        stack[k][at] += value.astype(np.float32)
-                    else:
+                    if noise is None:
                         stack[k][at] = value
-            image += cfg.n_steps
+                    else:
+                        stack[k][at] += value.astype(np.float32)
             stacks[(cfg.orientation, freq)] = stack
     return stacks
 
 
-def resolved(frames):
-    """Done futures of copies of ``frames``, as ``_fringe_stacks`` takes noise."""
-    futures = [Future() for _ in frames]
-    for future, frame in zip(futures, frames):
-        future.set_result(frame.copy())
-    return futures
+def ordered(frames):
+    """An iterator over copies of ``frames``, as ``_fringe_stacks`` takes noise
+    in bundle order; None, no noise, when there are no frames."""
+    return iter([frame.copy() for frame in frames]) if frames else None
 
 
 def assert_same_stacks(got, want):
@@ -493,9 +490,9 @@ class TestFringeStacks:
         fill, filled = simulate._fringe_stacks, []
 
         def both(truth, n, lit_pixels, noise):
-            frames = [future.result().copy() for future in noise]  # before the fill adds
-            stacks = fill(truth, n, lit_pixels, noise)
-            assert_same_stacks(stacks, index_fill(truth, n, lit_pixels, resolved(frames)))
+            frames = [] if noise is None else list(noise)  # copied before the fill adds
+            stacks = fill(truth, n, lit_pixels, ordered(frames))
+            assert_same_stacks(stacks, index_fill(truth, n, lit_pixels, ordered(frames)))
             filled.append(len(frames))
             return stacks
 
@@ -513,8 +510,8 @@ class TestFringeStacks:
         lit[empty] = (lit[empty][0][:0], lit[empty][1][:0])
         rng = np.random.default_rng(7)
         frames = [rng.standard_normal(len(pixels), dtype=np.float32) for _ in range(24 * noisy)]
-        stacks = simulate._fringe_stacks(truth, len(pixels), lit, resolved(frames))
-        assert_same_stacks(stacks, index_fill(truth, len(pixels), lit, resolved(frames)))
+        stacks = simulate._fringe_stacks(truth, len(pixels), lit, ordered(frames))
+        assert_same_stacks(stacks, index_fill(truth, len(pixels), lit, ordered(frames)))
         if not noisy:  # the empty disc's pixels stay 0
             disc = conics[empty].normalized().evaluate(pixels) < 0
             assert all(not frame[disc].any() for stack in stacks.values() for frame in stack)
